@@ -264,8 +264,7 @@ int main(int argc, char** argv) {
     }
   }
   for (auto& s : sinks) s->end();
-  // Cache-enabled runs always get the summary line (--cache-stats is kept as
-  // an accepted no-op for older scripts).
+  // Cache-enabled runs always get the summary line.
   if (opts.cache_enabled())
     std::fprintf(stderr, "[grs_bench] cache: %s\n", cache_total.summary().c_str());
   if (opts.prof_enabled()) {

@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
         t_set || unroll || dyn || exec_set || opts.obs_enabled() || opts.prof_enabled() ||
         opts.progress || !opts.manifest_path.empty()) {
       usage("--study runs the full sharing study with its own kernels and configs; only "
-            "--threads and --cache/--cache-mode/--cache-stats apply "
+            "--threads and --cache/--cache-mode apply "
             "(use grs_bench for --trace/--timeline/--manifest/--prof/--progress)");
     }
     try {
@@ -267,7 +267,6 @@ int main(int argc, char** argv) {
       options.threads = opts.threads;
       options.cache_dir = opts.cache_dir;
       options.cache_mode = opts.cache_dir.empty() ? cache::CacheMode::kOff : opts.cache_mode;
-      options.cache_stats = opts.cache_stats;
       study::run_study(options);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());

@@ -30,7 +30,7 @@ for threads in 1 8; do
   stats=$(mktemp)
   start=$(date +%s.%N)
   GRS_STUDY_DIR="$tmp" "$BENCH" study --threads "$threads" \
-    --cache "$CACHE_DIR" --cache-stats >/dev/null 2>"$stats"
+    --cache "$CACHE_DIR" >/dev/null 2>"$stats"
   elapsed=$(date +%s.%N | awk -v s="$start" '{printf "%.2f", $1 - s}')
   hits=$(grep -o '[0-9]* hits' "$stats" | awk '{print $1}' || echo 0)
   echo "study --threads $threads: ${elapsed}s, $(grep 'cache:' "$stats" | sed 's/^.*cache: //')"

@@ -30,30 +30,6 @@ void SmStats::merge(const SmStats& o) {
   blocked_barrier += o.blocked_barrier;
 }
 
-void SmStats::accumulate_scaled_delta(const SmStats& before, const SmStats& after,
-                                      std::uint64_t n) {
-  issued_cycles += (after.issued_cycles - before.issued_cycles) * n;
-  stall_cycles += (after.stall_cycles - before.stall_cycles) * n;
-  idle_cycles += (after.idle_cycles - before.idle_cycles) * n;
-  warp_instructions += (after.warp_instructions - before.warp_instructions) * n;
-  thread_instructions += (after.thread_instructions - before.thread_instructions) * n;
-  blocks_launched += (after.blocks_launched - before.blocks_launched) * n;
-  blocks_finished += (after.blocks_finished - before.blocks_finished) * n;
-  lock_acquisitions += (after.lock_acquisitions - before.lock_acquisitions) * n;
-  lock_wait_cycles += (after.lock_wait_cycles - before.lock_wait_cycles) * n;
-  ownership_transfers += (after.ownership_transfers - before.ownership_transfers) * n;
-  dyn_throttled_issues += (after.dyn_throttled_issues - before.dyn_throttled_issues) * n;
-  l1_accesses += (after.l1_accesses - before.l1_accesses) * n;
-  l1_misses += (after.l1_misses - before.l1_misses) * n;
-  l1_mshr_merges += (after.l1_mshr_merges - before.l1_mshr_merges) * n;
-  blocked_lsu_port += (after.blocked_lsu_port - before.blocked_lsu_port) * n;
-  blocked_lsu_inflight += (after.blocked_lsu_inflight - before.blocked_lsu_inflight) * n;
-  blocked_mshr += (after.blocked_mshr - before.blocked_mshr) * n;
-  blocked_sfu_port += (after.blocked_sfu_port - before.blocked_sfu_port) * n;
-  blocked_scoreboard += (after.blocked_scoreboard - before.blocked_scoreboard) * n;
-  blocked_barrier += (after.blocked_barrier - before.blocked_barrier) * n;
-}
-
 bool operator==(const SmStats& a, const SmStats& b) {
   return a.issued_cycles == b.issued_cycles && a.stall_cycles == b.stall_cycles &&
          a.idle_cycles == b.idle_cycles && a.warp_instructions == b.warp_instructions &&

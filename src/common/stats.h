@@ -53,14 +53,6 @@ struct SmStats {
 
   void merge(const SmStats& o);
 
-  /// Add `n` copies of the per-cycle delta `after - before` to this block.
-  /// Used by the event-driven loop (gpu/gpu.cc) to account a run of skipped
-  /// cycles whose scan is provably identical to the one just executed; the
-  /// max_resident_* high-water marks are carried over unscaled (their delta
-  /// is zero in any cycle that issues nothing).
-  void accumulate_scaled_delta(const SmStats& before, const SmStats& after,
-                               std::uint64_t n);
-
   [[nodiscard]] std::uint64_t scheduler_cycles() const {
     return issued_cycles + stall_cycles + idle_cycles;
   }

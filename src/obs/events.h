@@ -1,15 +1,18 @@
 // Observability vocabulary: the warp-state taxonomy and the pid/tid address
 // scheme shared by the trace emitter, the docs, and the CI schema validator.
 //
-// Warp states mirror the scheduler's candidate-scan classification in
-// sm/sm.cc run_scheduler() one-to-one, so a Perfetto timeline of these slices
-// decomposes exactly into the issued/stall/idle cycle accounting of
-// common/stats.h. The scan classifies every live warp every scanned cycle;
-// the trace collector turns that stream into state-transition slices, which
-// is what makes trace bytes identical across cycle and event exec modes
-// (event mode only skips cycles whose scan is provably unchanged).
+// WarpState is the SM's one classification of a live warp: the candidate
+// scan (sm/sm.cc scan_warp()) decides it once per warp per scanned cycle,
+// and everything else is derived from that decision. A table in sm/sm.cc
+// maps each state to its SmStats counter and to the stall-or-idle split of
+// common/stats.h; event mode replays a skipped cycle by re-adding the last
+// scan's per-state tally; the trace observer only renders changes of state
+// as slices. So a warp's slice durations sum exactly to the per-state
+// counters, and the trace bytes are identical across cycle and event exec
+// modes (event mode only skips cycles whose scan is provably unchanged).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.h"
@@ -30,6 +33,10 @@ enum class WarpState : std::uint8_t {
   kMshrFull,     ///< structural: L1 MSHR cannot take the load's transactions
   kSfuPort,      ///< structural: SFU issue port taken this cycle
 };
+
+/// Number of WarpState values, kNone included (kSfuPort must stay the last
+/// enumerator); sizes per-state tables.
+inline constexpr std::size_t kNumWarpStates = static_cast<std::size_t>(WarpState::kSfuPort) + 1;
 
 /// Slice name shown on the warp's Perfetto track.
 [[nodiscard]] constexpr const char* to_string(WarpState s) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace grs::obs {
 
@@ -264,10 +265,10 @@ void SimObserver::finalize(Cycle final_cycle) {
   if (sink_ == nullptr) return;
   for (std::uint32_t s = 0; s < num_sms_; ++s)
     for (std::uint32_t w = 0; w < warp_slots_; ++w) close_slice(s, w, final_cycle);
-  char tmp[160];
-  std::snprintf(tmp, sizeof tmp, "{\"kernel\":\"%s\",\"cycles\":%" PRIu64 "}", kernel_.c_str(),
-                static_cast<std::uint64_t>(final_cycle));
-  sink_->end(tmp);
+  std::string other_data = "{\"kernel\":";
+  append_json_string(other_data, kernel_);
+  other_data += ",\"cycles\":" + std::to_string(final_cycle) + "}";
+  sink_->end(other_data);
 }
 
 const std::string& SimObserver::trace_json() const {

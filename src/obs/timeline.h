@@ -4,10 +4,11 @@
 // The GPU loop (gpu/gpu.cc) calls sample() at every multiple of the
 // configured interval with counter values *as they stand at that boundary*.
 // In event mode a sleeping SM's counters are reconstructed with
-// StreamingMultiprocessor::stats_at() (the same scaled-delta replay that
-// makes end-of-run stats bit-identical across modes), and boundaries inside
-// a skipped window are emitted as catch-up samples — so the CSV is
-// byte-identical across cycle/event exec modes and across --threads.
+// StreamingMultiprocessor::stats_at(), which adds the SM's last scan tally
+// once per skipped cycle (the accounting that makes end-of-run stats
+// bit-identical across modes), and boundaries inside a skipped window are
+// emitted as catch-up samples — so the CSV is byte-identical across
+// cycle/event exec modes and across --threads.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace grs::obs {
 
 namespace {
@@ -11,24 +13,6 @@ void append_u64(std::string& out, std::uint64_t v) {
   char tmp[24];
   std::snprintf(tmp, sizeof tmp, "%" PRIu64, v);
   out += tmp;
-}
-
-/// Escape for a JSON string literal (names/args are ASCII; control chars and
-/// quotes are the only hazards).
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char tmp[8];
-      std::snprintf(tmp, sizeof tmp, "\\u%04x", c);
-      out += tmp;
-    } else {
-      out += c;
-    }
-  }
 }
 
 }  // namespace
@@ -42,15 +26,14 @@ void ChromeTraceSink::begin() {
 void ChromeTraceSink::emit(const TraceEvent& e) {
   if (!first_) buf_ += ",\n";
   first_ = false;
-  buf_ += "{\"name\":\"";
-  append_escaped(buf_, e.name);
-  buf_ += "\",\"ph\":\"";
+  buf_ += "{\"name\":";
+  append_json_string(buf_, e.name);
+  buf_ += ",\"ph\":\"";
   buf_ += e.ph;
   buf_ += '"';
   if (e.cat != nullptr) {
-    buf_ += ",\"cat\":\"";
-    append_escaped(buf_, e.cat);
-    buf_ += '"';
+    buf_ += ",\"cat\":";
+    append_json_string(buf_, e.cat);
   }
   buf_ += ",\"pid\":";
   append_u64(buf_, e.pid);

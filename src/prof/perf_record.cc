@@ -7,6 +7,7 @@
 
 #include "common/buildinfo.h"
 #include "common/clock.h"
+#include "common/json.h"
 #include "prof/prof.h"
 #include "runner/engine.h"
 
@@ -17,12 +18,8 @@ namespace {
 void put_str(std::string& out, const char* key, const std::string& value) {
   out += '"';
   out += key;
-  out += "\":\"";
-  for (const char c : value) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  out += '"';
+  out += "\":";
+  append_json_string(out, value);
 }
 
 /// Median of an odd-or-even sized sample (midpoint average when even).

@@ -7,8 +7,6 @@ namespace grs::runner {
 void CommonOptions::finalize() const {
   if (cache_mode_set && cache_dir.empty())
     throw UsageError("--cache-mode only applies together with --cache DIR");
-  if (cache_stats && cache_dir.empty())
-    throw UsageError("--cache-stats only applies together with --cache DIR");
   if (timeline_interval_set && timeline_path.empty())
     throw UsageError("--timeline-interval only applies together with --timeline FILE");
 }
@@ -61,10 +59,6 @@ bool parse_common_flag(CommonOptions& opts, const CommonFlagSet& set, const std:
       throw UsageError("unknown --cache-mode '" + value + "' (off | read | readwrite | verify)");
     opts.cache_mode = *m;
     opts.cache_mode_set = true;
-    return true;
-  }
-  if (arg == "--cache-stats") {
-    opts.cache_stats = true;
     return true;
   }
   if (arg == "--trace") {
@@ -128,7 +122,6 @@ std::string common_options_help(const CommonFlagSet& set) {
       "                    and reused across runs (docs/result-cache.md)\n"
       "  --cache-mode M    off | read | readwrite | verify (default readwrite;\n"
       "                    verify re-simulates hits and fails on any byte diff)\n"
-      "  --cache-stats     print cache hit/miss/bytes counters to stderr\n"
       "  --trace FILE      write a Chrome-trace/Perfetto JSON of every sweep\n"
       "                    point (multi-point sweeps write FILE.0, FILE.1, ...);\n"
       "                    forces fresh simulation, bypassing --cache\n"

@@ -1,7 +1,7 @@
 // Shared CLI option surface for the sweep-running frontends (grs_cli,
 // grs_bench): one strict parser and one --help text source for the engine
 // options they have in common — --threads/--filter/--out/--json, the
-// result-cache family --cache/--cache-mode/--cache-stats, the
+// result-cache family --cache/--cache-mode, the
 // observability family --trace/--timeline/--timeline-interval/--manifest,
 // the host-profiling family --prof/--prof-folded, and --progress — so the
 // scripts/check_docs.sh flag-drift check has a single origin and the two
@@ -51,7 +51,6 @@ struct CommonOptions {
   std::string cache_dir;    ///< --cache DIR ("" = caching off)
   cache::CacheMode cache_mode = cache::CacheMode::kReadWrite;  ///< --cache-mode
   bool cache_mode_set = false;
-  bool cache_stats = false;  ///< --cache-stats
 
   // Observability (src/obs; docs/observability.md).
   std::string trace_path;     ///< --trace FILE
@@ -83,8 +82,8 @@ struct CommonOptions {
     return !cache_dir.empty() && cache_mode != cache::CacheMode::kOff;
   }
 
-  /// Cross-flag validation (call once after the argv loop): --cache-mode and
-  /// --cache-stats require --cache; --timeline-interval requires --timeline.
+  /// Cross-flag validation (call once after the argv loop): --cache-mode
+  /// requires --cache; --timeline-interval requires --timeline.
   /// Throws UsageError.
   void finalize() const;
 

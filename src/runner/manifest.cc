@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/buildinfo.h"
+#include "common/json.h"
 
 namespace grs::runner {
 
@@ -15,12 +16,8 @@ namespace {
 void put(std::string& out, const char* key, const std::string& value) {
   out += '"';
   out += key;
-  out += "\":\"";
-  for (const char c : value) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  out += '"';
+  out += "\":";
+  append_json_string(out, value);
 }
 
 void put(std::string& out, const char* key, std::uint64_t value) {

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/table.h"
 #include "gpu/result_codec.h"
 
@@ -28,23 +29,6 @@ std::string csv_escape(const std::string& s) {
     out += c;
   }
   out += '"';
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
   return out;
 }
 
@@ -94,17 +78,19 @@ void JsonSink::begin() { out_ << "[\n"; }
 void JsonSink::add(const std::string& bench, const SweepRow& row) {
   const auto& cols = result_columns();
   const auto cells = result_cells(bench, row);
-  out_ << (first_ ? "" : ",\n") << "  {";
+  std::string obj = first_ ? "  {" : ",\n  {";
   first_ = false;
   for (std::size_t c = 0; c < cols.size(); ++c) {
-    out_ << (c == 0 ? "" : ", ") << '"' << json_escape(cols[c]) << "\": ";
+    if (c != 0) obj += ", ";
+    append_json_string(obj, cols[c]);
+    obj += ": ";
     if (c < kNumStringColumns) {
-      out_ << '"' << json_escape(cells[c]) << '"';
+      append_json_string(obj, cells[c]);
     } else {
-      out_ << cells[c];
+      obj += cells[c];
     }
   }
-  out_ << "}";
+  out_ << obj << "}";
 }
 
 void JsonSink::end() { out_ << "\n]\n"; }

@@ -1,12 +1,42 @@
 #include "sm/sm.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/check.h"
 #include "obs/obs.h"
 #include "prof/prof.h"
 
 namespace grs {
+
+namespace {
+
+/// How one warp-cycle in each state is counted: the SmStats counter it adds
+/// to, and whether it is a structural hazard, which makes a scheduler that
+/// issues nothing count a stall cycle rather than an idle one.
+struct StateAccounting {
+  std::uint64_t SmStats::*counter;  ///< nullptr: the state has no counter
+  bool stall;
+};
+
+/// Indexed by obs::WarpState.
+constexpr StateAccounting kStateAccounting[] = {
+    {nullptr, false},                         // kNone
+    {nullptr, false},                         // kEligible
+    {&SmStats::blocked_barrier, false},       // kBarrier
+    {&SmStats::blocked_scoreboard, false},    // kScoreboard
+    {nullptr, false},                         // kDrainExit
+    {&SmStats::lock_wait_cycles, false},      // kLockWait
+    {&SmStats::dyn_throttled_issues, false},  // kDynGated
+    {&SmStats::blocked_lsu_port, true},       // kLsuPort
+    {&SmStats::blocked_lsu_inflight, true},   // kLsuQueue
+    {&SmStats::blocked_mshr, true},           // kMshrFull
+    {&SmStats::blocked_sfu_port, true},       // kSfuPort
+};
+static_assert(std::size(kStateAccounting) == obs::kNumWarpStates,
+              "one accounting entry per obs::WarpState");
+
+}  // namespace
 
 StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
                                                  const Program& program,
@@ -169,18 +199,25 @@ bool StreamingMultiprocessor::step(Cycle now) {
   }
   lsu_port_ = 0;
   sfu_port_ = 0;
-  if (cfg_.exec_mode == ExecMode::kEvent) {
-    // Only tick() replays deltas; keep the naive loop free of the snapshot.
-    step_begin_stats_ = stats_;
-  }
   scan_gate_passed_ = false;
   dyn_blocked_uids_.clear();
+  tally_ = ScanTally{};
   bool issued = false;
   {
     prof::ScopedPhase prof_scope(prof_, prof::Phase::kSchedulerScan);
     for (std::uint32_t s = 0; s < schedulers_.size(); ++s) issued |= run_scheduler(s, now);
+    tally_.add_to(stats_, 1);
   }
   return issued;
+}
+
+void StreamingMultiprocessor::ScanTally::add_to(SmStats& s, std::uint64_t cycles) const {
+  for (std::size_t i = 0; i < warps.size(); ++i) {
+    if (kStateAccounting[i].counter != nullptr)
+      s.*kStateAccounting[i].counter += warps[i] * cycles;
+  }
+  s.stall_cycles += stalled * cycles;
+  s.idle_cycles += idled * cycles;
 }
 
 Cycle StreamingMultiprocessor::next_wakeup() const {
@@ -192,7 +229,7 @@ bool StreamingMultiprocessor::tick(Cycle now) {
   if (now < idle_until_) return false;  // known idle; accounted on wake/flush
   if (now > last_stepped_ + 1) {
     prof::ScopedPhase prof_scope(prof_, prof::Phase::kEventSleep);
-    repeat_idle_accounting(now - last_stepped_ - 1);
+    tally_.add_to(stats_, now - last_stepped_ - 1);
   }
   const bool issued = step(now);
   last_stepped_ = now;
@@ -240,124 +277,30 @@ bool StreamingMultiprocessor::tick(Cycle now) {
 
 void StreamingMultiprocessor::flush_idle_accounting(Cycle final_cycle) {
   if (final_cycle > last_stepped_) {
-    repeat_idle_accounting(final_cycle - last_stepped_);
+    tally_.add_to(stats_, final_cycle - last_stepped_);
     last_stepped_ = final_cycle;
   }
-}
-
-void StreamingMultiprocessor::repeat_idle_accounting(std::uint64_t n) {
-  const SmStats after = stats_;
-  stats_.accumulate_scaled_delta(step_begin_stats_, after, n);
 }
 
 bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   cands_.clear();
   bool saw_stall = false;
-  // The scan classifies every live warp; with tracing on, each
-  // classification is mirrored to the observer, which turns the stream into
-  // state-transition slices (obs/events.h explains why that stays
-  // byte-identical across exec modes).
-  obs::SimObserver* const tr = trace_;
-
   const auto n_sched = static_cast<std::uint32_t>(schedulers_.size());
   for (std::uint32_t slot = sched_id; slot < warps_.size(); slot += n_sched) {
-    Warp& w = warps_[slot];
+    const Warp& w = warps_[slot];
     if (!w.live()) continue;
-    if (w.at_barrier) {  // synchronization wait -> idle class
-      ++stats_.blocked_barrier;
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kBarrier);
-      continue;
-    }
-
-    const Instruction* ins = w.cursor.peek(*program_);
-    GRS_CHECK_MSG(ins != nullptr, "live warp with exhausted program");
-
-    // Scoreboard: RAW/WAW on in-flight results -> dependency wait (idle class).
-    if ((w.pending_writes & hazard_mask(*ins)) != 0) {
-      ++stats_.blocked_scoreboard;
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kScoreboard);
-      continue;
-    }
-    if (ins->op == Op::kExit && w.inflight != 0) {  // drain before exit
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kDrainExit);
-      continue;
-    }
-
-    const ResidentBlock& b = blocks_[w.block];
-
-    // Sharing locks (paper Fig. 3/4 step (d)-(e)): the warp busy-waits; like
-    // a scoreboard dependency it is "not ready", so a cycle with only
-    // lock-blocked warps counts as idle, not as a pipeline stall.
-    if (needs_reg_lock(b, *ins) &&
-        !pairs_[b.pair_id].locks.reg_can_acquire(b.side, w.pos_in_block)) {
-      ++stats_.lock_wait_cycles;
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kLockWait);
-      continue;
-    }
-    if (needs_smem_lock(b, *ins) && !pairs_[b.pair_id].locks.smem_can_acquire(b.side)) {
-      ++stats_.lock_wait_cycles;
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kLockWait);
-      continue;
-    }
-
-    const WarpClass cls = classify(w);
-
-    // Dynamic warp execution gate (paper §IV-C): suppressed issue, also
-    // "not ready" this cycle. With a fractional probability the decision may
-    // flip from one cycle to the next; record which way it went so tick()
-    // knows how far this scan can be replayed.
-    if (dyn_ != nullptr && dyn_->enabled() && is_global_mem(ins->op) &&
-        cls == WarpClass::kSharedNonOwner) {
-      const bool cycle_dependent = dyn_->gate_is_cycle_dependent(id_);
-      if (!dyn_->allow(id_, now, w.warp_uid)) {
-        ++stats_.dyn_throttled_issues;
-        if (cycle_dependent) dyn_blocked_uids_.push_back(w.warp_uid);
-        if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kDynGated);
-        continue;
-      }
-      scan_gate_passed_ |= cycle_dependent;
-    }
-
-    // Structural hazards -> stall class.
-    if (is_mem(ins->op)) {
-      if (lsu_port_ >= cfg_.lsu_issue_per_cycle) {
-        saw_stall = true;
-        ++stats_.blocked_lsu_port;
-        if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kLsuPort);
-        continue;
-      }
-      if (lsu_inflight_ >= cfg_.lsu_max_inflight) {
-        saw_stall = true;
-        ++stats_.blocked_lsu_inflight;
-        if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kLsuQueue);
-        continue;
-      }
-      if (ins->op == Op::kLdGlobal) {  // stores bypass the MSHR (no-allocate)
-        const std::uint32_t txns = ins->max_transactions();
-        if (l1_.inflight() + txns > cfg_.l1.mshr_entries) {
-          saw_stall = true;
-          ++stats_.blocked_mshr;
-          if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kMshrFull);
-          continue;
-        }
-      }
-    } else if (ins->op == Op::kSfu && sfu_port_ >= cfg_.sfu_issue_per_cycle) {
-      saw_stall = true;
-      ++stats_.blocked_sfu_port;
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kSfuPort);
-      continue;
-    }
-
-    if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kEligible);
-    cands_.push_back(SchedCandidate{slot, w.dynamic_id, cls});
+    const obs::WarpState st = scan_warp(w, now);
+    ++tally_.warps[static_cast<std::size_t>(st)];
+    saw_stall |= kStateAccounting[static_cast<std::size_t>(st)].stall;
+    // The observer renders this stream as state-transition slices
+    // (obs/events.h explains why that stays byte-identical across modes).
+    if (trace_) trace_->warp_scan(id_, slot, now, st);
+    if (st == obs::WarpState::kEligible)
+      cands_.push_back(SchedCandidate{slot, w.dynamic_id, classify(w)});
   }
 
   if (cands_.empty()) {
-    if (saw_stall) {
-      ++stats_.stall_cycles;
-    } else {
-      ++stats_.idle_cycles;
-    }
+    ++(saw_stall ? tally_.stalled : tally_.idled);
     return false;
   }
 
@@ -366,12 +309,62 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   const std::uint32_t picked_slot = cands_[pick].slot;
   Warp& w = warps_[picked_slot];
   const Instruction ins = *w.cursor.peek(*program_);
-  if (tr) tr->warp_issue(id_, picked_slot, now, ins.op);
+  if (trace_) trace_->warp_issue(id_, picked_slot, now, ins.op);
   issue(w, ins, now);
   ++stats_.issued_cycles;
   ++stats_.warp_instructions;
   stats_.thread_instructions += w.active_lanes;
   return true;
+}
+
+obs::WarpState StreamingMultiprocessor::scan_warp(const Warp& w, Cycle now) {
+  using obs::WarpState;
+  if (w.at_barrier) return WarpState::kBarrier;  // synchronization wait -> idle class
+
+  const Instruction* ins = w.cursor.peek(*program_);
+  GRS_CHECK_MSG(ins != nullptr, "live warp with exhausted program");
+
+  // Scoreboard: RAW/WAW on in-flight results -> dependency wait (idle class).
+  if ((w.pending_writes & hazard_mask(*ins)) != 0) return WarpState::kScoreboard;
+  if (ins->op == Op::kExit && w.inflight != 0) return WarpState::kDrainExit;
+
+  const ResidentBlock& b = blocks_[w.block];
+
+  // Sharing locks (paper Fig. 3/4 step (d)-(e)): the warp busy-waits; like
+  // a scoreboard dependency it is "not ready", so a cycle with only
+  // lock-blocked warps counts as idle, not as a pipeline stall.
+  if (needs_reg_lock(b, *ins) &&
+      !pairs_[b.pair_id].locks.reg_can_acquire(b.side, w.pos_in_block))
+    return WarpState::kLockWait;
+  if (needs_smem_lock(b, *ins) && !pairs_[b.pair_id].locks.smem_can_acquire(b.side))
+    return WarpState::kLockWait;
+
+  // Dynamic warp execution gate (paper §IV-C): suppressed issue, also
+  // "not ready" this cycle. With a fractional probability the decision may
+  // flip from one cycle to the next; record which way it went so tick()
+  // knows how far this scan can be replayed.
+  if (dyn_ != nullptr && dyn_->enabled() && is_global_mem(ins->op) &&
+      classify(w) == WarpClass::kSharedNonOwner) {
+    const bool cycle_dependent = dyn_->gate_is_cycle_dependent(id_);
+    if (!dyn_->allow(id_, now, w.warp_uid)) {
+      if (cycle_dependent) dyn_blocked_uids_.push_back(w.warp_uid);
+      return WarpState::kDynGated;
+    }
+    scan_gate_passed_ |= cycle_dependent;
+  }
+
+  // Structural hazards -> stall class.
+  if (is_mem(ins->op)) {
+    if (lsu_port_ >= cfg_.lsu_issue_per_cycle) return WarpState::kLsuPort;
+    if (lsu_inflight_ >= cfg_.lsu_max_inflight) return WarpState::kLsuQueue;
+    // Stores bypass the MSHR (no-allocate).
+    if (ins->op == Op::kLdGlobal &&
+        l1_.inflight() + ins->max_transactions() > cfg_.l1.mshr_entries)
+      return WarpState::kMshrFull;
+  } else if (ins->op == Op::kSfu && sfu_port_ >= cfg_.sfu_issue_per_cycle) {
+    return WarpState::kSfuPort;
+  }
+  return WarpState::kEligible;
 }
 
 void StreamingMultiprocessor::issue(Warp& w, const Instruction& ins, Cycle now) {

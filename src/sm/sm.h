@@ -14,6 +14,7 @@
 //  * the Dyn gate in front of non-owner global-memory issues (§IV-C).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -29,6 +30,7 @@
 #include "memory/cache.h"
 #include "memory/coalescer.h"
 #include "memory/memsys.h"
+#include "obs/events.h"
 #include "sm/block.h"
 #include "sm/scheduler.h"
 #include "sm/warp.h"
@@ -76,7 +78,8 @@ class StreamingMultiprocessor {
   // --- event-driven execution (gpu/gpu.cc, exec_mode = kEvent) -----------
   /// Event-aware wrapper around step(): while inside a known-idle window
   /// (`now < idle_until()`) the call is O(1) — the scan is provably identical
-  /// to the last one and is accounted in bulk when the SM wakes (or at
+  /// to the last one, so each skipped cycle is accounted by adding the last
+  /// scan's tally once more, in bulk when the SM wakes (or at
   /// flush_idle_accounting). A scan that issues nothing opens a window up to
   /// the SM's next timed wakeup. Statistics stay bit-identical to calling
   /// step() every cycle.
@@ -100,11 +103,6 @@ class StreamingMultiprocessor {
   /// moves when some warp on this SM issues.
   [[nodiscard]] Cycle next_wakeup() const;
 
-  /// Account `n` further cycles that are provably identical to the (issue-
-  /// free) cycle just stepped: replays the last step's counter increments
-  /// n more times without re-scanning.
-  void repeat_idle_accounting(std::uint64_t n);
-
   /// Copy the L1 counters into the stats block and return it.
   [[nodiscard]] const SmStats& finalize_stats();
 
@@ -116,13 +114,13 @@ class StreamingMultiprocessor {
 
   // --- timeline sampling (gpu/gpu.cc; event mode) ------------------------
   /// Counters as they will stand at cycle `c` >= the last stepped cycle,
-  /// assuming the SM sleeps through the gap: the last scan's per-cycle delta
-  /// replayed `c - last_stepped` times without touching live state. This is
-  /// the same replay flush_idle_accounting() applies at the end of the run,
-  /// so sampled values are bit-identical to stepping every cycle.
+  /// assuming the SM sleeps through the gap: the last scan's tally added
+  /// `c - last_stepped` more times, without touching live state. tick() and
+  /// flush_idle_accounting() account skipped cycles the same way, so sampled
+  /// values are bit-identical to stepping every cycle.
   [[nodiscard]] SmStats stats_at(Cycle c) const {
     SmStats s = stats_;
-    if (c > last_stepped_) s.accumulate_scaled_delta(step_begin_stats_, stats_, c - last_stepped_);
+    if (c > last_stepped_) tally_.add_to(s, c - last_stepped_);
     return s;
   }
   [[nodiscard]] std::uint64_t l1_accesses() const { return l1_.accesses; }
@@ -158,8 +156,26 @@ class StreamingMultiprocessor {
     bool operator()(const Event& a, const Event& b) const { return a.cycle > b.cycle; }
   };
 
+  /// What one step's scans decided: live warps per state, and schedulers
+  /// that issued nothing, split by whether a structural hazard blocked one
+  /// of their warps. step() adds it to the counters once; event mode adds
+  /// it once more per skipped cycle, whose scan repeats the last one (only
+  /// steps that issued nothing are ever repeated).
+  struct ScanTally {
+    std::array<std::uint32_t, obs::kNumWarpStates> warps{};
+    std::uint32_t stalled = 0;
+    std::uint32_t idled = 0;
+
+    /// Add this tally, `cycles` times over, to the counters in `s`.
+    void add_to(SmStats& s, std::uint64_t cycles) const;
+  };
+
   void drain_events(Cycle now);
   bool run_scheduler(std::uint32_t sched_id, Cycle now);
+  /// Decide a live warp's state for this cycle's candidate scan. The only
+  /// state it writes is the Dyn bookkeeping tick() reads
+  /// (scan_gate_passed_, dyn_blocked_uids_).
+  [[nodiscard]] obs::WarpState scan_warp(const Warp& w, Cycle now);
   void issue(Warp& w, const Instruction& ins, Cycle now);
   void do_global_access(Warp& w, const Instruction& ins, Cycle now, std::uint64_t instr_seq,
                         std::uint64_t instr_uid);
@@ -203,7 +219,7 @@ class StreamingMultiprocessor {
   std::uint32_t resident_warps_ = 0;
 
   SmStats stats_;
-  SmStats step_begin_stats_;            ///< snapshot for repeat_idle_accounting
+  ScanTally tally_;                     ///< the last step's scan
   /// Last scan let a warp through a fractional Dyn gate (without issuing):
   /// the same warp may be gated next cycle, reshuffling blocked counters.
   bool scan_gate_passed_ = false;

@@ -56,7 +56,7 @@ void run_study(const StudyOptions& options) {
   cache::CacheStats cache_total;
   run.cache_stats = &cache_total;
   const std::vector<runner::SweepRow> rows = runner::run_sweep(build_study_spec(), run);
-  // Any cache-enabled run reports its counters (--cache-stats is implied).
+  // Any cache-enabled run reports its counters.
   if (!options.cache_dir.empty() && options.cache_mode != cache::CacheMode::kOff)
     std::fprintf(stderr, "[grs_cli] cache: %s\n", cache_total.summary().c_str());
   present_study(runner::BenchView(rows), default_report_dir());

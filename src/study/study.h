@@ -38,7 +38,6 @@ struct StudyOptions {
   /// regenerates from lookups alone.
   std::string cache_dir;
   cache::CacheMode cache_mode = cache::CacheMode::kOff;
-  bool cache_stats = false;  ///< print hit/miss counters to stderr afterwards
 };
 
 /// One-shot: build, run, aggregate, write into default_report_dir() (the

@@ -448,8 +448,10 @@ TEST(CliOptions, StrictParsingAndCrossFlagValidation) {
   EXPECT_THROW((void)feed("--cache", ""), runner::UsageError);
   EXPECT_THROW((void)feed("--cache-mode", "sideways"), runner::UsageError);
   EXPECT_FALSE(feed("--not-a-shared-flag", ""));
+  // The cache summary prints on every cache-enabled run; there is no flag for it.
+  EXPECT_FALSE(feed("--cache-stats", ""));
 
-  // --cache-mode / --cache-stats without --cache are rejected, not ignored.
+  // --cache-mode without --cache is rejected, not ignored.
   EXPECT_TRUE(feed("--cache-mode", "verify"));
   EXPECT_THROW(opts.finalize(), runner::UsageError);
   EXPECT_TRUE(feed("--cache", "/tmp/store"));
@@ -472,8 +474,9 @@ TEST(CliOptions, StrictParsingAndCrossFlagValidation) {
   // One help source mentions every cache flag (check_docs.sh keys off this).
   const std::string help = runner::common_options_help(kAll);
   for (const char* flag : {"--threads", "--filter", "--out", "--json", "--cache",
-                           "--cache-mode", "--cache-stats"})
+                           "--cache-mode"})
     EXPECT_NE(help.find(flag), std::string::npos) << flag;
+  EXPECT_EQ(help.find("--cache-stats"), std::string::npos);
 
   EXPECT_EQ(cache::parse_cache_mode("readwrite"), cache::CacheMode::kReadWrite);
   EXPECT_EQ(cache::parse_cache_mode("off"), cache::CacheMode::kOff);

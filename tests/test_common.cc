@@ -1,8 +1,9 @@
 // Common substrate: config factories & validation, stats, PRNG, table writer,
-// and the §V hardware-cost formulas.
+// JSON string escaping, and the §V hardware-cost formulas.
 #include <gtest/gtest.h>
 
 #include "common/config.h"
+#include "common/json.h"
 #include "common/prng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -205,6 +206,20 @@ TEST(Table, FormatHelpers) {
 TEST(TableDeath, ArityMismatchRejected) {
   TextTable t({"a", "b"});
   EXPECT_DEATH(t.add_row({"only-one"}), "arity");
+}
+
+// --- json -----------------------------------------------------------------------
+
+TEST(Json, StringLiteralEscapesQuotesBackslashesAndControlCharacters) {
+  std::string out = "x";
+  append_json_string(out, std::string("a\"b\\c\n\x1f\x7f\xc3\xa9", 10));
+  EXPECT_EQ(out, "x\"a\\\"b\\\\c\\u000a\\u001f\x7f\xc3\xa9\"");
+  std::string nul;
+  append_json_string(nul, std::string("\0", 1));
+  EXPECT_EQ(nul, "\"\\u0000\"");
+  std::string empty;
+  append_json_string(empty, "");
+  EXPECT_EQ(empty, "\"\"");
 }
 
 // --- hardware cost (paper §V) -----------------------------------------------------

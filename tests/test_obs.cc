@@ -5,7 +5,10 @@
 //  * zero cost when off — a null/disabled observer leaves GpuStats
 //    bit-identical to a plain simulate() and produces no output;
 //  * shape — trace events carry ph/pid/tid/ts with timestamps monotone per
-//    (pid, tid) track, the format Perfetto requires;
+//    (pid, tid) track, the format Perfetto requires, and the footer stays
+//    valid JSON whatever the kernel is called;
+//  * decomposition — each warp's state slices add up exactly to the SmStats
+//    counter of that state, in both exec modes;
 //  * telemetry — RunManifest renders the documented v1 schema.
 #include <gtest/gtest.h>
 
@@ -26,6 +29,7 @@
 #include "obs/trace.h"
 #include "runner/engine.h"
 #include "runner/manifest.h"
+#include "workloads/format/gkd.h"
 #include "workloads/suites.h"
 
 namespace grs {
@@ -210,6 +214,85 @@ TEST(ObsTrace, EventsCarryCoordinatesAndMonotoneTimestampsPerTrack) {
   }
   EXPECT_GT(meta, 0u);
   EXPECT_GT(events, 0u);
+}
+
+TEST(ObsTrace, FooterKeepsQuotedAndLongKernelNamesIntact) {
+  obs::ObsOptions opts;
+  opts.trace = true;
+  const std::pair<std::string, std::string> names[] = {
+      {"q\"uo\\te", "q\\\"uo\\\\te"},                  // quote and backslash escaped
+      {std::string(150, 'k'), std::string(150, 'k')},  // longer than any fixed buffer
+  };
+  for (const auto& [name, escaped] : names) {
+    KernelInfo k = shrink(workloads::hotspot(), 2);
+    k.name = name;
+    const ObsRun run = run_observed(configs::unshared(), k, opts);
+    const std::string footer = "\"otherData\":{\"kernel\":\"" + escaped + "\",\"cycles\":" +
+                               std::to_string(run.result.stats.cycles) + "}\n}\n";
+    ASSERT_GE(run.trace.size(), footer.size());
+    EXPECT_EQ(run.trace.substr(run.trace.size() - footer.size()), footer) << name;
+  }
+}
+
+/// Sums the length (E.ts - B.ts) of every warp-state slice, by slice name.
+class SliceCycleSink final : public obs::TraceSink {
+ public:
+  void emit(const obs::TraceEvent& e) override {
+    if (e.cat == nullptr || std::string(e.cat) != "warp") return;
+    const auto track = std::make_pair(e.pid, e.tid);
+    if (e.ph == 'B') {
+      open_[track] = e.ts;
+    } else if (e.ph == 'E') {
+      ASSERT_EQ(open_.count(track), 1u) << "E without B on warp track " << e.tid;
+      cycles[e.name] += e.ts - open_[track];
+      open_.erase(track);
+    }
+  }
+  std::map<std::string, std::uint64_t> cycles;
+
+ private:
+  std::map<std::pair<std::uint32_t, std::uint32_t>, Cycle> open_;
+};
+
+TEST(ObsTrace, WarpSlicesSumToBlockedCounters) {
+  using Counter = std::uint64_t SmStats::*;
+  const std::pair<const char*, Counter> slice_counters[] = {
+      {"barrier", &SmStats::blocked_barrier},
+      {"scoreboard", &SmStats::blocked_scoreboard},
+      {"lock-wait", &SmStats::lock_wait_cycles},
+      {"dyn-gated", &SmStats::dyn_throttled_issues},
+      {"lsu-port", &SmStats::blocked_lsu_port},
+      {"lsu-queue", &SmStats::blocked_lsu_inflight},
+      {"mshr-full", &SmStats::blocked_mshr},
+      {"sfu-port", &SmStats::blocked_sfu_port},
+  };
+  struct Case {
+    GpuConfig cfg;
+    KernelInfo kernel;
+    std::vector<Counter> exercised;  ///< counters this run must drive above zero
+  };
+  const std::string dir = std::string(GRS_SOURCE_DIR) + "/examples/kernels/";
+  const Case cases[] = {
+      {configs::shared_owf_unroll_dyn(Resource::kRegisters), shrink(workloads::hotspot(), 28),
+       {&SmStats::lock_wait_cycles, &SmStats::dyn_throttled_issues, &SmStats::blocked_lsu_port}},
+      {configs::unshared(), workloads::gkd::load_file(dir + "staged_reduce.gkd"),
+       {&SmStats::blocked_barrier, &SmStats::blocked_scoreboard}},
+      {configs::unshared(), shrink(workloads::gkd::load_file(dir + "l2_thrash.gkd"), 8),
+       {&SmStats::blocked_mshr}},
+  };
+  for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+    for (const Case& c : cases) {
+      GpuConfig cfg = c.cfg;
+      cfg.exec_mode = mode;
+      SliceCycleSink sink;
+      obs::SimObserver observer(obs::ObsOptions{}, &sink);
+      const SmStats s = simulate(cfg, c.kernel, &observer).stats.sm_total;
+      const std::string label = c.kernel.name + " / " + to_string(mode);
+      for (const auto& [slice, counter] : slice_counters)
+        EXPECT_EQ(sink.cycles[slice], s.*counter) << label << " / " << slice;
+      for (const Counter counter : c.exercised) EXPECT_GT(s.*counter, 0u) << label;
+    }
+  }
 }
 
 // --- engine integration -----------------------------------------------------
