@@ -21,9 +21,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/parse.h"
-#include "perf_suite.h"
-#include "prof/perf_record.h"
 #include "prof/prof.h"
 #include "runner/cli_options.h"
 #include "runner/manifest.h"
@@ -58,13 +55,6 @@ void print_help() {
       "%s"
       "  --exec-mode M     force cycle | event on every sweep point (default:\n"
       "                    whatever the configs say — event); bit-identical stats\n"
-      "  --perf-record FILE  run the pinned perf suite (fig8 hotspot, one study\n"
-      "                    slice, one corpus kernel) instead of benches and write\n"
-      "                    a grs-perf-record-v1 JSON; diff against a committed\n"
-      "                    baseline with scripts/perf_check.py\n"
-      "                    (docs/perf-tracking.md)\n"
-      "  --perf-reps N     timed repetitions per suite point, median reported\n"
-      "                    (default 5)\n"
       "  --table           also print the generic per-sweep console table\n"
       "  --quiet           skip the paper-shaped presenters (sinks still run;\n"
       "                    note: the study bench writes its reports from its\n"
@@ -90,9 +80,6 @@ int main(int argc, char** argv) {
   bool table = false, quiet = false;
   bool exec_mode_set = false;
   ExecMode exec_mode = ExecMode::kEvent;
-  std::string perf_record_path;
-  int perf_reps = 5;
-  bool perf_reps_set = false;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -115,16 +102,6 @@ int main(int argc, char** argv) {
         else if (m == "event") exec_mode = ExecMode::kEvent;
         else usage("unknown --exec-mode (cycle | event)");
         exec_mode_set = true;
-      } else if (a == "--perf-record") {
-        perf_record_path = next();
-        if (perf_record_path.empty()) usage("--perf-record expects a file name");
-      } else if (a == "--perf-reps") {
-        const std::string value = next();
-        const auto v = parse_u32(value);
-        if (!v.has_value() || *v == 0 || *v > 1000)
-          usage("--perf-reps expects an integer in [1, 1000], got '" + value + "'");
-        perf_reps = static_cast<int>(*v);
-        perf_reps_set = true;
       } else if (a == "--table") {
         table = true;
       } else if (a == "--quiet") {
@@ -138,40 +115,6 @@ int main(int argc, char** argv) {
     opts.finalize();
   } catch (const runner::UsageError& e) {
     usage(e.what());
-  }
-
-  if (perf_reps_set && perf_record_path.empty())
-    usage("--perf-reps only applies together with --perf-record FILE");
-
-  if (!perf_record_path.empty()) {
-    // The record must measure the pinned suite, fresh, with nothing skewing
-    // the clock: no bench selection, caching, observability, or profiling
-    // flags apply (the record embeds its own profiled rep).
-    if (!selected.empty() || exec_mode_set || table || quiet || !opts.filter.empty() ||
-        !opts.out_csv.empty() || !opts.out_json.empty() || opts.cache_enabled() ||
-        opts.obs_enabled() || opts.prof_enabled() || !opts.manifest_path.empty()) {
-      usage("--perf-record runs the pinned perf suite by itself; only --threads, "
-            "--perf-reps and --progress apply");
-    }
-    try {
-      prof::PerfRecordOptions record_opts;
-      record_opts.reps = perf_reps;
-      record_opts.threads = opts.threads == 0 ? 1 : opts.threads;  // pinned: stable timing
-      record_opts.verbose = opts.progress;
-      const std::string json = record_perf(default_perf_suite(), record_opts);
-      std::ofstream f(perf_record_path, std::ios::binary | std::ios::trunc);
-      if (!f) usage("cannot open " + perf_record_path);
-      f.write(json.data(), static_cast<std::streamsize>(json.size()));
-      if (!f) {
-        std::fprintf(stderr, "error: failed writing %s\n", perf_record_path.c_str());
-        return 2;
-      }
-      std::fprintf(stderr, "[grs_bench] wrote perf record to %s\n", perf_record_path.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: perf record: %s\n", e.what());
-      return 2;
-    }
-    return 0;
   }
 
   std::vector<const runner::BenchDef*> to_run;

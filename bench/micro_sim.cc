@@ -110,20 +110,9 @@ void BM_ExecModeHotspot(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecModeHotspot)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// Observability tax. BM_TraceOff is the zero-cost-when-off guard: the
-/// 3-argument simulate() with a null observer must match plain simulate()
-/// (compare against BM_EndToEndSim). BM_TraceOn measures full event tracing
-/// into a counting sink — the opt-in price of --trace.
-void BM_TraceOff(benchmark::State& state) {
-  KernelInfo k = workloads::hotspot();
-  k.grid_blocks = 42;
-  const GpuConfig cfg = configs::shared_owf_unroll_dyn(Resource::kRegisters);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulate(cfg, k, nullptr).stats.cycles);
-  }
-}
-BENCHMARK(BM_TraceOff)->Unit(benchmark::kMillisecond);
-
+/// Observability tax: full event tracing into a counting sink — the opt-in
+/// price of --trace. Its base is BM_EndToEndSim, the same kernel and config
+/// with tracing off.
 void BM_TraceOn(benchmark::State& state) {
   KernelInfo k = workloads::hotspot();
   k.grid_blocks = 42;

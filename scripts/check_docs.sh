@@ -98,12 +98,6 @@ for flag in --trace --timeline --timeline-interval --manifest \
     fi
   done
 done
-for flag in --perf-record --perf-reps; do
-  if ! grep -qe "^  $flag " <<<"$bench_help"; then
-    echo "error: grs_bench --help no longer documents $flag (bench/main.cc)" >&2
-    fail=1
-  fi
-done
 
 # --- 3. every registered bench is documented ----------------------------------
 while read -r name _; do

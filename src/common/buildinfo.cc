@@ -53,9 +53,4 @@ const BuildInfo& build_info() {
   return info;
 }
 
-std::string host_fingerprint() {
-  const BuildInfo& b = build_info();
-  return b.hostname + " | " + b.compiler + " | " + b.build_type;
-}
-
 }  // namespace grs

@@ -2,9 +2,8 @@
 // binary. Baked in at build time by cmake/buildinfo.cmake (a generated
 // header, refreshed on every build); falls back to "unknown" when built
 // outside a git checkout or without the generated header (plain
-// `c++ src/**.cc`). Consumed by run manifests (runner/manifest.cc) and perf
-// records (prof/perf_record.cc) so every telemetry file is attributable to a
-// commit.
+// `c++ src/**.cc`). Consumed by run manifests (runner/manifest.cc) so every
+// run's telemetry is attributable to a commit.
 #pragma once
 
 #include <string>
@@ -21,11 +20,5 @@ struct BuildInfo {
 
 /// The process-wide build/host facts (computed once).
 [[nodiscard]] const BuildInfo& build_info();
-
-/// One-line host fingerprint for perf records:
-/// "<hostname> | <compiler> | <build_type>". Deliberately excludes the
-/// commit — two commits on the same machine must fingerprint equal so
-/// perf_check.py compares them strictly.
-[[nodiscard]] std::string host_fingerprint();
 
 }  // namespace grs

@@ -1,5 +1,5 @@
 // JSON string literals for every artifact this project writes (traces,
-// result sinks, run manifests, perf records): one escaper, so they agree.
+// result sinks, run manifests): one escaper, so they agree.
 #pragma once
 
 #include <string>

@@ -94,8 +94,10 @@ void HostProfiler::merge(const HostProfiler& o) {
   wall_ += o.wall_;
 }
 
-std::string HostProfiler::phases_json() const {
-  std::string out = "[";
+std::string HostProfiler::json() const {
+  std::string out = "{\"schema\":\"grs-prof-v1\",";
+  put_double(out, "wall_seconds", wall_);
+  out += ",\"phases\":[";
   bool first = true;
   for (std::size_t i = 0; i < kNumPhases; ++i) {
     if (agg_[i].calls == 0) continue;
@@ -118,16 +120,7 @@ std::string HostProfiler::phases_json() const {
     }
     out += '}';
   }
-  out += ']';
-  return out;
-}
-
-std::string HostProfiler::json() const {
-  std::string out = "{\"schema\":\"grs-prof-v1\",";
-  put_double(out, "wall_seconds", wall_);
-  out += ",\"phases\":";
-  out += phases_json();
-  out += "}\n";
+  out += "]}\n";
   return out;
 }
 

@@ -12,8 +12,9 @@
 // profiling on (tests/test_prof.cc).
 //
 // Host time is wall time: profiles from different machines or runs are not
-// comparable sample-for-sample. The perf-record layer (prof/perf_record.h)
-// is the normalized cross-run format; this is the drill-down.
+// comparable sample-for-sample. Cross-run speed comparisons belong to the
+// end-to-end benchmark (perfbench/README.md); this is the drill-down inside
+// one run. Depends only on common/.
 #pragma once
 
 #include <array>
@@ -81,9 +82,6 @@ class HostProfiler {
   /// Folded-stack lines ("simulate;scheduler_scan;issue 1234\n", value =
   /// self time in integer microseconds) — flamegraph.pl / speedscope input.
   [[nodiscard]] std::string folded() const;
-
-  /// Phase entries of json(), exposed for perf_record's per-point breakdown.
-  [[nodiscard]] std::string phases_json() const;
 
  private:
   struct Agg {

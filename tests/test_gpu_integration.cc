@@ -1,10 +1,16 @@
-// Whole-GPU integration properties: determinism, conservation, and the
+// Whole-GPU integration properties: determinism, conservation, the
 // paper's structural equivalences (Set-3 untouched, 0%-sharing == baseline,
-// effective blocks preserved).
+// effective blocks preserved), and the committed cycle anchors.
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/config.h"
 #include "gpu/simulator.h"
+#include "runner/kernel_source.h"
 #include "workloads/suites.h"
 
 namespace grs {
@@ -181,6 +187,47 @@ TEST(GpuIntegration, MoreSmsFinishFaster) {
   GpuConfig many = configs::unshared();
   many.num_sms = 14;
   EXPECT_LT(simulate(many, k).stats.cycles, simulate(few, k).stats.cycles);
+}
+
+/// The `cycles` value recorded for `point` in a baseline JSON document
+/// (0, with a failure, when the point is missing).
+std::uint64_t baseline_cycles(const std::string& json, const std::string& point) {
+  const std::size_t at = json.find("\"name\":\"" + point + "\"");
+  const std::size_t key = json.find("\"cycles\":", at);
+  EXPECT_TRUE(at != std::string::npos && key != std::string::npos)
+      << "baseline has no cycles for " << point;
+  if (at == std::string::npos || key == std::string::npos) return 0;
+  return std::stoull(json.substr(key + 9));
+}
+
+TEST(GpuIntegration, CyclesMatchCommittedBaseline) {
+  // bench/baselines/linux-gcc-release.json is the single source of three
+  // summed-cycle anchors (perfbench checks the fig8 one too). Simulation is
+  // bit-deterministic, so any drift is a behaviour change: update the
+  // baseline's cycles in the same commit.
+  std::ifstream f(GRS_SOURCE_DIR "/bench/baselines/linux-gcc-release.json");
+  ASSERT_TRUE(f.good());
+  std::ostringstream json;
+  json << f.rdbuf();
+
+  const auto expect_anchor = [&json](const char* point, const std::vector<GpuConfig>& cfgs,
+                                     const KernelInfo& k) {
+    std::uint64_t cycles = 0;
+    for (const GpuConfig& cfg : cfgs) cycles += simulate(cfg, k).stats.cycles;
+    EXPECT_EQ(cycles, baseline_cycles(json.str(), point))
+        << point << ": simulated " << cycles << " cycles";
+  };
+  const std::vector<GpuConfig> fig8_set1 = {
+      configs::unshared(), configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1)};
+  GpuConfig cycle = configs::unshared();
+  cycle.exec_mode = ExecMode::kCycle;
+  GpuConfig event = configs::unshared();
+  event.exec_mode = ExecMode::kEvent;
+
+  expect_anchor("fig8:hotspot", fig8_set1, workloads::hotspot());
+  expect_anchor("study:slice", fig8_set1, runner::resolve_kernel("gen:study-r44-sm0-m2-l32:1"));
+  expect_anchor("corpus:staged_reduce", {cycle, event},
+                runner::resolve_kernel(GRS_SOURCE_DIR "/examples/kernels/staged_reduce.gkd"));
 }
 
 }  // namespace
