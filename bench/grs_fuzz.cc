@@ -107,8 +107,8 @@ void write_repro(const std::string& out_dir, const KernelInfo& kernel, std::uint
   f << "# grs_fuzz divergence repro: cycle vs event statistics differ\n"
     << "# profile " << profile << ", seed " << seed << ", config line " << line << "\n"
     << "# reproduce (diff the two outputs):\n"
-    << "#   grs_cli --load " << path << " " << cli_flags(cfg) << " --exec-mode cycle\n"
-    << "#   grs_cli --load " << path << " " << cli_flags(cfg) << " --exec-mode event\n"
+    << "#   grs_cli --kernel " << path << " " << cli_flags(cfg) << " --exec-mode cycle\n"
+    << "#   grs_cli --kernel " << path << " " << cli_flags(cfg) << " --exec-mode event\n"
     << workloads::gkd::serialize(kernel);
   std::fprintf(stderr, "[grs_fuzz] wrote repro %s\n", path.c_str());
 }

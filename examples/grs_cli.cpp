@@ -4,8 +4,7 @@
 //   grs_cli --kernel hotspot --share registers --t 0.1 --sched owf
 //           [--unroll] [--dyn] [--grid N] [--compare]
 //   grs_cli --sweep [--threads N] [--out results.csv]   # all kernels, one line
-//   grs_cli --study [--threads N]     # sharing study -> docs/study ($GRS_STUDY_DIR)
-//   grs_cli --import-trace dump.csv --dump kernel.gkd   # trace -> .gkd
+//   grs_cli --kernel trace:dump.csv --dump kernel.gkd   # trace -> .gkd
 //   grs_cli --validate kernel.gkd                       # lint, exit 2 on problems
 //
 // `grs_cli --help` documents every flag (print_help() below is the single
@@ -30,11 +29,9 @@
 #include "runner/progress.h"
 #include "runner/sink.h"
 #include "runner/thread_pool.h"
-#include "study/study.h"
 #include "workloads/format/gkd.h"
 #include "workloads/gen/generator.h"
 #include "workloads/suites.h"
-#include "workloads/trace/import.h"
 #include "workloads/validate.h"
 
 using namespace grs;
@@ -56,13 +53,11 @@ void print_help() {
       "Run one kernel under one configuration; the Swiss-army knife for\n"
       "exploring the simulator (docs/architecture.md maps the pieces).\n"
       "\n"
-      "Kernel selection (mutually exclusive):\n"
-      "  --kernel SPEC     built-in name (default hotspot), a .gkd file path,\n"
-      "                    gen:<profile>:<seed>, or trace:<file>\n"
-      "  --load FILE       load a .gkd file (always treated as a path)\n"
-      "  --gen SEED        generate from a seed (with --profile NAME,\n"
-      "                    default balanced)\n"
-      "  --import-trace F  import an address trace (CSV or memory log)\n"
+      "Kernel selection:\n"
+      "  --kernel SPEC     built-in name (default hotspot; --list), a .gkd file\n"
+      "                    path (contains '/' or ends in .gkd), gen:<profile>:<seed>\n"
+      "                    (--list-profiles), or trace:<file> to import an\n"
+      "                    address trace (CSV or memory log)\n"
       "\n"
       "Actions:\n"
       "  --dump FILE       write the resolved kernel as .gkd and exit\n"
@@ -70,9 +65,6 @@ void print_help() {
       "                    file:line diagnostics, exit 2 on problems\n"
       "  --sweep           run the configured line over all built-in kernels\n"
       "                    in parallel (--threads N, --out results.csv)\n"
-      "  --study           run the full sharing study and write its reports\n"
-      "                    into docs/study (or $GRS_STUDY_DIR); same engine\n"
-      "                    as `grs_bench study`\n"
       "  --list            list built-in kernels and exit\n"
       "  --list-profiles   list generator profiles and exit\n"
       "  --help            this text\n"
@@ -106,12 +98,6 @@ ExecMode parse_exec_mode(const std::string& s) {
 
 /// Strict numeric parsing (common/parse.h): the whole argument must be a
 /// number in range — no silent atoi()-style "garbage reads as 0".
-std::uint64_t arg_u64(const std::string& flag, const std::string& value) {
-  const auto v = parse_u64(value);
-  if (!v.has_value()) usage(flag + " expects a non-negative integer, got '" + value + "'");
-  return *v;
-}
-
 std::uint32_t arg_u32(const std::string& flag, const std::string& value) {
   const auto v = parse_u32(value);
   if (!v.has_value()) usage(flag + " expects a non-negative integer, got '" + value + "'");
@@ -129,16 +115,12 @@ double arg_double(const std::string& flag, const std::string& value) {
 int main(int argc, char** argv) {
   std::string kernel_spec = "hotspot";
   std::string share = "none";
-  std::string dump_file, profile_name = "balanced";
-  bool profile_set = false;
+  std::string dump_file;
   double t = 0.1;
   SchedulerKind sched = SchedulerKind::kLrr;
   ExecMode exec_mode = ExecMode::kEvent;
-  bool unroll = false, dyn = false, compare = false, sweep = false, study = false;
-  bool kernel_set = false, load_set = false, gen_set = false, trace_set = false;
-  bool sched_set = false, t_set = false, exec_set = false;
+  bool unroll = false, dyn = false, compare = false, sweep = false, kernel_set = false;
   std::string validate_file;
-  std::uint64_t gen_seed = 0;
   std::uint32_t grid = 0;
   runner::CommonOptions opts;
 
@@ -154,18 +136,6 @@ int main(int argc, char** argv) {
       } else if (a == "--kernel") {
         kernel_spec = next();
         kernel_set = true;
-      } else if (a == "--load") {
-        kernel_spec = next();
-        load_set = true;
-      } else if (a == "--gen") {
-        gen_seed = arg_u64(a, next());
-        gen_set = true;
-      } else if (a == "--profile") {
-        profile_name = next();
-        profile_set = true;
-      } else if (a == "--import-trace") {
-        kernel_spec = next();
-        trace_set = true;
       } else if (a == "--validate") {
         validate_file = next();
       } else if (a == "--dump") {
@@ -175,13 +145,10 @@ int main(int argc, char** argv) {
       } else if (a == "--t") {
         t = arg_double(a, next());
         if (!(t >= 0.001 && t <= 1.0)) usage("--t must be in [0.001, 1]");
-        t_set = true;
       } else if (a == "--sched") {
         sched = parse_sched(next());
-        sched_set = true;
       } else if (a == "--exec-mode") {
         exec_mode = parse_exec_mode(next());
-        exec_set = true;
       } else if (a == "--unroll") {
         unroll = true;
       } else if (a == "--dyn") {
@@ -193,8 +160,6 @@ int main(int argc, char** argv) {
         compare = true;
       } else if (a == "--sweep") {
         sweep = true;
-      } else if (a == "--study") {
-        study = true;
       } else if (a == "--help" || a == "-h") {
         print_help();
         return 0;
@@ -213,11 +178,6 @@ int main(int argc, char** argv) {
   } catch (const runner::UsageError& e) {
     usage(e.what());
   }
-  if (static_cast<int>(kernel_set) + static_cast<int>(load_set) + static_cast<int>(gen_set) +
-          static_cast<int>(trace_set) >
-      1)
-    usage("--kernel, --load, --gen and --import-trace are mutually exclusive");
-  if (profile_set && !gen_set) usage("--profile only applies together with --gen");
 
   GpuConfig cfg = configs::unshared(sched);
   cfg.exec_mode = exec_mode;
@@ -229,16 +189,12 @@ int main(int argc, char** argv) {
     cfg.sharing.threshold_t = t;
     cfg.sharing.unroll_registers = unroll;
     cfg.sharing.dynamic_warp_execution = dyn;
-    cfg.sharing.owf = sched == SchedulerKind::kOwf;
   }
   cfg.validate();
 
   if (!validate_file.empty()) {
-    if (kernel_set || load_set || gen_set || trace_set || sweep || study || compare ||
-        !dump_file.empty()) {
-      usage("--validate lints one file; kernel-selection/--dump/--sweep/--study/--compare "
-            "do not apply");
-    }
+    if (kernel_set || sweep || compare || !dump_file.empty())
+      usage("--validate lints one file; --kernel/--dump/--sweep/--compare do not apply");
     const std::vector<std::string> diags = workloads::lint_gkd_file(validate_file, cfg);
     for (const std::string& d : diags) std::fprintf(stderr, "%s\n", d.c_str());
     if (!diags.empty()) {
@@ -251,41 +207,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (study) {
-    // The study fixes its own kernels and configuration lines; reject every
-    // flag it would otherwise silently ignore.
-    if (kernel_set || load_set || gen_set || trace_set || sweep || compare || grid != 0 ||
-        !dump_file.empty() || !opts.out_csv.empty() || share != "none" || sched_set ||
-        t_set || unroll || dyn || exec_set || opts.obs_enabled() || opts.prof_enabled() ||
-        opts.progress || !opts.manifest_path.empty()) {
-      usage("--study runs the full sharing study with its own kernels and configs; only "
-            "--threads and --cache/--cache-mode apply "
-            "(use grs_bench for --trace/--timeline/--manifest/--prof/--progress)");
-    }
-    try {
-      study::StudyOptions options;
-      options.threads = opts.threads;
-      options.cache_dir = opts.cache_dir;
-      options.cache_mode = opts.cache_dir.empty() ? cache::CacheMode::kOff : opts.cache_mode;
-      study::run_study(options);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-    return 0;
-  }
-
   KernelInfo kernel;
   try {
-    if (gen_set) {
-      kernel = workloads::gen::generate(workloads::gen::profile_by_name(profile_name), gen_seed);
-    } else if (load_set) {
-      kernel = workloads::gkd::load_file(kernel_spec);  // always a file, whatever its name
-    } else if (trace_set) {
-      kernel = workloads::trace::import_trace_file(kernel_spec);
-    } else {
-      kernel = runner::resolve_kernel(kernel_spec);
-    }
+    kernel = runner::resolve_kernel(kernel_spec);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -364,9 +288,8 @@ int main(int argc, char** argv) {
   };
 
   if (sweep) {
-    if (kernel_set || load_set || gen_set || trace_set || grid != 0 || compare)
-      usage("--sweep runs every kernel; "
-            "--kernel/--load/--gen/--import-trace/--grid/--compare do not apply");
+    if (kernel_set || grid != 0 || compare)
+      usage("--sweep runs every kernel; --kernel/--grid/--compare do not apply");
     runner::SweepSpec spec;
     for (const auto& name : workloads::all_names())
       spec.add(cfg.line_label(), cfg, workloads::by_name(name));

@@ -57,7 +57,7 @@ std::string GpuConfig::canonical_kv() const {
   out.reserve(1024);
   // Versioned header: bump when a field is added/removed/re-interpreted so
   // old fingerprints can never alias new configurations.
-  out += "gpu_config 1\n";
+  out += "gpu_config 2\n";
   // --- Table I ---------------------------------------------------------
   kv(out, "num_sms", std::uint64_t{num_sms});
   kv(out, "max_blocks_per_sm", std::uint64_t{max_blocks_per_sm});
@@ -91,7 +91,6 @@ std::string GpuConfig::canonical_kv() const {
   kv(out, "sharing.enabled", std::uint64_t{sharing.enabled});
   kv(out, "sharing.resource", to_string(sharing.resource));
   kv(out, "sharing.threshold_t", sharing.threshold_t);
-  kv(out, "sharing.owf", std::uint64_t{sharing.owf});
   kv(out, "sharing.unroll_registers", std::uint64_t{sharing.unroll_registers});
   kv(out, "sharing.dynamic_warp_execution", std::uint64_t{sharing.dynamic_warp_execution});
   kv(out, "sharing.dyn_period", std::uint64_t{sharing.dyn_period});
@@ -178,14 +177,12 @@ GpuConfig shared_unroll_dyn(Resource res, double t) {
 GpuConfig shared_owf_unroll_dyn(Resource res, double t) {
   GpuConfig c = shared_unroll_dyn(res, t);
   c.scheduler = SchedulerKind::kOwf;
-  c.sharing.owf = true;
   return c;
 }
 
 GpuConfig shared_owf(Resource res, double t) {
   GpuConfig c = shared_base(res, t);
   c.scheduler = SchedulerKind::kOwf;
-  c.sharing.owf = true;
   return c;
 }
 

@@ -45,11 +45,6 @@ struct SharingConfig {
   /// Paper default: t = 0.1 (90% sharing).
   double threshold_t = 0.1;
 
-  /// Owner-warp-first scheduling (paper §IV-A). Only meaningful when the
-  /// SM scheduler kind is kOwf; kept here so a single struct describes one
-  /// experiment line ("Shared-OWF-Unroll-Dyn" etc.).
-  bool owf = false;
-
   /// Unrolling & reordering of register declarations (paper §IV-B): renumber
   /// kernel registers by first use before simulation.
   bool unroll_registers = false;

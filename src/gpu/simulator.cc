@@ -6,10 +6,6 @@
 
 namespace grs {
 
-SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel) {
-  return simulate(cfg, kernel, nullptr);
-}
-
 SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel, obs::SimObserver* obs,
                    prof::HostProfiler* prof) {
   // Root of every profiled sim stack; the nested phases live in sm/memsys.

@@ -29,14 +29,12 @@ struct SimResult {
   GpuConfig config;
 };
 
-[[nodiscard]] SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel);
-
-/// Observed run: `obs` (may be null) collects trace events and/or timeline
-/// samples, `prof` (may be null) host-phase timings, for this one simulation
-/// (src/obs, src/prof). The returned SimResult is bit-identical to the
-/// unobserved overload — observability never feeds back into the machine.
+/// Run `kernel` under `cfg`. `obs` (may be null) collects trace events and/or
+/// timeline samples, `prof` (may be null) host-phase timings, for this one
+/// simulation (src/obs, src/prof). The returned SimResult is bit-identical
+/// with or without them — observability never feeds back into the machine.
 [[nodiscard]] SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel,
-                                 obs::SimObserver* obs,
+                                 obs::SimObserver* obs = nullptr,
                                  prof::HostProfiler* prof = nullptr);
 
 }  // namespace grs

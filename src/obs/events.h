@@ -1,5 +1,6 @@
 // Observability vocabulary: the warp-state taxonomy and the pid/tid address
-// scheme shared by the trace emitter, the docs, and the CI schema validator.
+// scheme shared by the trace emitter and the docs (tests/test_obs.cc pins the
+// rendered trace format).
 //
 // WarpState is the SM's one classification of a live warp: the candidate
 // scan (sm/sm.cc scan_warp()) decides it once per warp per scanned cycle,

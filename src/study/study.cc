@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "runner/engine.h"
 #include "runner/kernel_source.h"
 #include "study/aggregate.h"
 #include "study/report.h"
@@ -46,20 +45,6 @@ void present_study(const runner::BenchView& view, const std::string& dir) {
   const std::vector<std::string> written = write_reports(agg, dir);
   for (const std::string& name : written)
     std::printf("study: wrote %s/%s\n", dir.c_str(), name.c_str());
-}
-
-void run_study(const StudyOptions& options) {
-  runner::RunOptions run;
-  run.threads = options.threads;
-  run.cache_dir = options.cache_dir;
-  run.cache_mode = options.cache_mode;
-  cache::CacheStats cache_total;
-  run.cache_stats = &cache_total;
-  const std::vector<runner::SweepRow> rows = runner::run_sweep(build_study_spec(), run);
-  // Any cache-enabled run reports its counters.
-  if (!options.cache_dir.empty() && options.cache_mode != cache::CacheMode::kOff)
-    std::fprintf(stderr, "[grs_cli] cache: %s\n", cache_total.summary().c_str());
-  present_study(runner::BenchView(rows), default_report_dir());
 }
 
 }  // namespace grs::study

@@ -1,9 +1,6 @@
-// Sharing-study driver glue: the three entry points the frontends use.
-//
-//   grs_bench study        registry build/present pair (bench/study.cc), so
-//                          the study composes with --threads/--filter/--out
-//                          like every other bench
-//   grs_cli --study        run_study() one-shot passthrough
+// Sharing-study driver glue: the entry points behind `grs_bench study`, a
+// registry build/present pair (bench/study.cc), so the study composes with
+// --threads/--filter/--out/--cache like every other bench.
 //
 // The report directory defaults to docs/study (relative to the working
 // directory — the repo root in the documented workflows); override with
@@ -13,7 +10,6 @@
 
 #include <string>
 
-#include "cache/result_cache.h"
 #include "runner/registry.h"
 #include "runner/sweep.h"
 
@@ -29,19 +25,5 @@ namespace grs::study {
 /// `dir`, and print a one-screen summary (files written + headline) to
 /// stdout. Throws std::runtime_error when the directory is unwritable.
 void present_study(const runner::BenchView& view, const std::string& dir);
-
-struct StudyOptions {
-  unsigned threads = 0;
-
-  /// Content-addressed result cache for the sweep (see runner::RunOptions);
-  /// off when `cache_dir` is empty. With a warm cache the full study
-  /// regenerates from lookups alone.
-  std::string cache_dir;
-  cache::CacheMode cache_mode = cache::CacheMode::kOff;
-};
-
-/// One-shot: build, run, aggregate, write into default_report_dir() (the
-/// grs_cli --study path).
-void run_study(const StudyOptions& options);
 
 }  // namespace grs::study

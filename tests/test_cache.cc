@@ -112,11 +112,11 @@ TEST(CodecCoverage, StructSizesMatchTheEnumeratedFields) {
 
 TEST(CodecCoverage, CanonicalKvEnumeratesEveryConfigField) {
   const std::string kv = GpuConfig{}.canonical_kv();
-  EXPECT_EQ(kv.compare(0, 13, "gpu_config 1\n"), 0) << kv.substr(0, 13);
+  EXPECT_EQ(kv.compare(0, 13, "gpu_config 2\n"), 0) << kv.substr(0, 13);
   // Header + one "key value\n" line per field: 8 Table-I + 2x4 cache +
-  // 7 dram + 5 latencies + 4 structural + 8 sharing + max_cycles + exec_mode.
+  // 7 dram + 5 latencies + 4 structural + 7 sharing + max_cycles + exec_mode.
   const auto lines = static_cast<std::size_t>(std::count(kv.begin(), kv.end(), '\n'));
-  EXPECT_EQ(lines, 43u) << kv;
+  EXPECT_EQ(lines, 42u) << kv;
   // Every line is "key value"; keys are unique.
   std::istringstream in(kv);
   std::string line;

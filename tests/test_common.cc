@@ -50,7 +50,7 @@ TEST(Config, LineLabelsMatchPaperFigureLegends) {
 TEST(Config, FactoriesEncodeThePaperKnobs) {
   const GpuConfig c = configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.3);
   EXPECT_TRUE(c.sharing.enabled);
-  EXPECT_TRUE(c.sharing.owf);
+  EXPECT_EQ(c.scheduler, SchedulerKind::kOwf);
   EXPECT_TRUE(c.sharing.unroll_registers);
   EXPECT_TRUE(c.sharing.dynamic_warp_execution);
   EXPECT_DOUBLE_EQ(c.sharing.threshold_t, 0.3);

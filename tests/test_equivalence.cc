@@ -53,7 +53,6 @@ GpuConfig sharing_line(SchedulerKind sched, int line) {
     case 3: c = configs::shared_unroll_dyn(Resource::kRegisters, 0.1); break;
   }
   c.scheduler = sched;
-  c.sharing.owf = c.sharing.enabled && sched == SchedulerKind::kOwf;
   return c;
 }
 

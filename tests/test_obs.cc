@@ -4,9 +4,10 @@
 //    run_sweep worker counts (buffered post-sweep writes);
 //  * zero cost when off — a null/disabled observer leaves GpuStats
 //    bit-identical to a plain simulate() and produces no output;
-//  * shape — trace events carry ph/pid/tid/ts with timestamps monotone per
-//    (pid, tid) track, the format Perfetto requires, and the footer stays
-//    valid JSON whatever the kernel is called;
+//  * format — the trace sink and the timeline sampler render their documented
+//    formats byte for byte; trace events carry name/ph/pid/tid/ts with
+//    timestamps monotone per (pid, tid) track, the format Perfetto requires,
+//    and the footer stays valid JSON whatever the kernel is called;
 //  * decomposition — each warp's state slices add up exactly to the SmStats
 //    counter of that state, in both exec modes;
 //  * telemetry — RunManifest renders the documented v1 schema.
@@ -26,6 +27,7 @@
 #include "common/config.h"
 #include "gpu/simulator.h"
 #include "obs/obs.h"
+#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "runner/engine.h"
 #include "runner/manifest.h"
@@ -93,6 +95,18 @@ TEST(ObsTrace, ByteIdenticalAcrossExecModes) {
   }
 }
 
+/// The cycle column of every "gpu" row of a timeline CSV, in file order.
+std::vector<Cycle> gpu_row_cycles(const std::string& csv) {
+  std::vector<Cycle> cycles;
+  std::istringstream lines(csv);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t comma = line.find(',');
+    if (line.compare(comma + 1, 4, "gpu,") == 0) cycles.push_back(std::stoull(line));
+  }
+  return cycles;
+}
+
 TEST(ObsTimeline, ByteIdenticalAcrossExecModes) {
   // Memory-bound kernel: the event loop sleeps through long idle windows, so
   // a small interval forces catch-up samples inside sleep/jump regions.
@@ -108,9 +122,82 @@ TEST(ObsTimeline, ByteIdenticalAcrossExecModes) {
     EXPECT_TRUE(naive.result.stats == event.result.stats) << interval;
     EXPECT_EQ(naive.timeline, event.timeline) << "interval " << interval;
     EXPECT_NE(naive.timeline.find("cycle,sm,issued,stall,idle"), std::string::npos);
-    EXPECT_NE(naive.timeline.find(",gpu,"), std::string::npos)
-        << "timeline should carry gpu pseudo-rows";
+    // One block per boundary, closed by its gpu row: boundaries are every
+    // multiple of the interval up to the run's last cycle, each exactly once.
+    const Cycle last = naive.result.stats.cycles;
+    std::vector<Cycle> boundaries;
+    for (Cycle b = interval; b <= last; b += interval) boundaries.push_back(b);
+    EXPECT_FALSE(boundaries.empty()) << interval;
+    EXPECT_EQ(gpu_row_cycles(naive.timeline), boundaries) << "interval " << interval;
   }
+}
+
+/// An SM sample whose 17 counters are k, 2k, ..., 17k and whose 3 gauges are
+/// 18k, 19k, 20k, in timeline column order: every column of a row differs, so
+/// a swapped or dropped column changes the CSV.
+obs::SmTimelinePoint sm_sample(std::uint64_t k) {
+  obs::SmTimelinePoint p;
+  SmStats& s = p.stats;
+  s.issued_cycles = k;
+  s.stall_cycles = 2 * k;
+  s.idle_cycles = 3 * k;
+  s.warp_instructions = 4 * k;
+  s.thread_instructions = 5 * k;
+  s.blocked_scoreboard = 6 * k;
+  s.blocked_barrier = 7 * k;
+  s.blocked_mshr = 8 * k;
+  s.blocked_lsu_port = 9 * k;
+  s.blocked_lsu_inflight = 10 * k;
+  s.blocked_sfu_port = 11 * k;
+  s.lock_wait_cycles = 12 * k;
+  s.dyn_throttled_issues = 13 * k;
+  s.lock_acquisitions = 14 * k;
+  s.ownership_transfers = 15 * k;
+  p.l1_accesses = 16 * k;
+  p.l1_misses = 17 * k;
+  p.resident_blocks = static_cast<std::uint32_t>(18 * k);
+  p.resident_warps = static_cast<std::uint32_t>(19 * k);
+  p.mshr_inflight = static_cast<std::uint32_t>(20 * k);
+  return p;
+}
+
+/// The memory-system columns, 21k..26k in column order.
+obs::GpuTimelinePoint gpu_sample(std::uint64_t k) {
+  obs::GpuTimelinePoint g;
+  g.l2_accesses = 21 * k;
+  g.l2_misses = 22 * k;
+  g.dram_requests = 23 * k;
+  g.dram_row_hits = 24 * k;
+  g.l2_busy_banks = static_cast<std::uint32_t>(25 * k);
+  g.dram_busy_banks = static_cast<std::uint32_t>(26 * k);
+  return g;
+}
+
+TEST(ObsTimeline, SamplerRendersDocumentedCsv) {
+  // The timeline format, byte for byte (docs/observability.md): the header;
+  // per boundary one row per SM in SM order, then one gpu row. SM rows carry
+  // window deltas of the counters, the window ipc and the gauges' current
+  // values, and leave the six L2/DRAM columns empty; the gpu row sums the SM
+  // rows and fills the L2/DRAM columns.
+  obs::TimelineSampler sampler(100);
+  sampler.sample(100, {sm_sample(1), sm_sample(10)}, gpu_sample(100));
+  sampler.sample(200, {sm_sample(3), sm_sample(30)}, gpu_sample(300));
+  EXPECT_EQ(sampler.csv(),
+            "cycle,sm,issued,stall,idle,warp_instr,thread_instr,ipc,"
+            "blk_scoreboard,blk_barrier,blk_mshr,blk_lsu_port,blk_lsu_queue,blk_sfu_port,"
+            "lock_wait,dyn_throttled,lock_acquired,ownership_transfers,"
+            "l1_accesses,l1_misses,resident_blocks,resident_warps,mshr_inflight,"
+            "l2_accesses,l2_misses,dram_requests,dram_row_hits,l2_busy_banks,dram_busy_banks\n"
+            "100,0,1,2,3,4,5,0.0500,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,,,,,,\n"
+            "100,1,10,20,30,40,50,0.5000,60,70,80,90,100,110,120,130,140,150,160,170,"
+            "180,190,200,,,,,,\n"
+            "100,gpu,11,22,33,44,55,0.5500,66,77,88,99,110,121,132,143,154,165,176,187,"
+            "198,209,220,2100,2200,2300,2400,2500,2600\n"
+            "200,0,2,4,6,8,10,0.1000,12,14,16,18,20,22,24,26,28,30,32,34,54,57,60,,,,,,\n"
+            "200,1,20,40,60,80,100,1.0000,120,140,160,180,200,220,240,260,280,300,320,340,"
+            "540,570,600,,,,,,\n"
+            "200,gpu,22,44,66,88,110,1.1000,132,154,176,198,220,242,264,286,308,330,352,374,"
+            "594,627,660,4200,4400,4600,4800,7500,7800\n");
 }
 
 TEST(ObsTimeline, DynThrottledLineAcrossExecModes) {
@@ -191,6 +278,7 @@ TEST(ObsTrace, EventsCarryCoordinatesAndMonotoneTimestampsPerTrack) {
     const std::size_t ph_at = line.find("\"ph\":\"");
     if (ph_at == std::string::npos) continue;
     const char ph = line[ph_at + 6];
+    ASSERT_NE(line.find("\"name\":"), std::string::npos) << line;
     const std::int64_t pid = json_num(line, "pid");
     const std::int64_t tid = json_num(line, "tid");
     ASSERT_GE(pid, 0) << line;
@@ -232,6 +320,52 @@ TEST(ObsTrace, FooterKeepsQuotedAndLongKernelNamesIntact) {
     ASSERT_GE(run.trace.size(), footer.size());
     EXPECT_EQ(run.trace.substr(run.trace.size() - footer.size()), footer) << name;
   }
+}
+
+obs::TraceEvent trace_event(char ph, std::uint32_t pid, std::uint32_t tid, Cycle ts,
+                            const char* name, const char* cat) {
+  obs::TraceEvent e;
+  e.ph = ph;
+  e.pid = pid;
+  e.tid = tid;
+  e.ts = ts;
+  e.name = name;
+  e.cat = cat;
+  return e;
+}
+
+TEST(ObsTrace, SinkRendersEachPhaseByteForByte) {
+  // The trace format, byte for byte: one event per line in emit order; keys
+  // name, ph, cat (when set), pid, tid, ts (all but metadata), dur ('X'),
+  // the thread scope of instants, and args (when set); then the footer.
+  obs::TraceEvent meta = trace_event('M', 1, 2, 0, "thread_name", nullptr);
+  meta.args_json = "{\"name\":\"warp 1\"}";
+  obs::TraceEvent span = trace_event('X', 15, 3, 20, "L2 miss", "mem");
+  span.dur = 160;
+  span.args_json = "{\"line\":\"0x1000\"}";
+
+  obs::ChromeTraceSink sink;
+  sink.begin();
+  sink.emit(meta);
+  sink.emit(trace_event('B', 1, 2, 10, "barrier", "warp"));
+  sink.emit(trace_event('E', 1, 2, 14, "barrier", "warp"));
+  sink.emit(trace_event('i', 1, 2, 14, "ld", "issue"));
+  sink.emit(span);
+  sink.end("{\"kernel\":\"k\",\"cycles\":180}");
+  EXPECT_EQ(sink.str(),
+            "{\"traceEvents\":[\n"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,"
+            "\"args\":{\"name\":\"warp 1\"}},\n"
+            "{\"name\":\"barrier\",\"ph\":\"B\",\"cat\":\"warp\",\"pid\":1,\"tid\":2,\"ts\":10},\n"
+            "{\"name\":\"barrier\",\"ph\":\"E\",\"cat\":\"warp\",\"pid\":1,\"tid\":2,\"ts\":14},\n"
+            "{\"name\":\"ld\",\"ph\":\"i\",\"cat\":\"issue\",\"pid\":1,\"tid\":2,\"ts\":14,"
+            "\"s\":\"t\"},\n"
+            "{\"name\":\"L2 miss\",\"ph\":\"X\",\"cat\":\"mem\",\"pid\":15,\"tid\":3,\"ts\":20,"
+            "\"dur\":160,\"args\":{\"line\":\"0x1000\"}}\n"
+            "],\n"
+            "\"displayTimeUnit\":\"ns\",\n"
+            "\"otherData\":{\"kernel\":\"k\",\"cycles\":180}\n"
+            "}\n");
 }
 
 /// Sums the length (E.ts - B.ts) of every warp-state slice, by slice name.

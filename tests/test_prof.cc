@@ -138,6 +138,7 @@ TEST(ProfZeroFeedback, StatsBitIdenticalBothExecModes) {
         << "profiling changed sim results in mode " << static_cast<int>(mode);
     EXPECT_GT(p.calls(prof::Phase::kSimulate), 0u);
     EXPECT_GT(p.calls(prof::Phase::kSchedulerScan), 0u);
+    EXPECT_GT(p.calls(prof::Phase::kIssue), 0u);
   }
 }
 

@@ -1,10 +1,12 @@
 // Runner subsystem: thread pool, parallel sweep engine determinism across
-// worker counts, sink well-formedness, and the bench registry.
+// worker counts, sink well-formedness, the bench registry, and kernel-spec
+// resolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,11 +14,15 @@
 
 #include "common/config.h"
 #include "runner/engine.h"
+#include "runner/kernel_source.h"
 #include "runner/registry.h"
 #include "runner/sink.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
+#include "workloads/format/gkd.h"
+#include "workloads/gen/generator.h"
 #include "workloads/suites.h"
+#include "workloads/trace/import.h"
 
 namespace grs::runner {
 namespace {
@@ -289,6 +295,38 @@ TEST(Registry, BenchViewFindAndKernelOrder) {
   EXPECT_GT(r->stats.cycles, 0u);
   EXPECT_EQ(view.find("Unshared-LRR", "no-such-kernel"), nullptr);
   EXPECT_EQ(view.find("no-such-variant", kernels[0]), nullptr);
+}
+
+// --- kernel source --------------------------------------------------------------
+
+TEST(KernelSource, ResolvesEverySpecForm) {
+  // resolve_kernel() is the one way a frontend names a kernel; each spec form
+  // must yield exactly what its loader returns (compared as canonical .gkd).
+  const auto gkd = [](const KernelInfo& k) { return workloads::gkd::serialize(k); };
+  const std::string gkd_path = GRS_SOURCE_DIR "/examples/kernels/staged_reduce.gkd";
+  const std::string trace_path = testing::TempDir() + "/grs_kernel_source_trace.csv";
+  {
+    std::ofstream f(trace_path, std::ios::binary | std::ios::trunc);
+    f << "pc,tid,addr,size\n";
+    for (int tid = 0; tid < 64; ++tid) f << "0x40," << tid << "," << 0x10000 + tid * 4 << ",4\n";
+  }
+  EXPECT_EQ(gkd(resolve_kernel("hotspot")), gkd(workloads::hotspot()));
+  EXPECT_EQ(gkd(resolve_kernel(gkd_path)), gkd(workloads::gkd::load_file(gkd_path)));
+  EXPECT_EQ(gkd(resolve_kernel("gen:memory_bound:7")),
+            gkd(workloads::gen::generate(workloads::gen::profile_by_name("memory_bound"), 7)));
+  EXPECT_EQ(gkd(resolve_kernel("trace:" + trace_path)),
+            gkd(workloads::trace::import_trace_file(trace_path)));
+
+  // Malformed specs are errors a frontend can print, never aborts.
+  for (const char* bad : {"gen:balanced", "gen:balanced:x", "gen:bogus:1", "trace:"}) {
+    EXPECT_THROW((void)resolve_kernel(bad), std::runtime_error) << bad;
+  }
+  try {
+    (void)resolve_kernel("no-such-kernel");
+    ADD_FAILURE() << "no-such-kernel resolved";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("hotspot"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace
