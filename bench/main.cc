@@ -20,14 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
-#include "prof/prof.h"
 #include "runner/cli_options.h"
-#include "runner/manifest.h"
-#include "runner/progress.h"
 #include "runner/registry.h"
 #include "runner/sink.h"
-#include "runner/thread_pool.h"
 
 using namespace grs;
 
@@ -151,9 +146,7 @@ int main(int argc, char** argv) {
   }
   if (table) sinks.push_back(std::make_unique<runner::ConsoleTableSink>());
 
-  cache::CacheStats cache_total;
-  prof::HostProfiler prof_total;  // one merged profile across all benches
-  runner::RunManifest manifest("grs_bench");
+  runner::CliSession session("grs_bench", opts);
   for (auto& s : sinks) s->begin();
   for (const runner::BenchDef* b : to_run) {
     runner::SweepSpec spec = b->build();
@@ -161,36 +154,19 @@ int main(int argc, char** argv) {
     if (exec_mode_set)
       for (runner::SweepPoint& p : spec.points) p.config.exec_mode = exec_mode;
 
-    runner::RunOptions options = opts.run_options(&cache_total, &prof_total);
-    runner::ProgressTicker ticker("[grs_bench]");
-    if (opts.progress)
-      options.progress = [&ticker](std::size_t done, std::size_t total) {
-        ticker.update(done, total);
-      };
-    const WallTimer timer;
+    double secs = 0.0;
     std::vector<runner::SweepRow> rows;
     try {
-      rows = runner::run_sweep(spec, options);
+      rows = session.run(b->name, spec, &secs);
     } catch (const std::exception& e) {
       // A cache-verify byte diff (or cache/obs I/O failure) is a hard,
       // diagnosed failure, not a crash.
-      ticker.finish();
       std::fprintf(stderr, "error: %s bench: %s\n", b->name.c_str(), e.what());
       for (auto& s : sinks) s->end();
       return 2;
     }
-    const double secs = timer.seconds();
-    ticker.finish();
     std::fprintf(stderr, "[grs_bench] %s: %zu points in %.2fs\n", b->name.c_str(),
                  rows.size(), secs);
-    if (!opts.manifest_path.empty()) {
-      const unsigned threads = opts.threads == 0 ? runner::ThreadPool::default_threads()
-                                                 : opts.threads;
-      manifest.add_sweep(
-          b->name, rows, secs,
-          static_cast<unsigned>(std::min<std::size_t>(threads, std::max<std::size_t>(
-                                                                   rows.size(), 1))));
-    }
 
     for (const runner::SweepRow& row : rows)
       for (auto& s : sinks) s->add(b->name, row);
@@ -207,25 +183,5 @@ int main(int argc, char** argv) {
     }
   }
   for (auto& s : sinks) s->end();
-  // Cache-enabled runs always get the summary line.
-  if (opts.cache_enabled())
-    std::fprintf(stderr, "[grs_bench] cache: %s\n", cache_total.summary().c_str());
-  if (opts.prof_enabled()) {
-    try {
-      prof::write_prof_outputs(prof_total, opts.prof_path, opts.prof_folded_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!opts.manifest_path.empty()) {
-    if (opts.cache_enabled()) manifest.set_cache_stats(cache_total);
-    try {
-      manifest.write(opts.manifest_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
-  return 0;
+  return session.finish();
 }

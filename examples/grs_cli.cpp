@@ -9,26 +9,19 @@
 //
 // `grs_cli --help` documents every flag (print_help() below is the single
 // source of truth; scripts/check_docs.sh keeps the docs in sync with it).
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/config.h"
 #include "common/parse.h"
 #include "gpu/simulator.h"
-#include "prof/prof.h"
 #include "runner/cli_options.h"
 #include "runner/engine.h"
 #include "runner/kernel_source.h"
-#include "runner/manifest.h"
-#include "runner/progress.h"
 #include "runner/sink.h"
-#include "runner/thread_pool.h"
 #include "workloads/format/gkd.h"
 #include "workloads/gen/generator.h"
 #include "workloads/suites.h"
@@ -178,6 +171,7 @@ int main(int argc, char** argv) {
   } catch (const runner::UsageError& e) {
     usage(e.what());
   }
+  if (!opts.out_csv.empty() && !sweep) usage("--out writes the --sweep rows; it needs --sweep");
 
   GpuConfig cfg = configs::unshared(sched);
   cfg.exec_mode = exec_mode;
@@ -243,49 +237,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  cache::CacheStats cache_total;
-  prof::HostProfiler prof_total;  // one merged profile across all sweeps
-  runner::ProgressTicker ticker("[grs_cli]");
-  runner::RunManifest manifest("grs_cli");
-  // Engine options shared by every simulating path; the same accumulators
-  // feed them all, so one cache summary / profile file covers the invocation.
-  auto engine_options = [&]() {
-    runner::RunOptions run = opts.run_options(&cache_total, &prof_total);
-    if (opts.progress)
-      run.progress = [&ticker](std::size_t done, std::size_t total) {
-        ticker.update(done, total);
-      };
-    return run;
-  };
-  // Shared tail of every simulating path: cache summary on stderr whenever the
-  // cache was in play, then the --prof/--prof-folded and --manifest files.
-  auto finish_run = [&]() -> int {
-    if (opts.cache_enabled())
-      std::fprintf(stderr, "[grs_cli] cache: %s\n", cache_total.summary().c_str());
-    if (opts.prof_enabled()) {
-      try {
-        prof::write_prof_outputs(prof_total, opts.prof_path, opts.prof_folded_path);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-      }
-    }
-    if (!opts.manifest_path.empty()) {
-      if (opts.cache_enabled()) manifest.set_cache_stats(cache_total);
-      try {
-        manifest.write(opts.manifest_path);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-      }
-    }
-    return 0;
-  };
-  auto threads_used = [&](std::size_t points) {
-    const unsigned t =
-        opts.threads == 0 ? runner::ThreadPool::default_threads() : opts.threads;
-    return static_cast<unsigned>(std::min<std::size_t>(t, std::max<std::size_t>(points, 1)));
-  };
+  runner::CliSession session("grs_cli", opts);
 
   if (sweep) {
     if (kernel_set || grid != 0 || compare)
@@ -294,18 +246,13 @@ int main(int argc, char** argv) {
     for (const auto& name : workloads::all_names())
       spec.add(cfg.line_label(), cfg, workloads::by_name(name));
 
-    const WallTimer timer;
     std::vector<runner::SweepRow> rows;
     try {
-      rows = runner::run_sweep(spec, engine_options());
+      rows = session.run("sweep", spec);
     } catch (const std::exception& e) {
-      ticker.finish();
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }
-    ticker.finish();
-    if (!opts.manifest_path.empty())
-      manifest.add_sweep("sweep", rows, timer.seconds(), threads_used(rows.size()));
 
     runner::ConsoleTableSink console;
     console.begin();
@@ -321,7 +268,7 @@ int main(int argc, char** argv) {
       csv.end();
       std::printf("wrote %zu rows to %s\n", rows.size(), opts.out_csv.c_str());
     }
-    return finish_run();
+    return session.finish();
   }
 
   // The two --compare runs would write to the same --trace/--timeline paths,
@@ -335,12 +282,7 @@ int main(int argc, char** argv) {
   auto run_one = [&](const GpuConfig& c) -> SimResult {
     runner::SweepSpec spec;
     spec.add(c.line_label(), c, kernel);
-    const WallTimer timer;
-    std::vector<runner::SweepRow> rows = runner::run_sweep(spec, engine_options());
-    ticker.finish();
-    if (!opts.manifest_path.empty())
-      manifest.add_sweep(c.line_label(), rows, timer.seconds(), threads_used(rows.size()));
-    return rows[0].result;
+    return session.run(c.line_label(), spec)[0].result;
   };
 
   try {
@@ -365,5 +307,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  return finish_run();
+  return session.finish();
 }

@@ -3,33 +3,30 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "prof/prof.h"
 
 namespace grs {
 
 Gpu::Gpu(const GpuConfig& cfg, const KernelInfo& kernel, const Program& program,
-         obs::SimObserver* obs, prof::HostProfiler* prof)
+         obs::SimObserver* obs)
     : cfg_(cfg),
       occupancy_(compute_occupancy(cfg, kernel.resources)),
-      memsys_(cfg),
+      memsys_(cfg, obs),
       dyn_(cfg.sharing, cfg.num_sms),
-      obs_(obs != nullptr && (obs->trace_enabled() || obs->timeline_interval() != 0) ? obs
-                                                                                    : nullptr),
-      prof_(prof),
+      obs_(obs),
       kernel_name_(kernel.name),
       grid_blocks_(kernel.grid_blocks) {
   cfg_.validate();
-  memsys_.set_observer(obs_);
-  memsys_.set_profiler(prof_);
   sms_.reserve(cfg.num_sms);
   for (SmId i = 0; i < cfg.num_sms; ++i) {
     sms_.emplace_back(i, cfg_, program, kernel.resources, occupancy_,
-                      kernel.active_lanes, memsys_, &dyn_, obs_, prof_);
+                      kernel.active_lanes, memsys_, &dyn_, obs_);
   }
   dispatcher_ = std::make_unique<Dispatcher>(kernel.grid_blocks, occupancy_, sms_);
 }
 
 void Gpu::take_timeline_sample(Cycle b) {
-  prof::ScopedPhase prof_scope(prof_, prof::Phase::kTimeline);
+  prof::ScopedPhase prof_scope(obs_->profiler(), prof::Phase::kTimeline);
   const bool event_mode = cfg_.exec_mode == ExecMode::kEvent;
   std::vector<obs::SmTimelinePoint> pts;
   pts.reserve(sms_.size());

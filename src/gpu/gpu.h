@@ -13,7 +13,6 @@
 #include "gpu/dispatcher.h"
 #include "memory/memsys.h"
 #include "obs/obs.h"
-#include "prof/prof.h"
 #include "sm/sm.h"
 #include "workloads/kernel_info.h"
 
@@ -23,13 +22,12 @@ class Gpu {
  public:
   /// `program` must outlive the Gpu (the Simulator facade owns the
   /// possibly-reordered copy). `kernel.program` is ignored here.
-  /// `obs` (optional, must outlive the Gpu) turns on observability: trace
-  /// hooks throughout the machine and/or timeline sampling in run(). `prof`
-  /// (optional, must outlive the Gpu) turns on host-phase timing. Neither
-  /// ever changes GpuStats — the run is bit-identical either way
-  /// (tests/test_obs.cc, tests/test_prof.cc).
+  /// `obs` (optional, must outlive the Gpu) turns on whichever pillars it
+  /// carries: trace hooks throughout the machine, timeline sampling in run(),
+  /// host-phase timing. None ever changes GpuStats — the run is bit-identical
+  /// either way (tests/test_obs.cc, tests/test_prof.cc).
   Gpu(const GpuConfig& cfg, const KernelInfo& kernel, const Program& program,
-      obs::SimObserver* obs = nullptr, prof::HostProfiler* prof = nullptr);
+      obs::SimObserver* obs = nullptr);
 
   /// Run the grid to completion (or cfg.max_cycles); returns aggregate stats.
   [[nodiscard]] GpuStats run();
@@ -49,7 +47,6 @@ class Gpu {
   std::vector<StreamingMultiprocessor> sms_;
   std::unique_ptr<Dispatcher> dispatcher_;
   obs::SimObserver* obs_ = nullptr;
-  prof::HostProfiler* prof_ = nullptr;
   std::string kernel_name_;
   std::uint64_t grid_blocks_ = 0;
 };

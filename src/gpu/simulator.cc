@@ -2,14 +2,14 @@
 
 #include "gpu/gpu.h"
 #include "isa/reorder.h"
+#include "obs/obs.h"
 #include "prof/prof.h"
 
 namespace grs {
 
-SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel, obs::SimObserver* obs,
-                   prof::HostProfiler* prof) {
+SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel, obs::SimObserver* obs) {
   // Root of every profiled sim stack; the nested phases live in sm/memsys.
-  prof::ScopedPhase prof_scope(prof, prof::Phase::kSimulate);
+  prof::ScopedPhase prof_scope(obs::profiler(obs), prof::Phase::kSimulate);
   cfg.validate();
   kernel.validate();
 
@@ -19,7 +19,7 @@ SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel, obs::SimObser
     program = reorder_registers_by_first_use(program);
   }
 
-  Gpu gpu(cfg, kernel, program, obs, prof);
+  Gpu gpu(cfg, kernel, program, obs);
   SimResult r;
   r.stats = gpu.run();
   r.occupancy = gpu.occupancy();

@@ -19,9 +19,6 @@ namespace grs {
 namespace obs {
 class SimObserver;
 }
-namespace prof {
-class HostProfiler;
-}
 
 struct SimResult {
   GpuStats stats;
@@ -29,12 +26,12 @@ struct SimResult {
   GpuConfig config;
 };
 
-/// Run `kernel` under `cfg`. `obs` (may be null) collects trace events and/or
-/// timeline samples, `prof` (may be null) host-phase timings, for this one
-/// simulation (src/obs, src/prof). The returned SimResult is bit-identical
-/// with or without them — observability never feeds back into the machine.
+/// Run `kernel` under `cfg`. `obs` (may be null) is the one instrumentation
+/// pointer of this simulation (src/obs): its trace and timeline pillars
+/// collect events and samples, and its third pillar, the host-phase profiler
+/// (src/prof), times the hot phases. The returned SimResult is bit-identical
+/// with or without it — instrumentation never feeds back into the machine.
 [[nodiscard]] SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel,
-                                 obs::SimObserver* obs = nullptr,
-                                 prof::HostProfiler* prof = nullptr);
+                                 obs::SimObserver* obs = nullptr);
 
 }  // namespace grs

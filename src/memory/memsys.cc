@@ -8,8 +8,11 @@
 
 namespace grs {
 
-MemorySystem::MemorySystem(const GpuConfig& cfg)
-    : cfg_(cfg), dram_(cfg.dram, cfg.l2.line_bytes) {
+MemorySystem::MemorySystem(const GpuConfig& cfg, obs::SimObserver* obs)
+    : cfg_(cfg),
+      dram_(cfg.dram, cfg.l2.line_bytes),
+      trace_(obs::tracer(obs)),
+      prof_(obs::profiler(obs)) {
   cfg_.validate();
   // One L2 bank per DRAM channel keeps addressing aligned and gives the
   // 768KB cache (Table I) a realistic amount of request parallelism. Sets and
@@ -33,10 +36,6 @@ MemorySystem::MemorySystem(const GpuConfig& cfg)
 const CacheConfig& MemorySystem::bank_config(std::uint32_t bank) const {
   GRS_CHECK(bank < banks_.size());
   return banks_[bank].tags.config();
-}
-
-void MemorySystem::set_observer(obs::SimObserver* o) {
-  trace_ = (o != nullptr && o->trace_enabled()) ? o : nullptr;
 }
 
 Cycle MemorySystem::access(Addr line_addr, Cycle now) {

@@ -26,14 +26,9 @@ class HostProfiler;
 
 class MemorySystem {
  public:
-  explicit MemorySystem(const GpuConfig& cfg);
-
-  /// Trace L2/DRAM transaction lifecycles into `o` (null, or an observer
-  /// without tracing, disables the hooks — the default).
-  void set_observer(obs::SimObserver* o);
-
-  /// Time access()/DRAM service into `p` (null disables — the default).
-  void set_profiler(prof::HostProfiler* p) { prof_ = p; }
+  /// `obs` (optional, must outlive this) traces L2/DRAM transaction
+  /// lifecycles and times access()/DRAM service when those pillars are on.
+  explicit MemorySystem(const GpuConfig& cfg, obs::SimObserver* obs = nullptr);
 
   /// One L1-miss transaction first observed at `now`; returns data-ready
   /// cycle at the SM. Deterministic in call order.
@@ -69,7 +64,7 @@ class MemorySystem {
   std::vector<L2Bank> banks_;
   Dram dram_;
   obs::SimObserver* trace_ = nullptr;  ///< null unless event tracing is on
-  prof::HostProfiler* prof_ = nullptr; ///< null unless --prof/--prof-folded
+  prof::HostProfiler* prof_ = nullptr; ///< null unless host profiling is on
   /// Cycles an L2 bank is occupied per transaction.
   static constexpr Cycle kBankOccupancy = 2;
 };

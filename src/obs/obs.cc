@@ -37,19 +37,14 @@ TraceEvent meta_thread(std::uint32_t pid, std::uint32_t tid, const std::string& 
 
 }  // namespace
 
-SimObserver::SimObserver(const ObsOptions& opts) : opts_(opts) {
-  if (opts_.trace) {
+SimObserver::SimObserver(const ObsOptions& opts, TraceSink* sink) : opts_(opts), sink_(sink) {
+  if (sink_ == nullptr && opts_.trace) {
     owned_sink_ = std::make_unique<ChromeTraceSink>();
     sink_ = owned_sink_.get();
   }
   if (opts_.timeline_interval != 0)
     timeline_ = std::make_unique<TimelineSampler>(opts_.timeline_interval);
-}
-
-SimObserver::SimObserver(const ObsOptions& opts, TraceSink* sink) : opts_(opts), sink_(sink) {
-  opts_.trace = sink != nullptr;
-  if (opts_.timeline_interval != 0)
-    timeline_ = std::make_unique<TimelineSampler>(opts_.timeline_interval);
+  if (opts_.prof) prof_ = std::make_unique<prof::HostProfiler>();
 }
 
 void SimObserver::begin_run(const TraceTopology& topo) {

@@ -1,8 +1,11 @@
-// SimObserver: the one object the simulator talks to when observability is
-// on. Zero-cost-when-off contract: every hook site in src/sm, src/gpu and
-// src/memory guards on a pointer that is null unless the relevant pillar is
-// enabled, so a default run compiles the instrumentation down to an untaken
-// branch; GpuStats and the result-cache key are untouched either way.
+// SimObserver: the one object the simulator talks to when instrumentation is
+// on, and the only instrumentation argument simulate(), Gpu,
+// StreamingMultiprocessor and MemorySystem take. Zero-cost-when-off contract:
+// the SMs and the memory system cache their trace and profiler pointers
+// (tracer(), profiler() below) once, at construction, and every hook site
+// guards on a pointer that is null unless its pillar is enabled. A default
+// run compiles the instrumentation down to an untaken branch; GpuStats and
+// the result-cache key are untouched either way.
 //
 // Pillars (any subset may be active):
 //  * event tracing  — hooks below render Chrome-trace events into a
@@ -11,9 +14,12 @@
 //    event exec modes (obs/events.h).
 //  * timeline sampling — gpu/gpu.cc drives timeline_sample() at interval
 //    boundaries; obs/timeline.h renders the CSV.
+//  * host-phase profiling — profiler() is the HostProfiler whose scoped
+//    timers the hot phases run under (src/prof).
 //
-// One SimObserver observes exactly one simulate() call; it is not
-// thread-safe and must not be shared across sweep points.
+// One SimObserver observes exactly one simulate() call (plus, in the runner,
+// that point's result-cache lookup and store); it is not thread-safe and must
+// not be shared across sweep points.
 #pragma once
 
 #include <memory>
@@ -25,6 +31,7 @@
 #include "obs/events.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "prof/prof.h"
 
 namespace grs::obs {
 
@@ -33,8 +40,9 @@ namespace grs::obs {
 struct ObsOptions {
   bool trace = false;            ///< collect trace events
   Cycle timeline_interval = 0;   ///< sample period in cycles; 0 = timeline off
+  bool prof = false;             ///< time host phases (src/prof)
 
-  [[nodiscard]] bool any() const { return trace || timeline_interval != 0; }
+  [[nodiscard]] bool any() const { return trace || timeline_interval != 0 || prof; }
 };
 
 /// Fixed shape of the machine being traced; begin_run() turns it into
@@ -53,16 +61,18 @@ struct TraceTopology {
 
 class SimObserver {
  public:
-  /// Owns a ChromeTraceSink when opts.trace is set.
-  explicit SimObserver(const ObsOptions& opts);
-  /// Trace into an external sink (not owned); opts.trace is implied on.
-  SimObserver(const ObsOptions& opts, TraceSink* sink);
+  /// Traces into `sink` (not owned) when one is given, which implies
+  /// opts.trace; otherwise owns a ChromeTraceSink when opts.trace is set.
+  /// Owns a HostProfiler when opts.prof is set.
+  explicit SimObserver(const ObsOptions& opts, TraceSink* sink = nullptr);
 
   SimObserver(const SimObserver&) = delete;
   SimObserver& operator=(const SimObserver&) = delete;
 
   [[nodiscard]] bool trace_enabled() const { return sink_ != nullptr; }
   [[nodiscard]] Cycle timeline_interval() const { return opts_.timeline_interval; }
+  /// The profiler pillar; null when opts.prof is off.
+  [[nodiscard]] prof::HostProfiler* profiler() const { return prof_.get(); }
 
   // --- lifecycle (gpu/gpu.cc) --------------------------------------------
   void begin_run(const TraceTopology& topo);
@@ -111,6 +121,7 @@ class SimObserver {
   std::unique_ptr<ChromeTraceSink> owned_sink_;
   TraceSink* sink_ = nullptr;
   std::unique_ptr<TimelineSampler> timeline_;
+  std::unique_ptr<prof::HostProfiler> prof_;
 
   std::uint32_t num_sms_ = 0;
   std::uint32_t warp_slots_ = 0;
@@ -119,5 +130,16 @@ class SimObserver {
   /// Current open slice per (sm, warp slot); kNone = no slice open.
   std::vector<WarpState> open_;
 };
+
+/// `o` when it traces, else null: the pointer trace hook sites guard on.
+[[nodiscard]] inline SimObserver* tracer(SimObserver* o) {
+  return o != nullptr && o->trace_enabled() ? o : nullptr;
+}
+
+/// `o`'s profiler pillar, else null: the pointer prof::ScopedPhase sites
+/// guard on.
+[[nodiscard]] inline prof::HostProfiler* profiler(const SimObserver* o) {
+  return o != nullptr ? o->profiler() : nullptr;
+}
 
 }  // namespace grs::obs

@@ -4,12 +4,16 @@
 // bookkeeping, result-cache lookup/store), aggregated per simulation and
 // merged per sweep by the runner engine.
 //
-// Same contract as src/obs: zero-cost when off (every hook site guards on a
-// pointer that is null unless --prof/--prof-folded was given, so the default
-// run pays one untaken branch per site), options stay out of GpuConfig so
-// config fingerprints and result-cache keys are untouched, and nothing here
-// ever feeds back into simulation state — sim stats are bit-identical with
-// profiling on (tests/test_prof.cc).
+// The profiler is the third pillar of obs::SimObserver (src/obs/obs.h),
+// beside the trace and the timeline: the simulator reaches it only through
+// the one observer pointer, as observer->profiler(). Same contract as the
+// other pillars: zero-cost when off (every hook site guards on a profiler
+// pointer, read from the observer once at construction, that is null unless
+// ObsOptions::prof is set, so the default run pays one untaken branch per
+// site), options stay out of GpuConfig so config fingerprints and
+// result-cache keys are untouched, and nothing here ever feeds back into
+// simulation state — sim stats are bit-identical with profiling on
+// (tests/test_prof.cc).
 //
 // Host time is wall time: profiles from different machines or runs are not
 // comparable sample-for-sample. Cross-run speed comparisons belong to the
@@ -50,8 +54,9 @@ inline constexpr std::size_t kNumPhases = 10;
 [[nodiscard]] const char* to_string(Phase p);
 
 /// Accumulates phase timings for one thread of execution. Not thread-safe:
-/// the engine keeps one profiler per sweep point and merges them post-run in
-/// point order, exactly like buffered observability outputs.
+/// the engine keeps one observer, and so one profiler, per sweep point and
+/// merges the profiles post-run in point order, exactly like buffered
+/// observability outputs.
 class HostProfiler {
  public:
   /// `clock` returns seconds on a monotonic clock; injectable for

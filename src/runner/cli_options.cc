@@ -1,6 +1,12 @@
 #include "runner/cli_options.h"
 
+#include <algorithm>
+#include <cstdio>
+
+#include "common/clock.h"
 #include "common/parse.h"
+#include "runner/progress.h"
+#include "runner/thread_pool.h"
 
 namespace grs::runner {
 
@@ -23,6 +29,45 @@ RunOptions CommonOptions::run_options(cache::CacheStats* stats_out,
   run.timeline_interval = timeline_interval;
   run.prof = prof_enabled() ? prof_out : nullptr;
   return run;
+}
+
+CliSession::CliSession(const std::string& tool, const CommonOptions& opts)
+    : opts_(opts), tag_("[" + tool + "]"), manifest_(tool) {}
+
+std::vector<SweepRow> CliSession::run(const std::string& name, const SweepSpec& spec,
+                                      double* wall_seconds) {
+  RunOptions options = opts_.run_options(&cache_, &prof_);
+  ProgressTicker ticker(tag_.c_str());
+  if (opts_.progress)
+    options.progress = [&ticker](std::size_t done, std::size_t total) {
+      ticker.update(done, total);
+    };
+  const WallTimer timer;
+  std::vector<SweepRow> rows = run_sweep(spec, options);
+  const double secs = timer.seconds();
+  if (wall_seconds != nullptr) *wall_seconds = secs;
+  if (!opts_.manifest_path.empty()) {
+    const std::size_t t = opts_.threads == 0 ? ThreadPool::default_threads() : opts_.threads;
+    const auto threads = static_cast<unsigned>(std::min(t, std::max<std::size_t>(rows.size(), 1)));
+    manifest_.add_sweep(name, rows, secs, threads);
+  }
+  return rows;
+}
+
+int CliSession::finish() {
+  if (opts_.cache_enabled())
+    std::fprintf(stderr, "%s cache: %s\n", tag_.c_str(), cache_.summary().c_str());
+  try {
+    prof::write_prof_outputs(prof_, opts_.prof_path, opts_.prof_folded_path);
+    if (!opts_.manifest_path.empty()) {
+      if (opts_.cache_enabled()) manifest_.set_cache_stats(cache_);
+      manifest_.write(opts_.manifest_path);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  return 0;
 }
 
 bool parse_common_flag(CommonOptions& opts, const CommonFlagSet& set, const std::string& arg,

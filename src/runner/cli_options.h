@@ -5,7 +5,8 @@
 // observability family --trace/--timeline/--timeline-interval/--manifest,
 // the host-profiling family --prof/--prof-folded, and --progress — so the
 // scripts/check_docs.sh flag-drift check has a single origin and the two
-// binaries can never disagree on spelling, validation, or semantics.
+// binaries can never disagree on spelling, validation, or semantics. One
+// CliSession then runs every sweep of the invocation and writes its tail.
 //
 //   CommonOptions opts;
 //   for (each arg) {
@@ -13,7 +14,13 @@
 //     ...binary-specific flags...
 //   }
 //   opts.finalize();                       // cross-flag validation
-//   RunOptions run = opts.run_options(&cache_stats);
+//   CliSession session("grs_bench", opts);
+//   rows = session.run("fig8", spec);      // once per sweep; may throw
+//   return session.finish();               // cache summary, --prof, --manifest
+//
+// The engine runs each point under one SimObserver whose pillars (trace,
+// timeline, host-phase profiler) these flags select, and merges the
+// per-point profiles into the session's one profile.
 //
 // Malformed values and inconsistent combinations throw UsageError; frontends
 // catch it and exit through their own usage() path.
@@ -22,10 +29,13 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cache/result_cache.h"
 #include "common/types.h"
+#include "prof/prof.h"
 #include "runner/engine.h"
+#include "runner/manifest.h"
 
 namespace grs::runner {
 
@@ -71,8 +81,9 @@ struct CommonOptions {
     return !trace_path.empty() || !timeline_path.empty();
   }
 
-  /// True when this run times host phases (per-point profilers, merged by
-  /// the engine; does NOT bypass the result cache).
+  /// True when this run times host phases (the profiler pillar of each
+  /// point's observer, merged by the engine; does NOT bypass the result
+  /// cache).
   [[nodiscard]] bool prof_enabled() const {
     return !prof_path.empty() || !prof_folded_path.empty();
   }
@@ -89,11 +100,39 @@ struct CommonOptions {
 
   /// Engine options carrying the threads + cache settings; `stats_out` (may
   /// be null) receives accumulated cache counters across run_sweep calls and
-  /// `prof_out` (may be null) the merged host-phase profile — pass the same
-  /// profiler to every run_options() call so one file covers the whole
-  /// invocation no matter how many sweeps it runs.
+  /// `prof_out` (may be null) the merged host-phase profile. CliSession
+  /// passes its own to every call, so one file covers the whole invocation
+  /// no matter how many sweeps it runs.
   [[nodiscard]] RunOptions run_options(cache::CacheStats* stats_out = nullptr,
                                        prof::HostProfiler* prof_out = nullptr) const;
+};
+
+/// One CLI invocation's run tail: the cache counters, merged host-phase
+/// profile and run manifest that every sweep it runs feeds.
+class CliSession {
+ public:
+  /// `tool` names the binary: the manifest's "tool" and the "[tool]" tag of
+  /// its stderr lines.
+  CliSession(const std::string& tool, const CommonOptions& opts);
+
+  /// run_sweep(spec) under the session's engine options, with a --progress
+  /// ticker of its own. Records the sweep as `name` in the manifest when
+  /// --manifest is set, and its wall clock in `*wall_seconds` (may be null).
+  /// Exceptions from run_sweep propagate.
+  std::vector<SweepRow> run(const std::string& name, const SweepSpec& spec,
+                            double* wall_seconds = nullptr);
+
+  /// Print the cache summary (when --cache is on) and write the --prof,
+  /// --prof-folded and --manifest files. Returns the exit code: 0, or 2
+  /// after printing the I/O error.
+  [[nodiscard]] int finish();
+
+ private:
+  CommonOptions opts_;
+  std::string tag_;  ///< "[tool]"
+  cache::CacheStats cache_;
+  prof::HostProfiler prof_;
+  RunManifest manifest_;
 };
 
 /// Consume `arg` if it is one of the shared flags accepted by `set`; `next`

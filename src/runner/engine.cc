@@ -18,9 +18,11 @@ namespace {
 
 /// Resolve one point through the cache. Hits skip simulate() entirely (except
 /// under kVerify, whose whole point is to re-simulate); misses simulate and —
-/// in the writing modes — publish atomically.
+/// in the writing modes — publish atomically. `observer` (may be null) times
+/// the cache phases as well as the simulation.
 SimResult run_cached_point(cache::ResultCache& cache, const SweepPoint& p, bool* from_cache,
-                           prof::HostProfiler* prof) {
+                           obs::SimObserver* observer) {
+  prof::HostProfiler* const prof = obs::profiler(observer);
   const std::string key = cache::result_cache_key(p.config, p.kernel);
   std::string payload;
   SimResult cached;
@@ -33,7 +35,7 @@ SimResult run_cached_point(cache::ResultCache& cache, const SweepPoint& p, bool*
     if (cache.mode() == cache::CacheMode::kVerify) {
       // The fuzz oracle recast as an integrity check: a warm entry must be
       // byte-identical to a fresh simulation's encoding.
-      SimResult fresh = simulate(p.config, p.kernel, nullptr, prof);
+      SimResult fresh = simulate(p.config, p.kernel, observer);
       if (encode_result(fresh) != payload) {
         cache.note_verify_failure();
         throw std::runtime_error("result cache verify FAILED: stored entry " +
@@ -51,7 +53,7 @@ SimResult run_cached_point(cache::ResultCache& cache, const SweepPoint& p, bool*
     *from_cache = true;
     return cached;
   }
-  SimResult fresh = simulate(p.config, p.kernel, nullptr, prof);
+  SimResult fresh = simulate(p.config, p.kernel, observer);
   if (cache.mode() != cache::CacheMode::kRead) {
     prof::ScopedPhase prof_scope(prof, prof::Phase::kCacheStore);
     cache.store(key, fresh);
@@ -86,26 +88,22 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
   unsigned threads = options.threads == 0 ? ThreadPool::default_threads() : options.threads;
   threads = static_cast<unsigned>(std::min<std::size_t>(threads, n));
 
-  // Observability forces fresh simulation: a cache hit has no event stream.
   obs::ObsOptions obs_opts;
   obs_opts.trace = !options.trace_path.empty();
   obs_opts.timeline_interval = options.timeline_path.empty() ? 0 : options.timeline_interval;
-  const bool observed = obs_opts.any();
+  obs_opts.prof = options.prof != nullptr;
 
+  // Traces and timelines force fresh simulation: a cache hit has no event
+  // stream. Profiling alone times the cache path instead.
   std::unique_ptr<cache::ResultCache> cache;
-  if (!observed && options.cache_mode != cache::CacheMode::kOff && !options.cache_dir.empty())
+  if (!obs_opts.trace && obs_opts.timeline_interval == 0 &&
+      options.cache_mode != cache::CacheMode::kOff && !options.cache_dir.empty())
     cache = std::make_unique<cache::ResultCache>(options.cache_dir, options.cache_mode);
 
-  struct ObsOutput {
-    std::string trace;
-    std::string timeline;
-  };
-  std::vector<ObsOutput> obs_out(observed ? n : 0);
-
-  // Per-point profilers keep the hot begin/end path lock-free under worker
-  // threads; merged below in point order so aggregates are thread-count
-  // independent (same trick as the buffered obs outputs).
-  std::vector<prof::HostProfiler> profs(options.prof != nullptr ? n : 0);
+  // One observer per point keeps every pillar lock-free under worker
+  // threads; their outputs are written and merged below, in point order.
+  std::vector<std::unique_ptr<obs::SimObserver>> observers(obs_opts.any() ? n : 0);
+  for (auto& o : observers) o = std::make_unique<obs::SimObserver>(obs_opts);
 
   // `done` is only mutated under the mutex so the callback sees a
   // monotonically increasing count.
@@ -113,18 +111,11 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
   std::size_t done = 0;
   auto run_point = [&](std::size_t i) {
     const WallTimer cell_timer;
-    prof::HostProfiler* const prof = profs.empty() ? nullptr : &profs[i];
-    rows[i].point = spec.points[i];
-    if (observed) {
-      obs::SimObserver observer(obs_opts);
-      rows[i].result = simulate(spec.points[i].config, spec.points[i].kernel, &observer, prof);
-      if (obs_opts.trace) obs_out[i].trace = observer.trace_json();
-      if (obs_opts.timeline_interval != 0) obs_out[i].timeline = observer.timeline_csv();
-    } else {
-      rows[i].result =
-          cache ? run_cached_point(*cache, spec.points[i], &rows[i].from_cache, prof)
-                : simulate(spec.points[i].config, spec.points[i].kernel, nullptr, prof);
-    }
+    const SweepPoint& p = spec.points[i];
+    obs::SimObserver* const observer = observers.empty() ? nullptr : observers[i].get();
+    rows[i].point = p;
+    rows[i].result = cache ? run_cached_point(*cache, p, &rows[i].from_cache, observer)
+                           : simulate(p.config, p.kernel, observer);
     rows[i].wall_ms = cell_timer.seconds() * 1000.0;
     if (options.progress) {
       std::lock_guard<std::mutex> lock(progress_mu);
@@ -140,16 +131,16 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
     pool.wait();
   }
 
-  // Buffered observability outputs land on disk only after the sweep, in
-  // point order — byte-identical files for any worker count.
-  for (std::size_t i = 0; i < obs_out.size(); ++i) {
-    if (!options.trace_path.empty())
-      write_text_file(obs_point_path(options.trace_path, i, n), obs_out[i].trace);
-    if (!options.timeline_path.empty())
-      write_text_file(obs_point_path(options.timeline_path, i, n), obs_out[i].timeline);
+  // Outputs land on disk, and profiles in *options.prof, only after the
+  // sweep and in point order — byte-identical files and thread-count
+  // independent aggregates for any worker count.
+  for (std::size_t i = 0; i < observers.size(); ++i) {
+    const obs::SimObserver& o = *observers[i];
+    if (obs_opts.trace) write_text_file(obs_point_path(options.trace_path, i, n), o.trace_json());
+    if (obs_opts.timeline_interval != 0)
+      write_text_file(obs_point_path(options.timeline_path, i, n), o.timeline_csv());
+    if (obs_opts.prof) options.prof->merge(*o.profiler());
   }
-
-  for (const auto& p : profs) options.prof->merge(p);
 
   if (cache && options.cache_stats != nullptr) *options.cache_stats += cache->stats();
   return rows;

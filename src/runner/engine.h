@@ -52,24 +52,25 @@ struct RunOptions {
   /// after the sweep completes.
   cache::CacheStats* cache_stats = nullptr;
 
-  /// Observability (src/obs). When either path is set, every point is
-  /// simulated fresh under a per-point SimObserver — the result cache is
-  /// bypassed entirely for the run, since a cached result has no events to
-  /// replay — and the collected outputs are buffered in memory and written
-  /// after the sweep in point order, so files are byte-identical across
-  /// --threads. Multi-point sweeps write one file per point with the point
+  /// Instrumentation (src/obs). The three settings below are the pillars of
+  /// one SimObserver per point; when any is on, every point runs under its
+  /// own observer, and the outputs are written after the sweep in point
+  /// order, so files and profiles are identical across --threads.
+  ///
+  /// Trace and timeline: every point is simulated fresh — the result cache
+  /// is bypassed entirely for the run, since a cached result has no events
+  /// to replay. Multi-point sweeps write one file per point with the point
   /// index spliced in before the extension (trace.json -> trace.0.json ...).
   std::string trace_path;       ///< Chrome-trace JSON per point
   std::string timeline_path;    ///< per-SM counter timeline CSV per point
   Cycle timeline_interval = 1000;  ///< sample period (cycles) when timeline_path is set
 
-  /// Host-phase profiling (src/prof). When non-null, every point is simulated
-  /// under its own per-point HostProfiler (cache lookup/store phases
-  /// included), and the per-point profilers are merged into *prof after the
-  /// sweep in point order — aggregates are identical for any --threads.
-  /// Unlike observability, profiling does NOT bypass the result cache: a
-  /// cache hit simply contributes cache_lookup time and no simulate phases.
-  /// Sim stats stay bit-identical with profiling on (tests/test_prof.cc).
+  /// Host-phase profiling, the observer's profiler pillar (src/prof). When
+  /// non-null, each point's profile (cache lookup/store phases included) is
+  /// merged into *prof after the sweep. Profiling does NOT bypass the result
+  /// cache: a cache hit simply contributes cache_lookup time and no simulate
+  /// phases. Sim stats stay bit-identical with profiling on
+  /// (tests/test_prof.cc).
   prof::HostProfiler* prof = nullptr;
 };
 

@@ -45,8 +45,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
                                                  std::uint32_t active_lanes,
                                                  MemorySystem& memsys,
                                                  const DynThrottle* dyn,
-                                                 obs::SimObserver* obs,
-                                                 prof::HostProfiler* prof)
+                                                 obs::SimObserver* obs)
     : id_(id),
       cfg_(cfg),
       program_(&program),
@@ -57,7 +56,9 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
       dyn_(dyn),
       l1_(cfg.l1),
       coalescer_(cfg.l1.line_bytes),
-      warps_per_block_(res.warps_per_block(cfg.warp_size)) {
+      warps_per_block_(res.warps_per_block(cfg.warp_size)),
+      trace_(obs::tracer(obs)),
+      prof_(obs::profiler(obs)) {
   GRS_CHECK_MSG(program.num_regs() <= 64, "scoreboard supports at most 64 registers/thread");
   GRS_CHECK(occ.total_blocks >= 1);
   GRS_CHECK(occ.total_blocks * warps_per_block_ <= cfg.max_warps_per_sm());
@@ -71,8 +72,6 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
                              cfg.two_level_group_size);
   cands_.reserve(warps_.size());
   txns_.reserve(32);
-  if (obs != nullptr && obs->trace_enabled()) trace_ = obs;
-  prof_ = prof;
 }
 
 int StreamingMultiprocessor::pair_owner_side(std::uint32_t pair_id) const {

@@ -50,16 +50,13 @@ class StreamingMultiprocessor {
   /// the slot. Called after ownership transfer has been applied.
   using BlockFinishFn = std::function<void(SmId, BlockSlot)>;
 
-  /// `obs` (optional) receives event-trace hooks; it is consulted once here
-  /// and ignored thereafter unless tracing is enabled, so the default-null
-  /// case costs one untaken branch per hook site (src/obs/obs.h). `prof`
-  /// (optional) receives host-phase timings under the same null-guarded
-  /// contract (src/prof/prof.h).
+  /// `obs` (optional) receives event-trace hooks and host-phase timings; its
+  /// trace and profiler pointers are read once here, so the default-null
+  /// case costs one untaken branch per hook site (src/obs/obs.h).
   StreamingMultiprocessor(SmId id, const GpuConfig& cfg, const Program& program,
                           const KernelResources& res, const Occupancy& occ,
                           std::uint32_t active_lanes, MemorySystem& memsys,
-                          const DynThrottle* dyn, obs::SimObserver* obs = nullptr,
-                          prof::HostProfiler* prof = nullptr);
+                          const DynThrottle* dyn, obs::SimObserver* obs = nullptr);
 
   void set_block_finish_callback(BlockFinishFn fn) { on_block_finish_ = std::move(fn); }
 
@@ -231,7 +228,7 @@ class StreamingMultiprocessor {
   Cycle last_stepped_ = 0;              ///< last cycle step() actually ran
   BlockFinishFn on_block_finish_;
   obs::SimObserver* trace_ = nullptr;   ///< null unless event tracing is on
-  prof::HostProfiler* prof_ = nullptr;  ///< null unless --prof/--prof-folded
+  prof::HostProfiler* prof_ = nullptr;  ///< null unless host profiling is on
   /// Cycle currently being stepped; lets dispatcher-driven launch_block()
   /// (called from inside finish_block) stamp trace events. 0 = initial fill.
   Cycle now_ = 0;

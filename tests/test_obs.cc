@@ -29,6 +29,7 @@
 #include "obs/obs.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "prof/prof.h"
 #include "runner/engine.h"
 #include "runner/manifest.h"
 #include "workloads/format/gkd.h"
@@ -234,6 +235,7 @@ TEST(ObsOff, DisabledObserverProducesNoOutput) {
   EXPECT_FALSE(off.any());
   obs::SimObserver observer(off);
   EXPECT_FALSE(observer.trace_enabled());
+  EXPECT_EQ(observer.profiler(), nullptr);
   const SimResult r = simulate(configs::unshared(), shrink(workloads::hotspot(), 4),
                                &observer);
   EXPECT_GT(r.stats.cycles, 0u);
@@ -463,6 +465,60 @@ TEST(ObsEngine, SweepFilesByteIdenticalAcrossThreadCounts) {
               slurp(root + "/t8/timeline" + suffix + ".csv"))
         << i;
     EXPECT_TRUE(all_rows[0][i].result.stats == all_rows[1][i].result.stats) << i;
+  }
+}
+
+TEST(ObsEngine, EveryPillarOnOneObserver) {
+  // Trace, timeline and profiler share one observer per point without
+  // disturbing each other: the files match a trace+timeline run byte for
+  // byte, and the profile matches a profile-only run call for call, plus one
+  // timeline_sample call per gpu row the timeline files carry.
+  namespace fs = std::filesystem;
+  const std::string root = testing::TempDir() + "/grs_obs_all_pillars";
+  fs::remove_all(root);
+  const runner::SweepSpec spec = small_spec();
+  const auto files_options = [&](const std::string& dir, unsigned threads) {
+    fs::create_directories(dir);
+    runner::RunOptions options;
+    options.threads = threads;
+    options.trace_path = dir + "/trace.json";
+    options.timeline_path = dir + "/timeline.csv";
+    options.timeline_interval = 200;
+    return options;
+  };
+
+  (void)runner::run_sweep(spec, files_options(root + "/files-only", 1));
+  prof::HostProfiler profile_only;
+  runner::RunOptions prof_options;
+  prof_options.threads = 1;
+  prof_options.prof = &profile_only;
+  (void)runner::run_sweep(spec, prof_options);
+
+  for (const unsigned threads : {1u, 2u}) {
+    const std::string dir = root + "/all-t" + std::to_string(threads);
+    prof::HostProfiler all;
+    runner::RunOptions options = files_options(dir, threads);
+    options.prof = &all;
+    (void)runner::run_sweep(spec, options);
+
+    std::uint64_t gpu_rows = 0;
+    for (std::size_t i = 0; i < spec.points.size(); ++i) {
+      const std::string suffix = "." + std::to_string(i);
+      EXPECT_EQ(slurp(dir + "/trace" + suffix + ".json"),
+                slurp(root + "/files-only/trace" + suffix + ".json"))
+          << threads << " / " << i;
+      const std::string timeline = slurp(dir + "/timeline" + suffix + ".csv");
+      EXPECT_EQ(timeline, slurp(root + "/files-only/timeline" + suffix + ".csv"))
+          << threads << " / " << i;
+      gpu_rows += gpu_row_cycles(timeline).size();
+    }
+    EXPECT_GT(gpu_rows, 0u);
+    for (std::size_t k = 0; k < prof::kNumPhases; ++k) {
+      const auto phase = static_cast<prof::Phase>(k);
+      const std::uint64_t expected =
+          phase == prof::Phase::kTimeline ? gpu_rows : profile_only.calls(phase);
+      EXPECT_EQ(all.calls(phase), expected) << threads << " / " << prof::to_string(phase);
+    }
   }
 }
 

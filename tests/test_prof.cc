@@ -2,7 +2,8 @@
 //  * zero feedback — sim stats are bit-identical with profiling on, in both
 //    exec modes, through the engine, and through the result cache;
 //  * exactness — with an injected fake clock, total/self/wall and the folded
-//    stacks are exact, and merge() is additive;
+//    stacks are exact, and merge() is additive; per-phase call counts match
+//    the modelled work exactly;
 //  * shape — grs-prof-v1 JSON and folded lines parse as documented, phase
 //    self times sum to the profiled wall clock.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "common/config.h"
 #include "gpu/result_codec.h"
 #include "gpu/simulator.h"
+#include "obs/obs.h"
 #include "prof/prof.h"
 #include "runner/engine.h"
 #include "runner/manifest.h"
@@ -28,6 +30,18 @@ namespace {
 KernelInfo shrink(KernelInfo k, std::uint32_t blocks) {
   k.grid_blocks = blocks;
   return k;
+}
+
+/// simulate() under an observer whose only pillar is the profiler; returns
+/// the profile, and the result in `*result` (may be null).
+prof::HostProfiler profile_sim(const GpuConfig& cfg, const KernelInfo& kernel,
+                               SimResult* result = nullptr) {
+  obs::ObsOptions opts;
+  opts.prof = true;
+  obs::SimObserver observer(opts);
+  const SimResult r = simulate(cfg, kernel, &observer);
+  if (result != nullptr) *result = r;
+  return *observer.profiler();
 }
 
 // Injectable deterministic clock (prof::HostProfiler::ClockFn is a plain
@@ -132,8 +146,8 @@ TEST(ProfZeroFeedback, StatsBitIdenticalBothExecModes) {
     GpuConfig cfg = configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1);
     cfg.exec_mode = mode;
     const SimResult plain = simulate(cfg, kernel);
-    prof::HostProfiler p;
-    const SimResult profiled = simulate(cfg, kernel, nullptr, &p);
+    SimResult profiled;
+    const prof::HostProfiler p = profile_sim(cfg, kernel, &profiled);
     EXPECT_EQ(encode_result(plain), encode_result(profiled))
         << "profiling changed sim results in mode " << static_cast<int>(mode);
     EXPECT_GT(p.calls(prof::Phase::kSimulate), 0u);
@@ -142,10 +156,48 @@ TEST(ProfZeroFeedback, StatsBitIdenticalBothExecModes) {
   }
 }
 
+TEST(ProfZeroFeedback, PhaseCallsCountModelledWork) {
+  // Call counts are host-independent: each hook runs once per unit of
+  // modelled work, so they are gated exactly, like cycles. A dropped or
+  // doubled hook breaks an identity or a golden.
+  const KernelInfo kernel = shrink(workloads::hotspot(), 4);
+  struct Golden {
+    ExecMode mode;
+    std::uint64_t scans;        ///< scheduler_scan and execute_writeback calls
+    std::uint64_t event_sleep;  ///< event-mode sleep bookkeeping calls
+  };
+  const Golden goldens[] = {{ExecMode::kCycle, 181804, 0}, {ExecMode::kEvent, 11024, 4098}};
+  for (const Golden& g : goldens) {
+    GpuConfig cfg = configs::unshared();
+    cfg.exec_mode = g.mode;
+    SimResult r;
+    const prof::HostProfiler p = profile_sim(cfg, kernel, &r);
+    const std::string label = to_string(g.mode);
+
+    EXPECT_EQ(p.calls(prof::Phase::kIssue), r.stats.sm_total.warp_instructions) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kDram), r.stats.dram_requests) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kExecute), p.calls(prof::Phase::kSchedulerScan)) << label;
+    if (g.mode == ExecMode::kCycle) {
+      EXPECT_EQ(r.stats.cycles, 12986u);
+      EXPECT_EQ(p.calls(prof::Phase::kSchedulerScan), r.stats.cycles * cfg.num_sms);
+    }
+
+    EXPECT_EQ(p.calls(prof::Phase::kSimulate), 1u) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kExecute), g.scans) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kSchedulerScan), g.scans) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kIssue), 13056u) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kMemsys), 1120u) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kDram), 1030u) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kEventSleep), g.event_sleep) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kTimeline), 0u) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kCacheLookup), 0u) << label;
+    EXPECT_EQ(p.calls(prof::Phase::kCacheStore), 0u) << label;
+  }
+}
+
 TEST(ProfZeroFeedback, PhaseTimesSumToWall) {
   const KernelInfo kernel = shrink(workloads::hotspot(), 4);
-  prof::HostProfiler p;
-  (void)simulate(configs::unshared(), kernel, nullptr, &p);
+  const prof::HostProfiler p = profile_sim(configs::unshared(), kernel);
 
   double self_sum = 0.0;
   for (std::size_t i = 0; i < prof::kNumPhases; ++i) {
@@ -161,8 +213,7 @@ TEST(ProfZeroFeedback, PhaseTimesSumToWall) {
 
 TEST(ProfZeroFeedback, FoldedStacksHaveDocumentedShape) {
   const KernelInfo kernel = shrink(workloads::hotspot(), 4);
-  prof::HostProfiler p;
-  (void)simulate(configs::unshared(), kernel, nullptr, &p);
+  const prof::HostProfiler p = profile_sim(configs::unshared(), kernel);
 
   std::istringstream lines(p.folded());
   std::string line;
