@@ -42,6 +42,24 @@ void BM_CacheMissFill(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheMissFill);
 
+/// The miss path under a loaded MSHR, as a memory-bound SM step sees it: a
+/// drain, a next_ready() wakeup query and a lookup, with ready cycles 400-496
+/// ahead so that 50 to 62 misses stay in flight.
+void BM_CacheLoadedMshr(benchmark::State& state) {
+  Cache c(CacheConfig{});
+  Addr a = 0;
+  Cycle now = 0;
+  for (auto _ : state) {
+    c.drain(now);
+    benchmark::DoNotOptimize(c.next_ready());
+    const auto r = c.lookup(a, now);
+    if (!r.hit && !r.mshr_merge && !r.mshr_full) c.fill_inflight(a, now + 400 + (a / 128) % 97);
+    a += 128;
+    now += 8;
+  }
+}
+BENCHMARK(BM_CacheLoadedMshr);
+
 void BM_DramRequest(benchmark::State& state) {
   Dram d(DramConfig{}, 128);
   Addr a = 0;

@@ -10,6 +10,7 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   GRS_CHECK(cfg.num_sets() >= 1);
   GRS_CHECK(cfg.ways >= 1);
   ways_.resize(static_cast<std::size_t>(cfg.num_sets()) * cfg.ways);
+  mshr_.reserve(cfg.mshr_entries);
 }
 
 std::size_t Cache::set_index(Addr line_addr) const {
@@ -38,23 +39,10 @@ void Cache::install(Addr line_addr) {
 }
 
 void Cache::drain(Cycle now) {
-  // Collect, then install sorted by (ready, line): a drain that covers
-  // several cycles at once (the event-driven loop wakes an SM after a
-  // multi-cycle idle window) must assign LRU stamps in the same order a
-  // cycle-by-cycle drain would, or replacement decisions diverge between
-  // execution modes. The line-address tie-break keeps same-cycle batches
-  // independent of hash-map iteration order.
-  ready_scratch_.clear();
-  for (auto it = mshr_.begin(); it != mshr_.end();) {
-    if (it->second <= now) {
-      ready_scratch_.emplace_back(it->second, it->first);
-      it = mshr_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::sort(ready_scratch_.begin(), ready_scratch_.end());
-  for (const auto& [ready, line] : ready_scratch_) install(line);
+  // Sorted by (ready, line): the delivered lines are a prefix, in install order.
+  auto end = mshr_.begin();
+  for (; end != mshr_.end() && end->first <= now; ++end) install(end->second);
+  mshr_.erase(mshr_.begin(), end);
 }
 
 Cache::LookupResult Cache::lookup(Addr line_addr, Cycle now) {
@@ -70,9 +58,11 @@ Cache::LookupResult Cache::lookup(Addr line_addr, Cycle now) {
     }
   }
 
-  if (auto it = mshr_.find(line_addr); it != mshr_.end()) {
-    ++merges;
-    return LookupResult{.hit = false, .mshr_merge = true, .ready = it->second};
+  for (const auto& [ready, line] : mshr_) {
+    if (line == line_addr) {
+      ++merges;
+      return LookupResult{.hit = false, .mshr_merge = true, .ready = ready};
+    }
   }
 
   if (mshr_.size() >= cfg_.mshr_entries) {
@@ -84,15 +74,10 @@ Cache::LookupResult Cache::lookup(Addr line_addr, Cycle now) {
   return LookupResult{};  // primary miss; caller calls fill_inflight()
 }
 
-Cycle Cache::next_ready() const {
-  Cycle next = kNeverCycle;
-  for (const auto& [line, ready] : mshr_) next = std::min(next, ready);
-  return next;
-}
-
 void Cache::fill_inflight(Addr line_addr, Cycle ready) {
   GRS_CHECK(mshr_.size() < cfg_.mshr_entries);
-  mshr_.emplace(line_addr, ready);
+  const std::pair<Cycle, Addr> entry{ready, line_addr};
+  mshr_.insert(std::upper_bound(mshr_.begin(), mshr_.end(), entry), entry);
 }
 
 }  // namespace grs

@@ -5,11 +5,12 @@
 // which the lower level will deliver it; tags are installed lazily when a
 // later access observes that the ready cycle has passed ("fill on ready").
 // Accesses to a line already in flight merge into the existing MSHR entry and
-// complete at its ready cycle without generating lower-level traffic.
+// complete at its ready cycle without generating lower-level traffic. The MSHR
+// is kept in (ready, line) order: a drain pops the prefix that has arrived and
+// next_ready() reads the front.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,22 +36,28 @@ class Cache {
   [[nodiscard]] LookupResult lookup(Addr line_addr, Cycle now);
 
   /// Register a primary miss in the MSHR: the line becomes resident (tag
-  /// installed) once `ready` has passed.
+  /// installed) once `ready` has passed. Precondition: lookup() just reported
+  /// a primary miss for this line; a line already in flight would be held twice.
   void fill_inflight(Addr line_addr, Cycle ready);
 
-  /// Deliver every in-flight line whose data has arrived by `now`. Must be
-  /// called once per cycle by the owner: lookup() also drains, but a full
-  /// MSHR blocks issues *before* lookup, so without an explicit drain the
-  /// cache would deadlock against its own occupancy pre-check.
+  /// Deliver every in-flight line whose data has arrived by `now`, installing
+  /// them in (ready, line) order. That order makes one drain over many cycles
+  /// stamp LRU exactly as a drain every cycle would, so owners drain only when
+  /// they need to: an SM on the cycles it steps (event mode skips idle ones),
+  /// an L2 bank only inside lookup(). The SM must still drain before its
+  /// MSHR pre-check, which rejects a load on a full MSHR before lookup().
   void drain(Cycle now);
 
-  /// Number of MSHR entries currently in flight (for tests).
+  /// Number of MSHR entries currently in flight. The SM's MSHR pre-check
+  /// reads it on every scan, and the timeline samples it as a gauge.
   [[nodiscard]] std::size_t inflight() const { return mshr_.size(); }
 
   /// Earliest ready cycle over the in-flight misses, kNeverCycle when none.
   /// The event-driven loop uses this as a wakeup: a warp blocked on MSHR
   /// capacity can become issuable as soon as any entry drains.
-  [[nodiscard]] Cycle next_ready() const;
+  [[nodiscard]] Cycle next_ready() const {
+    return mshr_.empty() ? kNeverCycle : mshr_.front().first;
+  }
 
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 
@@ -72,8 +79,7 @@ class Cache {
 
   CacheConfig cfg_;
   std::vector<Way> ways_;               ///< num_sets * ways, row-major
-  std::unordered_map<Addr, Cycle> mshr_;  ///< line -> ready cycle
-  std::vector<std::pair<Cycle, Addr>> ready_scratch_;  ///< drain() sort buffer
+  std::vector<std::pair<Cycle, Addr>> mshr_;  ///< (ready, line), sorted
   std::uint64_t stamp_ = 0;
 };
 

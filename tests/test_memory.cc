@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/config.h"
+#include "common/prng.h"
 #include "memory/cache.h"
 #include "memory/coalescer.h"
 #include "memory/dram.h"
@@ -131,6 +132,59 @@ TEST(Cache, BatchDrainInstallsInReadyOrder) {
   c.drain(31);
   EXPECT_TRUE(c.lookup(0, 40).hit) << "most-recently-installed line evicted";
   EXPECT_FALSE(c.lookup(128, 41).hit) << "LRU (earliest-ready) line kept";
+}
+
+TEST(Cache, SameReadyBatchInstallsInLineOrder) {
+  // Lines that become ready in the same cycle install in line-address order,
+  // whatever order they were filled in: the tie-break fixes their LRU stamps.
+  CacheConfig cfg;
+  cfg.size_bytes = 2 * 128;  // one set, two ways
+  cfg.ways = 2;
+  cfg.line_bytes = 128;
+  Cache c(cfg);
+  (void)c.lookup(128, 0);
+  c.fill_inflight(128, 10);
+  (void)c.lookup(0, 0);
+  c.fill_inflight(0, 10);
+  c.drain(15);  // installs line 0, then line 128
+  (void)c.lookup(256, 16);
+  c.fill_inflight(256, 20);
+  c.drain(21);  // evicts line 0, the older stamp
+  EXPECT_TRUE(c.lookup(128, 30).hit);
+  EXPECT_FALSE(c.lookup(0, 31).hit) << "equal-ready lines installed out of line order";
+}
+
+TEST(Cache, SeededTracePinsMshrBehaviour) {
+  // A golden over a random access trace on a tiny cache whose MSHR is often
+  // full: every lookup outcome, merge ready cycle, next_ready() and
+  // inflight() is folded into one hash.
+  CacheConfig cfg;
+  cfg.size_bytes = 2 * 2 * 128;  // two sets, two ways
+  cfg.ways = 2;
+  cfg.line_bytes = 128;
+  cfg.mshr_entries = 4;
+  Cache c(cfg);
+  SplitMix64 rng(17);
+  std::uint64_t h = 0;
+  Cycle now = 0;
+  for (int step = 0; step < 20000; ++step) {
+    now += rng.next_below(4);
+    if (rng.next_below(3) == 0) c.drain(now);
+    h = hash_combine(h, c.next_ready());
+    h = hash_combine(h, c.inflight());
+    const Addr line = rng.next_below(16) * 128;
+    const auto r = c.lookup(line, now);
+    h = hash_combine(h, r.hit | (r.mshr_merge << 1) | (r.mshr_full << 2));
+    h = hash_combine(h, r.ready);
+    if (!r.hit && !r.mshr_merge && !r.mshr_full) {
+      c.fill_inflight(line, now + 1 + rng.next_below(8) * 8);
+    }
+  }
+  EXPECT_EQ(h, 0x950e42e0858776e0ull);
+  EXPECT_EQ(c.accesses, 13408u);
+  EXPECT_EQ(c.hits, 5096u);
+  EXPECT_EQ(c.misses, 3821u);
+  EXPECT_EQ(c.merges, 4491u);
 }
 
 // --- DRAM ---------------------------------------------------------------------
