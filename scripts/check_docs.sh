@@ -15,8 +15,11 @@
 # build/result-cache — CI persists it between runs): the first pass fills it,
 # the second must be served from lookups alone, re-proving both the engine's
 # thread-count determinism and that cached rows are byte-identical to
-# simulated ones. A final verify-mode pass re-simulates every warm entry and
-# fails on any byte diff against the store.
+# simulated ones. A final verify-mode pass re-simulates each distinct machine
+# once (points that differ only in the sharing threshold and resolve to the
+# same launch plan share one simulation), checks every entry against it, and
+# fails on any byte diff against the store or on a simulation count other
+# than the study's pinned distinct-machine count.
 set -euo pipefail
 
 BENCH=${GRS_BENCH:-build/grs_bench}
@@ -51,10 +54,19 @@ done
 # --- 1b. verify mode over the whole warm store --------------------------------
 tmp=$(mktemp -d)
 if ! GRS_STUDY_DIR="$tmp" "$BENCH" study --threads 8 \
-    --cache "$CACHE_DIR" --cache-mode verify >/dev/null; then
+    --cache "$CACHE_DIR" --cache-mode verify --prof "$tmp/prof.json" >/dev/null; then
   echo "error: a cached study entry failed verify-mode re-simulation (byte diff" >&2
   echo "       between the store and a fresh simulate()); delete $CACHE_DIR" >&2
   fail=1
+else
+  sims=$(python3 -c 'import json, sys
+print(sum(p["calls"] for p in json.load(open(sys.argv[1]))["phases"]
+          if p["name"] == "simulate"))' "$tmp/prof.json")
+  if [ "$sims" != 509 ]; then
+    echo "error: the verify pass ran $sims simulations; the 1152-point study has 509" >&2
+    echo "       distinct machines. If the study grid changed, update 509 here" >&2
+    fail=1
+  fi
 fi
 rm -rf "$tmp"
 

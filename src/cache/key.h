@@ -39,4 +39,13 @@ inline constexpr int kSimSchemaVersion = 1;
 /// The full 64-hex-digit content-addressed key for one simulation.
 [[nodiscard]] std::string result_cache_key(const GpuConfig& cfg, const KernelInfo& kernel);
 
+/// SHA-256 hex of exactly what simulate() builds its machine from:
+/// machine_config(cfg).fingerprint(), the resolved Occupancy less its
+/// t-dependent pre-cap diagnostic eq4_blocks, and kernel_fingerprint(kernel).
+/// Points with equal machine keys differ at most in the sharing threshold t,
+/// so they produce identical GpuStats; runner::run_sweep simulates each
+/// distinct machine key once. Not a store key: the cache stays keyed per
+/// point on result_cache_key().
+[[nodiscard]] std::string machine_key(const GpuConfig& cfg, const KernelInfo& kernel);
+
 }  // namespace grs::cache

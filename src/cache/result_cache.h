@@ -18,8 +18,9 @@
 //               here: a cached result would mask a cycle/event divergence)
 //   kRead       lookups only; misses simulate but are not stored
 //   kReadWrite  lookups + atomic stores on miss (the default for --cache)
-//   kVerify     like kReadWrite, but every hit is re-simulated and the fresh
-//               encoding byte-compared against the stored payload — the fuzz
+//   kVerify     like kReadWrite, but every hit is re-simulated (once per
+//               distinct machine, runner/engine.h) and the fresh encoding
+//               byte-compared against the stored payload — the fuzz
 //               bit-identity oracle recast as a cache-integrity check; any
 //               diff is a hard failure
 #pragma once

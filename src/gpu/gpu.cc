@@ -7,10 +7,10 @@
 
 namespace grs {
 
-Gpu::Gpu(const GpuConfig& cfg, const KernelInfo& kernel, const Program& program,
-         obs::SimObserver* obs)
+Gpu::Gpu(const GpuConfig& cfg, const Occupancy& occupancy, const KernelInfo& kernel,
+         const Program& program, obs::SimObserver* obs)
     : cfg_(cfg),
-      occupancy_(compute_occupancy(cfg, kernel.resources)),
+      occupancy_(occupancy),
       memsys_(cfg, obs),
       dyn_(cfg.sharing, cfg.num_sms),
       obs_(obs),

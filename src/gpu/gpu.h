@@ -20,19 +20,21 @@ namespace grs {
 
 class Gpu {
  public:
-  /// `program` must outlive the Gpu (the Simulator facade owns the
-  /// possibly-reordered copy). `kernel.program` is ignored here.
+  /// `cfg` is simulate()'s machine_config(), whose sharing threshold is
+  /// pinned to 1.0, and `occupancy` the launch plan simulate() resolved from
+  /// the caller's config: the machine never computes a plan or reads t.
+  /// `program` must outlive the Gpu (simulate() owns the possibly-reordered
+  /// copy). `kernel.program` is ignored here.
   /// `obs` (optional, must outlive the Gpu) turns on whichever pillars it
   /// carries: trace hooks throughout the machine, timeline sampling in run(),
   /// host-phase timing. None ever changes GpuStats — the run is bit-identical
   /// either way (tests/test_obs.cc, tests/test_prof.cc).
-  Gpu(const GpuConfig& cfg, const KernelInfo& kernel, const Program& program,
-      obs::SimObserver* obs = nullptr);
+  Gpu(const GpuConfig& cfg, const Occupancy& occupancy, const KernelInfo& kernel,
+      const Program& program, obs::SimObserver* obs = nullptr);
 
   /// Run the grid to completion (or cfg.max_cycles); returns aggregate stats.
   [[nodiscard]] GpuStats run();
 
-  [[nodiscard]] const Occupancy& occupancy() const { return occupancy_; }
   [[nodiscard]] const std::vector<StreamingMultiprocessor>& sms() const { return sms_; }
 
  private:

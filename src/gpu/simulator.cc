@@ -1,5 +1,8 @@
 #include "gpu/simulator.h"
 
+#include <string>
+
+#include "common/check.h"
 #include "gpu/gpu.h"
 #include "isa/reorder.h"
 #include "obs/obs.h"
@@ -7,11 +10,25 @@
 
 namespace grs {
 
+GpuConfig machine_config(const GpuConfig& cfg) {
+  GpuConfig m = cfg;
+  m.sharing.threshold_t = 1.0;
+  return m;
+}
+
 SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel, obs::SimObserver* obs) {
   // Root of every profiled sim stack; the nested phases live in sm/memsys.
   prof::ScopedPhase prof_scope(obs::profiler(obs), prof::Phase::kSimulate);
   cfg.validate();
   kernel.validate();
+  // The SM's MSHR pre-check holds a load until all its transactions fit, so
+  // a load wider than the whole L1 MSHR could never issue.
+  const std::uint32_t widest = kernel.program.max_load_transactions();
+  GRS_CHECK_MSG(widest <= cfg.l1.mshr_entries,
+                ("kernel '" + kernel.name + "': a global load of " + std::to_string(widest) +
+                 " transactions can never fit l1.mshr_entries " +
+                 std::to_string(cfg.l1.mshr_entries))
+                    .c_str());
 
   Program program = kernel.program;
   if (cfg.sharing.enabled && cfg.sharing.unroll_registers &&
@@ -19,11 +36,11 @@ SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel, obs::SimObser
     program = reorder_registers_by_first_use(program);
   }
 
-  Gpu gpu(cfg, kernel, program, obs);
   SimResult r;
-  r.stats = gpu.run();
-  r.occupancy = gpu.occupancy();
+  r.occupancy = compute_occupancy(cfg, kernel.resources);
   r.config = cfg;
+  Gpu gpu(machine_config(cfg), r.occupancy, kernel, program, obs);
+  r.stats = gpu.run();
   return r;
 }
 

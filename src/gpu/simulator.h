@@ -6,7 +6,8 @@
 //
 // Applies the unroll/reorder register pass when the config asks for it
 // (paper §IV-B is a compile-time transformation, so it lives here, not in
-// the SM).
+// the SM), and resolves the launch plan (core/occupancy.h) once: the sharing
+// threshold t reaches the machine only through the resolved Occupancy.
 #pragma once
 
 #include "common/config.h"
@@ -26,11 +27,25 @@ struct SimResult {
   GpuConfig config;
 };
 
-/// Run `kernel` under `cfg`. `obs` (may be null) is the one instrumentation
-/// pointer of this simulation (src/obs): its trace and timeline pillars
-/// collect events and samples, and its third pillar, the host-phase profiler
-/// (src/prof), times the hot phases. The returned SimResult is bit-identical
-/// with or without it — instrumentation never feeds back into the machine.
+/// `cfg` with sharing.threshold_t pinned to 1.0: the config simulate() builds
+/// the machine from. Beside the resolved Occupancy, it is all the machine
+/// sees, so no code inside the machine can read t, and two configs that
+/// differ only in t and resolve to the same plan simulate bit-identically
+/// (cache::machine_key, which the sweep engine groups points by).
+[[nodiscard]] GpuConfig machine_config(const GpuConfig& cfg);
+
+/// Run `kernel` under `cfg`. The machine is built from machine_config(cfg)
+/// and compute_occupancy(cfg, kernel.resources); t acts only through that
+/// plan (paper Eq. 1-4 and the private/shared split of §III). A kernel whose
+/// widest global load needs more transactions than cfg.l1.mshr_entries
+/// aborts before simulating, like an invalid cfg: that load could never
+/// issue.
+///
+/// `obs` (may be null) is the one instrumentation pointer of this simulation
+/// (src/obs): its trace and timeline pillars collect events and samples, and
+/// its third pillar, the host-phase profiler (src/prof), times the hot
+/// phases. The returned SimResult is bit-identical with or without it —
+/// instrumentation never feeds back into the machine.
 [[nodiscard]] SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel,
                                  obs::SimObserver* obs = nullptr);
 

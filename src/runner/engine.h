@@ -3,7 +3,9 @@
 // simulate() is pure and bit-deterministic (common/prng.h), so sweep points
 // are embarrassingly parallel; each worker writes into a pre-allocated result
 // slot and the returned vector is always in submission order. A sweep run
-// with 1 thread and with N threads produces byte-identical results.
+// with 1 thread and with N threads produces byte-identical results. Points
+// that differ only in the sharing threshold and resolve to the same launch
+// plan are one machine (cache::machine_key) and share one simulate().
 #pragma once
 
 #include <cstddef>
@@ -25,7 +27,10 @@ namespace grs::runner {
 struct SweepRow {
   SweepPoint point;
   SimResult result;
-  double wall_ms = 0.0;    ///< wall clock this cell took in this run
+  /// Wall clock this cell took in this run: its cache lookup, plus the
+  /// simulation if it led its machine's group, or else only its own copy
+  /// and store of the leader's stats.
+  double wall_ms = 0.0;
   bool from_cache = false;  ///< result served from the result cache
 };
 
@@ -41,10 +46,13 @@ struct RunOptions {
   /// Content-addressed result cache (src/cache). Caching is active only when
   /// `cache_dir` is non-empty AND `cache_mode` is not kOff; every point is
   /// then keyed on cache::result_cache_key(config, kernel) and looked up
-  /// before simulating. kVerify re-simulates every hit and throws
-  /// std::runtime_error (from run_sweep) on any byte difference from the
-  /// stored payload. Rows produced from cache hits are byte-identical to
-  /// freshly simulated ones.
+  /// before anything is simulated. Points the store did not serve are
+  /// simulated once per machine and each is stored under its own key.
+  /// kVerify includes the hits: it simulates each of their machines once and
+  /// throws std::runtime_error (from run_sweep), naming the entry, when any
+  /// member's stored payload differs by a byte from the row that simulation
+  /// gives it. Rows produced from cache hits are byte-identical to freshly
+  /// simulated ones.
   std::string cache_dir;
   cache::CacheMode cache_mode = cache::CacheMode::kOff;
 
@@ -57,10 +65,11 @@ struct RunOptions {
   /// own observer, and the outputs are written after the sweep in point
   /// order, so files and profiles are identical across --threads.
   ///
-  /// Trace and timeline: every point is simulated fresh — the result cache
-  /// is bypassed entirely for the run, since a cached result has no events
-  /// to replay. Multi-point sweeps write one file per point with the point
-  /// index spliced in before the extension (trace.json -> trace.0.json ...).
+  /// Trace and timeline: every point is simulated fresh, once per point
+  /// even when points share a machine — the result cache is bypassed
+  /// entirely for the run, since a cached result has no events to replay.
+  /// Multi-point sweeps write one file per point with the point index
+  /// spliced in before the extension (trace.json -> trace.0.json ...).
   std::string trace_path;       ///< Chrome-trace JSON per point
   std::string timeline_path;    ///< per-SM counter timeline CSV per point
   Cycle timeline_interval = 1000;  ///< sample period (cycles) when timeline_path is set
@@ -69,16 +78,23 @@ struct RunOptions {
   /// non-null, each point's profile (cache lookup/store phases included) is
   /// merged into *prof after the sweep. Profiling does NOT bypass the result
   /// cache: a cache hit simply contributes cache_lookup time and no simulate
-  /// phases. Sim stats stay bit-identical with profiling on
-  /// (tests/test_prof.cc).
+  /// phases, and only a machine's leading point contributes one. Sim stats
+  /// stay bit-identical with profiling on (tests/test_prof.cc).
   prof::HostProfiler* prof = nullptr;
 };
 
 /// Run every point of `spec`. Returns one row per point, in spec order.
+/// Two passes share one worker pool. The first looks each point up in the
+/// cache; a hit completes its row there. The second groups the remaining
+/// points by cache::machine_key in spec order, simulates each group's first
+/// point once, and fills every member's row with those stats plus the
+/// member's own config and compute_occupancy(); the rows equal per-point
+/// simulate() results byte for byte. A warm all-hit sweep computes no
+/// machine key.
 /// An empty spec returns an empty vector without spawning workers.
-/// If a point (or the progress callback) throws, every started point still
-/// completes and the first exception is rethrown here instead of terminating
-/// the process inside a worker thread.
+/// If a point (or the progress callback) throws, the rest of that pass still
+/// runs, no later pass starts, and the first exception is rethrown here
+/// instead of terminating the process inside a worker thread.
 [[nodiscard]] std::vector<SweepRow> run_sweep(const SweepSpec& spec,
                                               const RunOptions& options = {});
 

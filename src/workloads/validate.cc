@@ -27,6 +27,8 @@ struct LineIndex {
   /// program order (matches the order of profiled instructions in the
   /// parsed Program).
   std::vector<int> profile_lines;
+  /// Lines of global loads, in program order.
+  std::vector<int> load_lines;
 };
 
 LineIndex index_lines(const std::string& text) {
@@ -46,6 +48,7 @@ LineIndex index_lines(const std::string& text) {
         idx.header_lines[key] = number;
       }
     }
+    if (word == "ld.global") idx.load_lines.push_back(number);
     if ((word == "ld.global" || word == "st.global")) {
       const std::size_t hash = raw.find('#');
       const std::string code = hash == std::string::npos ? raw : raw.substr(0, hash);
@@ -130,6 +133,24 @@ std::vector<std::string> lint_gkd(const std::string& text, const std::string& fi
                            " at t=" + std::to_string(t) +
                            " launches no extra blocks for this kernel (limiter: " +
                            to_string(occ.limiter) + ")"));
+    }
+  }
+
+  // --- loads that can never fit the L1 MSHR ---------------------------------
+  // simulate() refuses these: the SM holds a load until all its transactions
+  // fit in the MSHR at once.
+  std::size_t loads = 0;
+  for (const Segment& s : k.program.segments()) {
+    for (const Instruction& i : s.instrs) {
+      if (i.op != Op::kLdGlobal) continue;
+      const int line = loads < idx.load_lines.size() ? idx.load_lines[loads] : 1;
+      ++loads;
+      if (i.max_transactions() > cfg.l1.mshr_entries) {
+        out.push_back(at(filename, line,
+                         "global load of " + std::to_string(i.max_transactions()) +
+                             " transactions can never fit l1.mshr_entries " +
+                             std::to_string(cfg.l1.mshr_entries)));
+      }
     }
   }
 

@@ -1,7 +1,8 @@
 // .gkd lint: check a kernel description against a GpuConfig without
-// simulating — parseability, SM fit, occupancy/sharing plausibility, and
-// profile-histogram sanity — reporting positioned "file:line: message"
-// diagnostics instead of aborting. Backing for `grs_cli --validate`.
+// simulating — parseability, SM fit, occupancy/sharing plausibility, loads
+// too wide for the L1 MSHR, and profile-histogram sanity — reporting
+// positioned "file:line: message" diagnostics instead of aborting. Backing
+// for `grs_cli --validate`.
 #pragma once
 
 #include <string>

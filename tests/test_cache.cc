@@ -24,6 +24,7 @@
 #include "common/hash.h"
 #include "gpu/result_codec.h"
 #include "gpu/simulator.h"
+#include "prof/prof.h"
 #include "runner/cli_options.h"
 #include "runner/engine.h"
 #include "runner/sink.h"
@@ -93,10 +94,11 @@ void write_file(const std::string& path, const std::string& body) {
 // --- coverage guards ----------------------------------------------------------
 
 // If any of these fail after a struct gained a field: extend
-// GpuConfig::canonical_kv() / result_fields(), bump the matching schema
-// version (kSimSchemaVersion for semantics, kResultCodecVersion for payload
-// layout), and update the numbers here. Pointer-size gate: the sizeof values
-// are for LP64; the enumeration-count guards below hold everywhere.
+// GpuConfig::canonical_kv() / result_fields() (and, for Occupancy,
+// cache::machine_key()), bump the matching schema version (kSimSchemaVersion
+// for semantics, kResultCodecVersion for payload layout), and update the
+// numbers here. Pointer-size gate: the sizeof values are for LP64; the
+// enumeration-count guards below hold everywhere.
 TEST(CodecCoverage, StructSizesMatchTheEnumeratedFields) {
   if (sizeof(void*) == 8) {
     EXPECT_EQ(sizeof(SharingConfig), 40u);
@@ -431,6 +433,55 @@ TEST(CacheTest, VerifyModePassesOnHonestStoreAndThrowsOnPoison) {
   EXPECT_THROW(
       (void)runner::run_sweep(spec, cached_options(dir, cache::CacheMode::kVerify, &poisoned)),
       std::runtime_error);
+}
+
+TEST(CacheTest, VerifyChecksEveryMemberOfAMergedMachine) {
+  // One kernel on the register-sharing line at five thresholds. Some resolve
+  // to the same launch plan, so the engine simulates them as one machine.
+  const std::string dir = fresh_store("verify_members");
+  const KernelInfo kernel = small_kernel(0);
+  runner::SweepSpec spec;
+  for (const double t : {1.0, 0.9, 0.7, 0.5, 0.1})
+    spec.add("t=" + std::to_string(t), configs::shared_owf_unroll_dyn(Resource::kRegisters, t),
+             kernel);
+  (void)runner::run_sweep(spec, cached_options(dir, cache::CacheMode::kReadWrite));
+
+  // The distinct machines, and a point that is not the first of its machine.
+  std::vector<std::string> machines;
+  std::size_t member = spec.size();
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    const std::string m = cache::machine_key(spec.points[i].config, kernel);
+    if (std::find(machines.begin(), machines.end(), m) == machines.end())
+      machines.push_back(m);
+    else if (member == spec.size())
+      member = i;
+  }
+  ASSERT_LT(member, spec.size()) << "no two thresholds share a machine";
+
+  // Untouched store: every member verifies against one simulation per machine.
+  cache::CacheStats honest;
+  prof::HostProfiler prof;
+  runner::RunOptions verify = cached_options(dir, cache::CacheMode::kVerify, &honest);
+  verify.prof = &prof;
+  (void)runner::run_sweep(spec, verify);
+  EXPECT_EQ(honest.verified, spec.size());
+  EXPECT_EQ(honest.verify_failures, 0u);
+  EXPECT_EQ(prof.calls(prof::Phase::kSimulate), machines.size());
+
+  // A well-formed entry that differs in one stat, on that non-leading member.
+  const runner::SweepPoint& p = spec.points[member];
+  const std::string path = cache::ResultCache(dir, cache::CacheMode::kRead)
+                               .entry_path(cache::result_cache_key(p.config, p.kernel));
+  SimResult tampered;
+  ASSERT_TRUE(decode_result(read_file(path), tampered));
+  tampered.stats.cycles += 1;
+  write_file(path, encode_result(tampered));
+  try {
+    (void)runner::run_sweep(spec, cached_options(dir, cache::CacheMode::kVerify));
+    ADD_FAILURE() << "verify accepted a tampered member entry";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
 }
 
 // --- shared CLI options ---------------------------------------------------------

@@ -127,6 +127,22 @@ TEST(GpuIntegration, MaxCyclesCapStopsRunawaySimulations) {
   EXPECT_LT(r.stats.sm_total.blocks_finished, k.grid_blocks);
 }
 
+TEST(GpuIntegration, RefusesALoadWiderThanTheL1Mshr) {
+  // MUM's widest load needs 2 MSHR entries; a 1-entry L1 could never issue
+  // it. The finite cap only bounds the run if the refusal is missing.
+  const KernelInfo k = shrink(workloads::mum(), 28);
+  for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+    GpuConfig cfg = configs::unshared();
+    cfg.l1.mshr_entries = 1;
+    cfg.max_cycles = 200000;
+    cfg.exec_mode = mode;
+    EXPECT_DEATH((void)simulate(cfg, k),
+                 "kernel 'MUM': a global load of 2 transactions can never fit "
+                 "l1.mshr_entries 1")
+        << to_string(mode);
+  }
+}
+
 TEST(GpuIntegration, SchedulerCycleAccountingIsExhaustive) {
   // issued + stall + idle must equal schedulers * SMs * cycles.
   const KernelInfo k = shrink(workloads::srad2(), 42);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,12 +14,16 @@
 #include <vector>
 
 #include "common/config.h"
+#include "gpu/result_codec.h"
+#include "gpu/simulator.h"
+#include "prof/prof.h"
 #include "runner/engine.h"
 #include "runner/kernel_source.h"
 #include "runner/registry.h"
 #include "runner/sink.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
+#include "study/plan.h"
 #include "workloads/format/gkd.h"
 #include "workloads/gen/generator.h"
 #include "workloads/suites.h"
@@ -210,6 +215,60 @@ TEST(Engine, ProgressReachesTotal) {
   EXPECT_EQ(calls, spec.size());
   EXPECT_EQ(last_done, spec.size());
   EXPECT_EQ(total, spec.size());
+}
+
+/// Four study cells (regs 28/44 x no/severe staging), grids shrunk, crossed
+/// with the six sharing percents of both families: 36 points. Points that
+/// differ only in t often resolve to the same launch plan.
+SweepSpec study_slice() {
+  study::StudyGrid grid = study::default_grid();
+  grid.regs = {28, 44};
+  grid.staging = {0, 6144};
+  grid.memory = {1};
+  grid.lanes = {32};
+  study::StudyPlan plan = study::build_plan(grid, "");
+  for (study::StudyCell& c : plan.cells) c.kernel.grid_blocks = 28;
+  return study::to_sweep_spec(plan);
+}
+
+TEST(Engine, SimulatesEachDistinctMachineOnce) {
+  const SweepSpec spec = study_slice();
+  ASSERT_EQ(spec.size(), 36u);
+  // Distinct (config without t, resolved plan, kernel) triples of the slice.
+  constexpr std::uint64_t kDistinctMachines = 17;
+  std::vector<std::string> fresh;
+  for (const SweepPoint& p : spec.points)
+    fresh.push_back(encode_result(simulate(p.config, p.kernel)));
+  const auto expect_fresh = [&](const std::vector<SweepRow>& rows) {
+    ASSERT_EQ(rows.size(), spec.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(encode_result(rows[i].result), fresh[i]) << "point " << i;
+      EXPECT_EQ(rows[i].result.config.fingerprint(), spec.points[i].config.fingerprint()) << i;
+    }
+  };
+
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    prof::HostProfiler prof;
+    RunOptions options = with_threads(threads);
+    options.prof = &prof;
+    expect_fresh(run_sweep(spec, options));
+    EXPECT_EQ(prof.calls(prof::Phase::kSimulate), kDistinctMachines);
+  }
+
+  // A traced run keeps one simulation per point: each writes its own events.
+  const std::string dir = testing::TempDir() + "/grs_engine_distinct_machines";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  prof::HostProfiler prof;
+  RunOptions traced = with_threads(3);
+  traced.prof = &prof;
+  traced.trace_path = dir + "/trace.json";
+  expect_fresh(run_sweep(spec, traced));
+  EXPECT_EQ(prof.calls(prof::Phase::kSimulate), spec.size());
+  for (std::size_t i = 0; i < spec.size(); ++i)
+    EXPECT_TRUE(std::filesystem::exists(obs_point_path(traced.trace_path, i, spec.size()))) << i;
+  std::filesystem::remove_all(dir);
 }
 
 // --- sinks --------------------------------------------------------------------

@@ -450,6 +450,23 @@ TEST(Validate, FlagsProfileHistogramInsanity) {
   EXPECT_NE(diags[0].find("coalesce degree 32"), std::string::npos) << diags[0];
 }
 
+TEST(Validate, FlagsALoadThatCanNeverFitTheL1Mshr) {
+  GpuConfig cfg;
+  cfg.l1.mshr_entries = 1;
+  const std::string text =
+      "gkd 1\nkernel \"w\"\nthreads 32\nregs 4\ngrid 28\n\nsegment x1 {\n"
+      "  ld.global $r0, coalesced streaming region=1 lines=8\n"
+      "  st.global $r0, strided4 streaming region=2 lines=8\n"  // stores bypass the MSHR
+      "  ld.global $r1, strided2 streaming region=3 lines=8\n"
+      "  exit\n}\n";
+  const auto diags = workloads::lint_gkd(text, "wide.gkd", cfg);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0], "wide.gkd:10: global load of 2 transactions can never fit l1.mshr_entries 1");
+
+  cfg.l1.mshr_entries = 2;
+  EXPECT_TRUE(workloads::lint_gkd(text, "wide.gkd", cfg).empty());
+}
+
 // --- corpus ----------------------------------------------------------------------
 
 TEST(Corpus, EveryKernelLoadsLintsAndRoundTrips) {
