@@ -92,6 +92,7 @@ void HostProfiler::merge(const HostProfiler& o) {
   }
   for (const auto& [path, self] : o.folded_) folded_[path] += self;
   wall_ += o.wall_;
+  warps_scanned_ += o.warps_scanned_;
 }
 
 std::string HostProfiler::json() const {
@@ -120,7 +121,10 @@ std::string HostProfiler::json() const {
     }
     out += '}';
   }
-  out += "]}\n";
+  char tmp[64];
+  std::snprintf(tmp, sizeof tmp, "],\"counts\":{\"warps_scanned\":%llu}}\n",
+                static_cast<unsigned long long>(warps_scanned_));
+  out += tmp;
   return out;
 }
 

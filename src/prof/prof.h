@@ -80,8 +80,14 @@ class HostProfiler {
   /// "% of sim wall" in the JSON is relative to.
   [[nodiscard]] double wall_seconds() const { return wall_; }
 
-  /// "grs-prof-v1" JSON document (docs/perf-tracking.md): wall_seconds plus
-  /// one entry per observed phase with calls/total_s/self_s/pct_of_wall.
+  /// Deterministic work count: scan_warp() calls, the warps the scheduler
+  /// scans visited. Host-independent, so gated exactly like call counts.
+  void add_warps_scanned(std::uint64_t n) { warps_scanned_ += n; }
+  [[nodiscard]] std::uint64_t warps_scanned() const { return warps_scanned_; }
+
+  /// "grs-prof-v1" JSON document (docs/perf-tracking.md): wall_seconds, one
+  /// entry per observed phase with calls/total_s/self_s/pct_of_wall, and the
+  /// work counts.
   [[nodiscard]] std::string json() const;
 
   /// Folded-stack lines ("simulate;scheduler_scan;issue 1234\n", value =
@@ -111,6 +117,7 @@ class HostProfiler {
   /// output deterministic.
   std::map<std::uint64_t, double> folded_;
   double wall_ = 0.0;
+  std::uint64_t warps_scanned_ = 0;
 };
 
 /// RAII phase scope, null-safe: `ScopedPhase s(prof_, Phase::kIssue);` is one

@@ -13,25 +13,29 @@ namespace {
 
 /// How one warp-cycle in each state is counted: the SmStats counter it adds
 /// to, and whether it is a structural hazard, which makes a scheduler that
-/// issues nothing count a stall cycle rather than an idle one.
+/// issues nothing count a stall cycle rather than an idle one. A state that
+/// `parks` can end only at a wake event (sm.h), so a warp the scan finds in
+/// it leaves the ready set; every such state is decided before the Dyn gate
+/// and the per-cycle port and MSHR checks.
 struct StateAccounting {
   std::uint64_t SmStats::*counter;  ///< nullptr: the state has no counter
   bool stall;
+  bool parks;
 };
 
 /// Indexed by obs::WarpState.
 constexpr StateAccounting kStateAccounting[] = {
-    {nullptr, false},                         // kNone
-    {nullptr, false},                         // kEligible
-    {&SmStats::blocked_barrier, false},       // kBarrier
-    {&SmStats::blocked_scoreboard, false},    // kScoreboard
-    {nullptr, false},                         // kDrainExit
-    {&SmStats::lock_wait_cycles, false},      // kLockWait
-    {&SmStats::dyn_throttled_issues, false},  // kDynGated
-    {&SmStats::blocked_lsu_port, true},       // kLsuPort
-    {&SmStats::blocked_lsu_inflight, true},   // kLsuQueue
-    {&SmStats::blocked_mshr, true},           // kMshrFull
-    {&SmStats::blocked_sfu_port, true},       // kSfuPort
+    {nullptr, false, false},                         // kNone
+    {nullptr, false, false},                         // kEligible
+    {&SmStats::blocked_barrier, false, true},        // kBarrier
+    {&SmStats::blocked_scoreboard, false, true},     // kScoreboard
+    {nullptr, false, true},                          // kDrainExit
+    {&SmStats::lock_wait_cycles, false, true},       // kLockWait
+    {&SmStats::dyn_throttled_issues, false, false},  // kDynGated
+    {&SmStats::blocked_lsu_port, true, false},       // kLsuPort
+    {&SmStats::blocked_lsu_inflight, true, false},   // kLsuQueue
+    {&SmStats::blocked_mshr, true, false},           // kMshrFull
+    {&SmStats::blocked_sfu_port, true, false},       // kSfuPort
 };
 static_assert(std::size(kStateAccounting) == obs::kNumWarpStates,
               "one accounting entry per obs::WarpState");
@@ -70,6 +74,11 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
   for (std::uint32_t s = 0; s < cfg.num_schedulers; ++s)
     schedulers_.emplace_back(cfg.scheduler, static_cast<std::uint32_t>(warps_.size()),
                              cfg.two_level_group_size);
+  scan_sets_.resize(cfg.num_schedulers);
+  for (std::uint32_t s = 0; s < cfg.num_schedulers; ++s) {
+    const std::size_t slots = (warps_.size() + cfg.num_schedulers - 1 - s) / cfg.num_schedulers;
+    scan_sets_[s].ready.assign((slots + 63) / 64, 0);
+  }
   cands_.reserve(warps_.size());
   txns_.reserve(32);
 }
@@ -120,6 +129,7 @@ void StreamingMultiprocessor::launch_block(BlockSlot slot, std::uint64_t block_u
     w.active_lanes = kernel_active_lanes_;
     if (i + 1 == warps_per_block_ && tail_threads != 0)
       w.active_lanes = std::min(w.active_lanes, tail_threads);
+    make_ready(b.first_warp_slot + i);
   }
 
   ++resident_blocks_;
@@ -147,6 +157,42 @@ void StreamingMultiprocessor::drain_events(Cycle now) {
       GRS_CHECK(lsu_inflight_ > 0);
       --lsu_inflight_;
     }
+    if (w.parked == obs::WarpState::kScoreboard || w.parked == obs::WarpState::kDrainExit) wake(w);
+  }
+}
+
+void StreamingMultiprocessor::make_ready(std::uint32_t slot) {
+  const auto n_sched = static_cast<std::uint32_t>(scan_sets_.size());
+  const std::uint32_t i = slot / n_sched;
+  scan_sets_[slot % n_sched].ready[i / 64] |= 1ull << (i % 64);
+}
+
+void StreamingMultiprocessor::drop_ready(std::uint32_t slot) {
+  const auto n_sched = static_cast<std::uint32_t>(scan_sets_.size());
+  const std::uint32_t i = slot / n_sched;
+  scan_sets_[slot % n_sched].ready[i / 64] &= ~(1ull << (i % 64));
+}
+
+void StreamingMultiprocessor::park(Warp& w, obs::WarpState st) {
+  const std::uint32_t slot = warp_slot_of(w);
+  drop_ready(slot);
+  ++scan_sets_[slot % scan_sets_.size()].parked[static_cast<std::size_t>(st)];
+  w.parked = st;
+}
+
+void StreamingMultiprocessor::wake(Warp& w) {
+  const std::uint32_t slot = warp_slot_of(w);
+  --scan_sets_[slot % scan_sets_.size()].parked[static_cast<std::size_t>(w.parked)];
+  w.parked = obs::WarpState::kNone;
+  make_ready(slot);
+}
+
+void StreamingMultiprocessor::wake_lock_waiters(const PairState& p) {
+  const std::uint32_t first_block = occ_.unshared_blocks + pair_id_of(p) * 2;
+  const std::uint32_t first = first_block * warps_per_block_;
+  for (std::uint32_t slot = first; slot < first + 2 * warps_per_block_; ++slot) {
+    Warp& w = warps_[slot];
+    if (w.parked == obs::WarpState::kLockWait) wake(w);
   }
 }
 
@@ -186,6 +232,7 @@ void StreamingMultiprocessor::acquire_with_ownership(PairState& p, int side, boo
       p.locks.set_entitled(side);
     }
     if (trace_) trace_->lock_acquire(id_, pair_id_of(p), now, reg, side, pos, first_lock);
+    wake_lock_waiters(p);
   }
 }
 
@@ -201,12 +248,14 @@ bool StreamingMultiprocessor::step(Cycle now) {
   scan_gate_passed_ = false;
   dyn_blocked_uids_.clear();
   tally_ = ScanTally{};
+  scanned_ = 0;
   bool issued = false;
   {
     prof::ScopedPhase prof_scope(prof_, prof::Phase::kSchedulerScan);
     for (std::uint32_t s = 0; s < schedulers_.size(); ++s) issued |= run_scheduler(s, now);
     tally_.add_to(stats_, 1);
   }
+  if (prof_) prof_->add_warps_scanned(scanned_);
   return issued;
 }
 
@@ -284,18 +333,35 @@ void StreamingMultiprocessor::flush_idle_accounting(Cycle final_cycle) {
 bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   cands_.clear();
   bool saw_stall = false;
+  ScanSet& set = scan_sets_[sched_id];
+  // Parked warps count as they stand when this scan starts, which is when a
+  // per-warp scan would have decided them: one that a later scheduler's
+  // issue wakes still counts in its parked state this cycle.
+  for (std::size_t i = 0; i < obs::kNumWarpStates; ++i) tally_.warps[i] += set.parked[i];
+#ifndef NDEBUG
+  check_parked(sched_id, now);
+#endif
   const auto n_sched = static_cast<std::uint32_t>(schedulers_.size());
-  for (std::uint32_t slot = sched_id; slot < warps_.size(); slot += n_sched) {
-    const Warp& w = warps_[slot];
-    if (!w.live()) continue;
-    const obs::WarpState st = scan_warp(w, now);
-    ++tally_.warps[static_cast<std::size_t>(st)];
-    saw_stall |= kStateAccounting[static_cast<std::size_t>(st)].stall;
-    // The observer renders this stream as state-transition slices
-    // (obs/events.h explains why that stays byte-identical across modes).
-    if (trace_) trace_->warp_scan(id_, slot, now, st);
-    if (st == obs::WarpState::kEligible)
-      cands_.push_back(SchedCandidate{slot, w.dynamic_id, classify(w)});
+  for (std::size_t word = 0; word < set.ready.size(); ++word) {
+    // Ascending bits are ascending slots, the order select() requires.
+    for (std::uint64_t bits = set.ready[word]; bits != 0; bits &= bits - 1) {
+      const auto i = static_cast<std::uint32_t>(word * 64 + __builtin_ctzll(bits));
+      const std::uint32_t slot = sched_id + i * n_sched;
+      Warp& w = warps_[slot];
+      const obs::WarpState st = scan_warp(w, now);
+      ++scanned_;
+      const StateAccounting& acct = kStateAccounting[static_cast<std::size_t>(st)];
+      ++tally_.warps[static_cast<std::size_t>(st)];
+      saw_stall |= acct.stall;
+      // The observer renders this stream as state-transition slices
+      // (obs/events.h explains why that stays byte-identical across modes).
+      if (trace_) trace_->warp_scan(id_, slot, now, st);
+      if (st == obs::WarpState::kEligible) {
+        cands_.push_back(SchedCandidate{slot, w.dynamic_id, classify(w)});
+      } else if (acct.parks) {
+        park(w, st);
+      }
+    }
   }
 
   if (cands_.empty()) {
@@ -307,7 +373,7 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   const std::size_t pick = schedulers_[sched_id].select(cands_);
   const std::uint32_t picked_slot = cands_[pick].slot;
   Warp& w = warps_[picked_slot];
-  const Instruction ins = *w.cursor.peek(*program_);
+  const Instruction& ins = *w.cursor.peek(*program_);
   if (trace_) trace_->warp_issue(id_, picked_slot, now, ins.op);
   issue(w, ins, now);
   ++stats_.issued_cycles;
@@ -315,6 +381,25 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   stats_.thread_instructions += w.active_lanes;
   return true;
 }
+
+#ifndef NDEBUG
+void StreamingMultiprocessor::check_parked(std::uint32_t sched_id, Cycle now) {
+  const ScanSet& set = scan_sets_[sched_id];
+  std::array<std::uint32_t, obs::kNumWarpStates> recount{};
+  const auto n_sched = static_cast<std::uint32_t>(scan_sets_.size());
+  for (std::uint32_t slot = sched_id, i = 0; slot < warps_.size(); slot += n_sched, ++i) {
+    const Warp& w = warps_[slot];
+    const bool ready = ((set.ready[i / 64] >> (i % 64)) & 1) != 0;
+    GRS_CHECK_MSG(ready == (w.live() && w.parked == obs::WarpState::kNone),
+                  "ready set out of sync with the live warps");
+    if (w.parked == obs::WarpState::kNone) continue;
+    GRS_CHECK_MSG(w.live() && scan_warp(w, now) == w.parked,
+                  "parked warp missed its wake event");
+    ++recount[static_cast<std::size_t>(w.parked)];
+  }
+  GRS_CHECK_MSG(recount == set.parked, "parked populations out of sync with the warps");
+}
+#endif
 
 obs::WarpState StreamingMultiprocessor::scan_warp(const Warp& w, Cycle now) {
   using obs::WarpState;
@@ -478,13 +563,18 @@ void StreamingMultiprocessor::do_global_access(Warp& w, const Instruction& ins, 
 void StreamingMultiprocessor::release_barrier_if_complete(ResidentBlock& b) {
   if (b.barrier_arrived == 0) return;
   if (b.barrier_arrived + b.warps_exited != b.num_warps) return;
-  for (std::uint32_t i = 0; i < b.num_warps; ++i) warps_[b.first_warp_slot + i].at_barrier = false;
+  for (std::uint32_t i = 0; i < b.num_warps; ++i) {
+    Warp& w = warps_[b.first_warp_slot + i];
+    w.at_barrier = false;
+    if (w.parked == obs::WarpState::kBarrier) wake(w);
+  }
   b.barrier_arrived = 0;
 }
 
 void StreamingMultiprocessor::handle_exit(Warp& w, Cycle now) {
   GRS_CHECK(w.inflight == 0 && w.pending_writes == 0);
   w.exited = true;
+  drop_ready(warp_slot_of(w));
   ResidentBlock& b = blocks_[w.block];
   ++b.warps_exited;
   GRS_CHECK(resident_warps_ > 0);
@@ -494,8 +584,10 @@ void StreamingMultiprocessor::handle_exit(Warp& w, Cycle now) {
 
   if (b.is_shared() && cfg_.sharing.resource == Resource::kRegisters) {
     // Shared registers release when their holder warp finishes (paper §III-A).
-    pairs_[b.pair_id].locks.reg_release_on_warp_finish(b.side, w.pos_in_block);
+    PairState& p = pairs_[b.pair_id];
+    p.locks.reg_release_on_warp_finish(b.side, w.pos_in_block);
     if (trace_) trace_->lock_release_warp(id_, b.pair_id, now, b.side, w.pos_in_block);
+    wake_lock_waiters(p);
   }
 
   // An exited warp counts as arrived at any barrier the rest are waiting on.
@@ -538,6 +630,7 @@ void StreamingMultiprocessor::finish_block(BlockSlot bs, Cycle now) {
     } else {
       p.owner_side = PairLockState::kNoSide;
     }
+    wake_lock_waiters(p);
   }
 
   if (on_block_finish_) on_block_finish_(id_, bs);

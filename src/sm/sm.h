@@ -6,6 +6,15 @@
 // most one instruction from its highest-priority ready warp, classifying the
 // cycle as issued / stall / idle (see common/stats.h for the definitions).
 //
+// A scheduler's scan visits only its ready set: its live warps that are not
+// parked. A warp the scan finds at a barrier, on its scoreboard, draining for
+// exit or waiting on a sharing lock is parked: it leaves the ready set and is
+// only counted, per state, until an event that can change that state wakes
+// it — a writeback drained for the warp, its block's barrier released, or a
+// lock-state change in its sharing pair. The scheduler's next scan then
+// re-decides it. Until the wake its state cannot change, so the counters and
+// the trace are bit-identical to re-scanning it every cycle.
+//
 // The sharing runtime hooks live exactly where the paper puts them:
 //  * issue-time register classification per Fig. 3 (unshared warp? RegNo
 //    below threshold? lock acquired?);
@@ -74,12 +83,12 @@ class StreamingMultiprocessor {
 
   // --- event-driven execution (gpu/gpu.cc, exec_mode = kEvent) -----------
   /// Event-aware wrapper around step(): while inside a known-idle window
-  /// (`now < idle_until()`) the call is O(1) — the scan is provably identical
+  /// (`now < idle_until()`) the call is O(1) — the step is provably identical
   /// to the last one, so each skipped cycle is accounted by adding the last
-  /// scan's tally once more, in bulk when the SM wakes (or at
-  /// flush_idle_accounting). A scan that issues nothing opens a window up to
-  /// the SM's next timed wakeup. Statistics stay bit-identical to calling
-  /// step() every cycle.
+  /// step's tally (scanned warps plus parked populations) once more, in bulk
+  /// when the SM wakes (or at flush_idle_accounting). A scan that issues
+  /// nothing opens a window up to the SM's next timed wakeup. Statistics stay
+  /// bit-identical to calling step() every cycle.
   bool tick(Cycle now);
 
   /// End of the current known-idle window: this SM's scan cannot change
@@ -111,10 +120,11 @@ class StreamingMultiprocessor {
 
   // --- timeline sampling (gpu/gpu.cc; event mode) ------------------------
   /// Counters as they will stand at cycle `c` >= the last stepped cycle,
-  /// assuming the SM sleeps through the gap: the last scan's tally added
-  /// `c - last_stepped` more times, without touching live state. tick() and
-  /// flush_idle_accounting() account skipped cycles the same way, so sampled
-  /// values are bit-identical to stepping every cycle.
+  /// assuming the SM sleeps through the gap: the last step's tally (scanned
+  /// warps plus parked populations) added `c - last_stepped` more times,
+  /// without touching live state. tick() and flush_idle_accounting() account
+  /// skipped cycles the same way, so sampled values are bit-identical to
+  /// stepping every cycle.
   [[nodiscard]] SmStats stats_at(Cycle c) const {
     SmStats s = stats_;
     if (c > last_stepped_) tally_.add_to(s, c - last_stepped_);
@@ -153,11 +163,12 @@ class StreamingMultiprocessor {
     bool operator()(const Event& a, const Event& b) const { return a.cycle > b.cycle; }
   };
 
-  /// What one step's scans decided: live warps per state, and schedulers
-  /// that issued nothing, split by whether a structural hazard blocked one
-  /// of their warps. step() adds it to the counters once; event mode adds
-  /// it once more per skipped cycle, whose scan repeats the last one (only
-  /// steps that issued nothing are ever repeated).
+  /// What one step decided: live warps per state (the warps each scheduler
+  /// scanned, plus the populations it found parked when its scan started),
+  /// and schedulers that issued nothing, split by whether a structural
+  /// hazard blocked one of their warps. step() adds it to the counters once;
+  /// event mode adds it once more per skipped cycle, whose step repeats the
+  /// last one (only steps that issued nothing are ever repeated).
   struct ScanTally {
     std::array<std::uint32_t, obs::kNumWarpStates> warps{};
     std::uint32_t stalled = 0;
@@ -167,8 +178,30 @@ class StreamingMultiprocessor {
     void add_to(SmStats& s, std::uint64_t cycles) const;
   };
 
+  /// One scheduler's warps: slots s, s + n, s + 2n, ... for scheduler s of
+  /// n. Each live warp is either ready (bit i of `ready` stands for slot
+  /// s + i * n) or parked and counted in `parked` under its state.
+  struct ScanSet {
+    std::vector<std::uint64_t> ready;
+    std::array<std::uint32_t, obs::kNumWarpStates> parked{};
+  };
+
   void drain_events(Cycle now);
   bool run_scheduler(std::uint32_t sched_id, Cycle now);
+  /// Ready-set membership (see the file comment). make_ready() enters a
+  /// launched warp, drop_ready() removes an exiting one, park() moves a
+  /// scanned warp out under `st`, and wake() returns a parked one.
+  void make_ready(std::uint32_t slot);
+  void drop_ready(std::uint32_t slot);
+  void park(Warp& w, obs::WarpState st);
+  void wake(Warp& w);
+  /// Lock-state change in `p`: wake both blocks' lock-waiting warps.
+  void wake_lock_waiters(const PairState& p);
+#ifndef NDEBUG
+  /// Every parked warp of `sched_id` still scans to its parked state, and
+  /// the ready bits and populations match the warps.
+  void check_parked(std::uint32_t sched_id, Cycle now);
+#endif
   /// Decide a live warp's state for this cycle's candidate scan. The only
   /// state it writes is the Dyn bookkeeping tick() reads
   /// (scan_gate_passed_, dyn_blocked_uids_).
@@ -206,6 +239,7 @@ class StreamingMultiprocessor {
   std::vector<ResidentBlock> blocks_;
   std::vector<PairState> pairs_;
   std::vector<WarpScheduler> schedulers_;
+  std::vector<ScanSet> scan_sets_;  ///< one per scheduler
 
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   std::uint32_t lsu_inflight_ = 0;
@@ -217,6 +251,7 @@ class StreamingMultiprocessor {
 
   SmStats stats_;
   ScanTally tally_;                     ///< the last step's scan
+  std::uint32_t scanned_ = 0;           ///< scan_warp() calls this step
   /// Last scan let a warp through a fractional Dyn gate (without issuing):
   /// the same warp may be gated next cycle, reshuffling blocked counters.
   bool scan_gate_passed_ = false;

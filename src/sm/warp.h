@@ -5,6 +5,7 @@
 
 #include "common/types.h"
 #include "isa/program.h"
+#include "obs/events.h"
 
 namespace grs {
 
@@ -37,6 +38,11 @@ struct Warp {
   std::uint64_t pending_writes = 0;  ///< bit set => register write in flight
   std::uint32_t inflight = 0;        ///< instructions issued, not yet retired
   std::uint64_t mem_seq = 0;         ///< global-memory instructions issued
+
+  // --- scan membership (sm/sm.h) ------------------------------------------
+  /// The wait state this warp is parked in, out of its scheduler's ready set
+  /// until a wake event; kNone while the scan visits it (or it is not live).
+  obs::WarpState parked = obs::WarpState::kNone;
 
   void reset() { *this = Warp{}; }
 

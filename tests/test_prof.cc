@@ -2,8 +2,8 @@
 //  * zero feedback — sim stats are bit-identical with profiling on, in both
 //    exec modes, through the engine, and through the result cache;
 //  * exactness — with an injected fake clock, total/self/wall and the folded
-//    stacks are exact, and merge() is additive; per-phase call counts match
-//    the modelled work exactly;
+//    stacks are exact, and merge() is additive; per-phase call counts and
+//    the warps_scanned work count match the modelled work exactly;
 //  * shape — grs-prof-v1 JSON and folded lines parse as documented, phase
 //    self times sum to the profiled wall clock.
 #include <gtest/gtest.h>
@@ -119,7 +119,8 @@ TEST(ProfTiming, FakeClockNestingIsExact) {
             "{\"name\":\"scheduler_scan\",\"calls\":1,\"total_s\":9.000000000,"
             "\"self_s\":6.000000000,\"pct_of_wall\":60.00},"
             "{\"name\":\"issue\",\"calls\":1,\"total_s\":3.000000000,"
-            "\"self_s\":3.000000000,\"pct_of_wall\":20.00}]}\n");
+            "\"self_s\":3.000000000,\"pct_of_wall\":20.00}],"
+            "\"counts\":{\"warps_scanned\":0}}\n");
 }
 
 TEST(ProfTiming, MergeIsAdditive) {
@@ -133,8 +134,12 @@ TEST(ProfTiming, MergeIsAdditive) {
   g_fake_now = 3.0;
   b.end(prof::Phase::kSimulate);
 
+  a.add_warps_scanned(7);
+  b.add_warps_scanned(5);
+
   a.merge(b);
   EXPECT_EQ(a.calls(prof::Phase::kSimulate), 2u);
+  EXPECT_EQ(a.warps_scanned(), 12u);
   EXPECT_DOUBLE_EQ(a.total_seconds(prof::Phase::kSimulate), 5.0);
   EXPECT_DOUBLE_EQ(a.wall_seconds(), 5.0);
   EXPECT_EQ(a.folded(), "simulate 5000000\n");
@@ -157,9 +162,10 @@ TEST(ProfZeroFeedback, StatsBitIdenticalBothExecModes) {
 }
 
 TEST(ProfZeroFeedback, PhaseCallsCountModelledWork) {
-  // Call counts are host-independent: each hook runs once per unit of
-  // modelled work, so they are gated exactly, like cycles. A dropped or
-  // doubled hook breaks an identity or a golden.
+  // Call counts and work counts are host-independent: each hook runs once
+  // per unit of modelled work, so they are gated exactly, like cycles. A
+  // dropped or doubled hook, or a warp scanned while it should be parked,
+  // breaks an identity or a golden.
   const KernelInfo kernel = shrink(workloads::hotspot(), 4);
   struct Golden {
     ExecMode mode;
@@ -192,6 +198,32 @@ TEST(ProfZeroFeedback, PhaseCallsCountModelledWork) {
     EXPECT_EQ(p.calls(prof::Phase::kTimeline), 0u) << label;
     EXPECT_EQ(p.calls(prof::Phase::kCacheLookup), 0u) << label;
     EXPECT_EQ(p.calls(prof::Phase::kCacheStore), 0u) << label;
+    // Parked warps leave the scan until their wake event, so both modes
+    // visit the same warps: cycle mode's extra steps find every warp parked.
+    EXPECT_EQ(p.warps_scanned(), 38792u) << label;
+  }
+
+  // Sharing lines: lock-waiting warps park too, and wake on every lock-state
+  // change of their pair.
+  struct SharingGolden {
+    const char* name;
+    KernelInfo kernel;
+    GpuConfig cfg;
+    std::uint64_t warps_scanned;
+  };
+  const SharingGolden sharing[] = {
+      {"registers", shrink(workloads::hotspot(), 8),
+       configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1), 71304},
+      {"scratchpad", shrink(workloads::lavamd(), 8),
+       configs::shared_owf(Resource::kScratchpad, 0.1), 32032},
+  };
+  for (const SharingGolden& g : sharing) {
+    for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+      GpuConfig cfg = g.cfg;
+      cfg.exec_mode = mode;
+      const prof::HostProfiler p = profile_sim(cfg, g.kernel);
+      EXPECT_EQ(p.warps_scanned(), g.warps_scanned) << g.name << " " << to_string(mode);
+    }
   }
 }
 
