@@ -93,6 +93,7 @@ void HostProfiler::merge(const HostProfiler& o) {
   for (const auto& [path, self] : o.folded_) folded_[path] += self;
   wall_ += o.wall_;
   warps_scanned_ += o.warps_scanned_;
+  warps_decided_ += o.warps_decided_;
 }
 
 std::string HostProfiler::json() const {
@@ -121,9 +122,11 @@ std::string HostProfiler::json() const {
     }
     out += '}';
   }
-  char tmp[64];
-  std::snprintf(tmp, sizeof tmp, "],\"counts\":{\"warps_scanned\":%llu}}\n",
-                static_cast<unsigned long long>(warps_scanned_));
+  char tmp[128];
+  std::snprintf(tmp, sizeof tmp,
+                "],\"counts\":{\"warps_scanned\":%llu,\"warps_decided\":%llu}}\n",
+                static_cast<unsigned long long>(warps_scanned_),
+                static_cast<unsigned long long>(warps_decided_));
   out += tmp;
   return out;
 }

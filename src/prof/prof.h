@@ -80,10 +80,14 @@ class HostProfiler {
   /// "% of sim wall" in the JSON is relative to.
   [[nodiscard]] double wall_seconds() const { return wall_; }
 
-  /// Deterministic work count: scan_warp() calls, the warps the scheduler
-  /// scans visited. Host-independent, so gated exactly like call counts.
+  /// Deterministic work counts, host-independent, so gated exactly like
+  /// call counts. warps_scanned: scan_warp() calls, the warps the scheduler
+  /// scans visited. warps_decided: the scans among them that ran the
+  /// instruction-level checks, because the warp was not yet decided.
   void add_warps_scanned(std::uint64_t n) { warps_scanned_ += n; }
   [[nodiscard]] std::uint64_t warps_scanned() const { return warps_scanned_; }
+  void add_warps_decided(std::uint64_t n) { warps_decided_ += n; }
+  [[nodiscard]] std::uint64_t warps_decided() const { return warps_decided_; }
 
   /// "grs-prof-v1" JSON document (docs/perf-tracking.md): wall_seconds, one
   /// entry per observed phase with calls/total_s/self_s/pct_of_wall, and the
@@ -118,6 +122,7 @@ class HostProfiler {
   std::map<std::uint64_t, double> folded_;
   double wall_ = 0.0;
   std::uint64_t warps_scanned_ = 0;
+  std::uint64_t warps_decided_ = 0;
 };
 
 /// RAII phase scope, null-safe: `ScopedPhase s(prof_, Phase::kIssue);` is one

@@ -61,6 +61,10 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
       l1_(cfg.l1),
       coalescer_(cfg.l1.line_bytes),
       warps_per_block_(res.warps_per_block(cfg.warp_size)),
+      rings_{WritebackRing(cfg.alu_latency, false, cfg.num_schedulers),
+             WritebackRing(cfg.sfu_latency, false, cfg.num_schedulers),
+             WritebackRing(cfg.scratchpad_latency, true, cfg.num_schedulers),
+             WritebackRing(cfg.l1_hit_latency, true, cfg.num_schedulers)},
       trace_(obs::tracer(obs)),
       prof_(obs::profiler(obs)) {
   GRS_CHECK_MSG(program.num_regs() <= 64, "scoreboard supports at most 64 registers/thread");
@@ -126,6 +130,7 @@ void StreamingMultiprocessor::launch_block(BlockSlot slot, std::uint64_t block_u
     w.warp_uid = block_uid * warps_per_block_ + i;
     w.dynamic_id = next_dynamic_id_++;
     w.cursor = ProgramCursor(*program_);
+    w.decode(*program_);
     w.active_lanes = kernel_active_lanes_;
     if (i + 1 == warps_per_block_ && tail_threads != 0)
       w.active_lanes = std::min(w.active_lanes, tail_threads);
@@ -145,20 +150,42 @@ void StreamingMultiprocessor::launch_block(BlockSlot slot, std::uint64_t block_u
   }
 }
 
+StreamingMultiprocessor::WritebackRing::WritebackRing(Cycle latency, bool mem,
+                                                      std::uint32_t num_schedulers)
+    : latency_(latency), mem_(mem), buf_((latency + 1) * num_schedulers) {}
+
+void StreamingMultiprocessor::WritebackRing::push(Cycle now, std::uint32_t slot, RegNum dst) {
+  GRS_CHECK_MSG(size_ < buf_.size(), "writeback ring overflow");
+  std::size_t tail = head_ + size_;
+  if (tail >= buf_.size()) tail -= buf_.size();
+  buf_[tail] = Event{now + latency_, slot, dst};
+  ++size_;
+}
+
+void StreamingMultiprocessor::WritebackRing::pop() {
+  if (++head_ == buf_.size()) head_ = 0;
+  --size_;
+}
+
 void StreamingMultiprocessor::drain_events(Cycle now) {
-  while (!events_.empty() && events_.top().cycle <= now) {
-    const Event e = events_.top();
-    events_.pop();
-    Warp& w = warps_[e.slot];
-    w.pending_writes &= ~e.dst_mask;
-    GRS_CHECK(w.inflight > 0);
-    --w.inflight;
-    if (e.mem) {
-      GRS_CHECK(lsu_inflight_ > 0);
-      --lsu_inflight_;
-    }
-    if (w.parked == obs::WarpState::kScoreboard || w.parked == obs::WarpState::kDrainExit) wake(w);
+  for (WritebackRing& ring : rings_) {
+    for (; !ring.empty() && ring.front().cycle <= now; ring.pop())
+      retire(ring.front(), ring.mem());
   }
+  for (; !late_loads_.empty() && late_loads_.top().cycle <= now; late_loads_.pop())
+    retire(late_loads_.top(), true);
+}
+
+void StreamingMultiprocessor::retire(const Event& e, bool mem) {
+  Warp& w = warps_[e.slot];
+  w.pending_writes &= ~reg_bit(e.dst);
+  GRS_CHECK(w.inflight > 0);
+  --w.inflight;
+  if (mem) {
+    GRS_CHECK(lsu_inflight_ > 0);
+    --lsu_inflight_;
+  }
+  if (w.parked == obs::WarpState::kScoreboard || w.parked == obs::WarpState::kDrainExit) wake(w);
 }
 
 void StreamingMultiprocessor::make_ready(std::uint32_t slot) {
@@ -192,6 +219,8 @@ void StreamingMultiprocessor::wake_lock_waiters(const PairState& p) {
   const std::uint32_t first = first_block * warps_per_block_;
   for (std::uint32_t slot = first; slot < first + 2 * warps_per_block_; ++slot) {
     Warp& w = warps_[slot];
+    // A lock check that passed may fail now: re-decide at the next scan.
+    w.decided = false;
     if (w.parked == obs::WarpState::kLockWait) wake(w);
   }
 }
@@ -249,13 +278,17 @@ bool StreamingMultiprocessor::step(Cycle now) {
   dyn_blocked_uids_.clear();
   tally_ = ScanTally{};
   scanned_ = 0;
+  decisions_ = 0;
   bool issued = false;
   {
     prof::ScopedPhase prof_scope(prof_, prof::Phase::kSchedulerScan);
     for (std::uint32_t s = 0; s < schedulers_.size(); ++s) issued |= run_scheduler(s, now);
     tally_.add_to(stats_, 1);
   }
-  if (prof_) prof_->add_warps_scanned(scanned_);
+  if (prof_) {
+    prof_->add_warps_scanned(scanned_);
+    prof_->add_warps_decided(decisions_);
+  }
   return issued;
 }
 
@@ -269,7 +302,10 @@ void StreamingMultiprocessor::ScanTally::add_to(SmStats& s, std::uint64_t cycles
 }
 
 Cycle StreamingMultiprocessor::next_wakeup() const {
-  Cycle next = events_.empty() ? kNeverCycle : events_.top().cycle;
+  Cycle next = late_loads_.empty() ? kNeverCycle : late_loads_.top().cycle;
+  for (const WritebackRing& ring : rings_) {
+    if (!ring.empty()) next = std::min(next, ring.front().cycle);
+  }
   return std::min(next, l1_.next_ready());
 }
 
@@ -339,7 +375,7 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   // issue wakes still counts in its parked state this cycle.
   for (std::size_t i = 0; i < obs::kNumWarpStates; ++i) tally_.warps[i] += set.parked[i];
 #ifndef NDEBUG
-  check_parked(sched_id, now);
+  check_parked(sched_id);
 #endif
   const auto n_sched = static_cast<std::uint32_t>(schedulers_.size());
   for (std::size_t word = 0; word < set.ready.size(); ++word) {
@@ -373,7 +409,7 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   const std::size_t pick = schedulers_[sched_id].select(cands_);
   const std::uint32_t picked_slot = cands_[pick].slot;
   Warp& w = warps_[picked_slot];
-  const Instruction& ins = *w.cursor.peek(*program_);
+  const Instruction& ins = *w.next;
   if (trace_) trace_->warp_issue(id_, picked_slot, now, ins.op);
   issue(w, ins, now);
   ++stats_.issued_cycles;
@@ -383,7 +419,7 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
 }
 
 #ifndef NDEBUG
-void StreamingMultiprocessor::check_parked(std::uint32_t sched_id, Cycle now) {
+void StreamingMultiprocessor::check_parked(std::uint32_t sched_id) {
   const ScanSet& set = scan_sets_[sched_id];
   std::array<std::uint32_t, obs::kNumWarpStates> recount{};
   const auto n_sched = static_cast<std::uint32_t>(scan_sets_.size());
@@ -392,8 +428,12 @@ void StreamingMultiprocessor::check_parked(std::uint32_t sched_id, Cycle now) {
     const bool ready = ((set.ready[i / 64] >> (i % 64)) & 1) != 0;
     GRS_CHECK_MSG(ready == (w.live() && w.parked == obs::WarpState::kNone),
                   "ready set out of sync with the live warps");
+    if (ready && w.decided) {
+      GRS_CHECK_MSG(instruction_wait(w) == obs::WarpState::kEligible,
+                    "decided warp missed its invalidation");
+    }
     if (w.parked == obs::WarpState::kNone) continue;
-    GRS_CHECK_MSG(w.live() && scan_warp(w, now) == w.parked,
+    GRS_CHECK_MSG(w.live() && instruction_wait(w) == w.parked,
                   "parked warp missed its wake event");
     ++recount[static_cast<std::size_t>(w.parked)];
   }
@@ -401,33 +441,21 @@ void StreamingMultiprocessor::check_parked(std::uint32_t sched_id, Cycle now) {
 }
 #endif
 
-obs::WarpState StreamingMultiprocessor::scan_warp(const Warp& w, Cycle now) {
+obs::WarpState StreamingMultiprocessor::scan_warp(Warp& w, Cycle now) {
   using obs::WarpState;
-  if (w.at_barrier) return WarpState::kBarrier;  // synchronization wait -> idle class
-
-  const Instruction* ins = w.cursor.peek(*program_);
-  GRS_CHECK_MSG(ins != nullptr, "live warp with exhausted program");
-
-  // Scoreboard: RAW/WAW on in-flight results -> dependency wait (idle class).
-  if ((w.pending_writes & hazard_mask(*ins)) != 0) return WarpState::kScoreboard;
-  if (ins->op == Op::kExit && w.inflight != 0) return WarpState::kDrainExit;
-
-  const ResidentBlock& b = blocks_[w.block];
-
-  // Sharing locks (paper Fig. 3/4 step (d)-(e)): the warp busy-waits; like
-  // a scoreboard dependency it is "not ready", so a cycle with only
-  // lock-blocked warps counts as idle, not as a pipeline stall.
-  if (needs_reg_lock(b, *ins) &&
-      !pairs_[b.pair_id].locks.reg_can_acquire(b.side, w.pos_in_block))
-    return WarpState::kLockWait;
-  if (needs_smem_lock(b, *ins) && !pairs_[b.pair_id].locks.smem_can_acquire(b.side))
-    return WarpState::kLockWait;
+  if (!w.decided) {
+    ++decisions_;
+    const WarpState st = instruction_wait(w);
+    if (st != WarpState::kEligible) return st;
+    w.decided = true;
+  }
+  const Instruction& ins = *w.next;
 
   // Dynamic warp execution gate (paper §IV-C): suppressed issue, also
   // "not ready" this cycle. With a fractional probability the decision may
   // flip from one cycle to the next; record which way it went so tick()
   // knows how far this scan can be replayed.
-  if (dyn_ != nullptr && dyn_->enabled() && is_global_mem(ins->op) &&
+  if (dyn_ != nullptr && dyn_->enabled() && is_global_mem(ins.op) &&
       classify(w) == WarpClass::kSharedNonOwner) {
     const bool cycle_dependent = dyn_->gate_is_cycle_dependent(id_);
     if (!dyn_->allow(id_, now, w.warp_uid)) {
@@ -438,16 +466,39 @@ obs::WarpState StreamingMultiprocessor::scan_warp(const Warp& w, Cycle now) {
   }
 
   // Structural hazards -> stall class.
-  if (is_mem(ins->op)) {
+  if (is_mem(ins.op)) {
     if (lsu_port_ >= cfg_.lsu_issue_per_cycle) return WarpState::kLsuPort;
     if (lsu_inflight_ >= cfg_.lsu_max_inflight) return WarpState::kLsuQueue;
     // Stores bypass the MSHR (no-allocate).
-    if (ins->op == Op::kLdGlobal &&
-        l1_.inflight() + ins->max_transactions() > cfg_.l1.mshr_entries)
+    if (ins.op == Op::kLdGlobal && l1_.inflight() + w.next_load_lines > cfg_.l1.mshr_entries)
       return WarpState::kMshrFull;
-  } else if (ins->op == Op::kSfu && sfu_port_ >= cfg_.sfu_issue_per_cycle) {
+  } else if (ins.op == Op::kSfu && sfu_port_ >= cfg_.sfu_issue_per_cycle) {
     return WarpState::kSfuPort;
   }
+  return WarpState::kEligible;
+}
+
+obs::WarpState StreamingMultiprocessor::instruction_wait(const Warp& w) const {
+  using obs::WarpState;
+  if (w.at_barrier) return WarpState::kBarrier;  // synchronization wait -> idle class
+
+  GRS_CHECK_MSG(w.next != nullptr, "live warp with exhausted program");
+  const Instruction& ins = *w.next;
+
+  // Scoreboard: RAW/WAW on in-flight results -> dependency wait (idle class).
+  if ((w.pending_writes & hazard_mask(ins)) != 0) return WarpState::kScoreboard;
+  if (ins.op == Op::kExit && w.inflight != 0) return WarpState::kDrainExit;
+
+  const ResidentBlock& b = blocks_[w.block];
+
+  // Sharing locks (paper Fig. 3/4 step (d)-(e)): the warp busy-waits; like
+  // a scoreboard dependency it is "not ready", so a cycle with only
+  // lock-blocked warps counts as idle, not as a pipeline stall.
+  if (needs_reg_lock(b, ins) &&
+      !pairs_[b.pair_id].locks.reg_can_acquire(b.side, w.pos_in_block))
+    return WarpState::kLockWait;
+  if (needs_smem_lock(b, ins) && !pairs_[b.pair_id].locks.smem_can_acquire(b.side))
+    return WarpState::kLockWait;
   return WarpState::kEligible;
 }
 
@@ -467,17 +518,19 @@ void StreamingMultiprocessor::issue(Warp& w, const Instruction& ins, Cycle now) 
   const std::uint64_t instr_seq = w.cursor.iteration();
 
   w.cursor.advance(*program_);
+  w.decode(*program_);
+  w.decided = false;
 
   switch (ins.op) {
     case Op::kAlu: {
-      events_.push(Event{now + cfg_.alu_latency, warp_slot_of(w), reg_bit(ins.dst), false});
+      rings_[kAluWb].push(now, warp_slot_of(w), ins.dst);
       w.pending_writes |= reg_bit(ins.dst);
       ++w.inflight;
       break;
     }
     case Op::kSfu: {
       ++sfu_port_;
-      events_.push(Event{now + cfg_.sfu_latency, warp_slot_of(w), reg_bit(ins.dst), false});
+      rings_[kSfuWb].push(now, warp_slot_of(w), ins.dst);
       w.pending_writes |= reg_bit(ins.dst);
       ++w.inflight;
       break;
@@ -486,8 +539,7 @@ void StreamingMultiprocessor::issue(Warp& w, const Instruction& ins, Cycle now) 
     case Op::kStShared: {
       ++lsu_port_;
       ++lsu_inflight_;
-      events_.push(
-          Event{now + cfg_.scratchpad_latency, warp_slot_of(w), reg_bit(ins.dst), true});
+      rings_[kSmemWb].push(now, warp_slot_of(w), ins.dst);
       w.pending_writes |= reg_bit(ins.dst);
       ++w.inflight;
       break;
@@ -555,7 +607,11 @@ void StreamingMultiprocessor::do_global_access(Warp& w, const Instruction& ins, 
   }
 
   ++lsu_inflight_;
-  events_.push(Event{completion, warp_slot_of(w), reg_bit(ins.dst), true});
+  if (completion == now + cfg_.l1_hit_latency) {
+    rings_[kL1HitWb].push(now, warp_slot_of(w), ins.dst);
+  } else {
+    late_loads_.push(Event{completion, warp_slot_of(w), ins.dst});
+  }
   w.pending_writes |= reg_bit(ins.dst);
   ++w.inflight;
 }
@@ -637,7 +693,9 @@ void StreamingMultiprocessor::finish_block(BlockSlot bs, Cycle now) {
 }
 
 bool StreamingMultiprocessor::drained() const {
-  return resident_blocks_ == 0 && events_.empty();
+  return resident_blocks_ == 0 && late_loads_.empty() &&
+         std::all_of(rings_.begin(), rings_.end(),
+                     [](const WritebackRing& r) { return r.empty(); });
 }
 
 const SmStats& StreamingMultiprocessor::finalize_stats() {

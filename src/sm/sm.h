@@ -15,6 +15,27 @@
 // re-decides it. Until the wake its state cannot change, so the counters and
 // the trace are bit-identical to re-scanning it every cycle.
 //
+// The scan of a warp has two parts. The instruction-level part (barrier,
+// scoreboard, exit drain, sharing lock) decides the four states that park;
+// the per-cycle part (Dyn gate, LSU port and queue, MSHR, SFU port) runs
+// after it. A warp whose next instruction passes the first part is marked
+// decided, and later scans run only the second part, until the warp issues
+// or a lock-state change in its pair clears the mark. Nothing else can turn
+// a passed verdict into a wait: only the warp's own issue sets its barrier
+// flag, adds scoreboard bits or raises its in-flight count, and a lock check
+// can start to fail only at a new acquisition or an ownership transfer, both
+// of which clear the marks of the pair's warps.
+//
+// Writebacks retire at the cycle their latency makes them due. ALU, SFU,
+// scratchpad and L1-hit (load or store) writebacks have a latency fixed at
+// issue, so each of these classes is due in issue order and waits in a FIFO
+// ring; only a global load due later than an L1 hit (it missed or merged in
+// L1) goes through a heap. Each scheduler issues at most once per cycle and
+// a step drains before it issues, so a ring never holds more than
+// (latency + 1) x num_schedulers writebacks: it is sized from the config and
+// never grows. Writebacks due in the same cycle commute, so retiring them
+// class by class is exact.
+//
 // The sharing runtime hooks live exactly where the paper puts them:
 //  * issue-time register classification per Fig. 3 (unshared warp? RegNo
 //    below threshold? lock acquired?);
@@ -102,11 +123,12 @@ class StreamingMultiprocessor {
   void flush_idle_accounting(Cycle final_cycle);
 
   /// Earliest future cycle at which this SM's candidate scan can change on
-  /// its own: the head of the writeback event queue or the first L1 MSHR
-  /// fill (which can unblock MSHR-capacity stalls before the owning warp's
-  /// completion event). kNeverCycle when neither is pending. Everything else
-  /// that affects issuability (locks, barriers, ownership, dispatch) only
-  /// moves when some warp on this SM issues.
+  /// its own: the first due writeback (the fronts of the fixed-latency rings
+  /// and the top of the late-load heap) or the first L1 MSHR fill (which can
+  /// unblock MSHR-capacity stalls before the owning warp's writeback).
+  /// kNeverCycle when neither is pending. Everything else that affects
+  /// issuability (locks, barriers, ownership, dispatch) only moves when some
+  /// warp on this SM issues.
   [[nodiscard]] Cycle next_wakeup() const;
 
   /// Copy the L1 counters into the stats block and return it.
@@ -153,15 +175,40 @@ class StreamingMultiprocessor {
     PairLockState locks;
   };
 
+  /// One writeback: at `cycle`, warp `slot` retires an instruction writing
+  /// `dst` (kNoReg: none). Whether it frees an LSU queue entry follows from
+  /// the queue it waits in.
   struct Event {
     Cycle cycle = 0;
     std::uint32_t slot = 0;
-    std::uint64_t dst_mask = 0;
-    bool mem = false;
+    RegNum dst = kNoReg;
   };
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const { return a.cycle > b.cycle; }
   };
+
+  /// The writebacks of one fixed-latency class, due in issue order (see the
+  /// file comment): a FIFO ring whose capacity is fixed at construction.
+  class WritebackRing {
+   public:
+    WritebackRing(Cycle latency, bool mem, std::uint32_t num_schedulers);
+    /// Queue a writeback due `latency` cycles after `now`.
+    void push(Cycle now, std::uint32_t slot, RegNum dst);
+    void pop();
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] const Event& front() const { return buf_[head_]; }
+    /// The class is an LSU one (scratchpad, L1 hit).
+    [[nodiscard]] bool mem() const { return mem_; }
+
+   private:
+    Cycle latency_;
+    bool mem_;
+    std::vector<Event> buf_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+  /// The fixed-latency classes, in rings_ order.
+  enum WritebackClass : std::size_t { kAluWb, kSfuWb, kSmemWb, kL1HitWb, kNumWritebackClasses };
 
   /// What one step decided: live warps per state (the warps each scheduler
   /// scanned, plus the populations it found parked when its scan started),
@@ -187,6 +234,8 @@ class StreamingMultiprocessor {
   };
 
   void drain_events(Cycle now);
+  /// Apply one due writeback; `mem` frees its LSU queue entry.
+  void retire(const Event& e, bool mem);
   bool run_scheduler(std::uint32_t sched_id, Cycle now);
   /// Ready-set membership (see the file comment). make_ready() enters a
   /// launched warp, drop_ready() removes an exiting one, park() moves a
@@ -195,17 +244,24 @@ class StreamingMultiprocessor {
   void drop_ready(std::uint32_t slot);
   void park(Warp& w, obs::WarpState st);
   void wake(Warp& w);
-  /// Lock-state change in `p`: wake both blocks' lock-waiting warps.
+  /// Lock-state change in `p`: wake both blocks' lock-waiting warps and
+  /// clear their decided marks.
   void wake_lock_waiters(const PairState& p);
 #ifndef NDEBUG
-  /// Every parked warp of `sched_id` still scans to its parked state, and
-  /// the ready bits and populations match the warps.
-  void check_parked(std::uint32_t sched_id, Cycle now);
+  /// Every parked warp of `sched_id` still scans to its parked state, every
+  /// decided one still passes the instruction-level checks, and the ready
+  /// bits and populations match the warps.
+  void check_parked(std::uint32_t sched_id);
 #endif
-  /// Decide a live warp's state for this cycle's candidate scan. The only
-  /// state it writes is the Dyn bookkeeping tick() reads
-  /// (scan_gate_passed_, dyn_blocked_uids_).
-  [[nodiscard]] obs::WarpState scan_warp(const Warp& w, Cycle now);
+  /// Decide a live warp's state for this cycle's candidate scan: the
+  /// instruction-level checks unless the warp is decided, then the
+  /// per-cycle ones. Besides the decided mark and decisions_, the only state
+  /// it writes is the Dyn bookkeeping tick() reads (scan_gate_passed_,
+  /// dyn_blocked_uids_).
+  [[nodiscard]] obs::WarpState scan_warp(Warp& w, Cycle now);
+  /// The instruction-level part of the scan: the parking state `w.next`
+  /// waits in, or kEligible when it passes all four checks.
+  [[nodiscard]] obs::WarpState instruction_wait(const Warp& w) const;
   void issue(Warp& w, const Instruction& ins, Cycle now);
   void do_global_access(Warp& w, const Instruction& ins, Cycle now, std::uint64_t instr_seq,
                         std::uint64_t instr_uid);
@@ -241,7 +297,9 @@ class StreamingMultiprocessor {
   std::vector<WarpScheduler> schedulers_;
   std::vector<ScanSet> scan_sets_;  ///< one per scheduler
 
-  std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
+  std::array<WritebackRing, kNumWritebackClasses> rings_;
+  /// Global loads due later than an L1 hit (they missed or merged in L1).
+  std::priority_queue<Event, std::vector<Event>, EventAfter> late_loads_;
   std::uint32_t lsu_inflight_ = 0;
   std::uint32_t lsu_port_ = 0;  ///< per-cycle issue-port counters
   std::uint32_t sfu_port_ = 0;
@@ -252,6 +310,7 @@ class StreamingMultiprocessor {
   SmStats stats_;
   ScanTally tally_;                     ///< the last step's scan
   std::uint32_t scanned_ = 0;           ///< scan_warp() calls this step
+  std::uint32_t decisions_ = 0;         ///< instruction_wait() runs this step
   /// Last scan let a warp through a fractional Dyn gate (without issuing):
   /// the same warp may be gated next cycle, reshuffling blocked counters.
   bool scan_gate_passed_ = false;

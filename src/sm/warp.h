@@ -31,6 +31,14 @@ struct Warp {
 
   // --- progress ------------------------------------------------------------
   ProgramCursor cursor;
+  /// The instruction `cursor` stands at (cursor.peek()), decoded once: set
+  /// at launch and after each advance(), so the per-cycle scan never calls
+  /// peek(). Points into the Program, which outlives the SM and whose
+  /// segments never move; nullptr once the program is exhausted.
+  const Instruction* next = nullptr;
+  /// L1 MSHR entries `next` can need: its max_transactions() when it is a
+  /// global load, else 0 (stores bypass the MSHR).
+  std::uint32_t next_load_lines = 0;
   bool exited = false;
   bool at_barrier = false;
 
@@ -43,8 +51,19 @@ struct Warp {
   /// The wait state this warp is parked in, out of its scheduler's ready set
   /// until a wake event; kNone while the scan visits it (or it is not live).
   obs::WarpState parked = obs::WarpState::kNone;
+  /// `next` passed the scan's instruction-level checks (barrier, scoreboard,
+  /// exit drain, sharing lock), so later scans run only the per-cycle ones.
+  /// Cleared when the warp issues and by a lock-state change in its pair.
+  bool decided = false;
 
   void reset() { *this = Warp{}; }
+
+  /// Point `next` at the cursor's instruction (launch, and after advance()).
+  void decode(const Program& p) {
+    next = cursor.peek(p);
+    next_load_lines =
+        next != nullptr && next->op == Op::kLdGlobal ? next->max_transactions() : 0;
+  }
 
   [[nodiscard]] bool live() const { return active && !exited; }
 };

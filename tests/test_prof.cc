@@ -3,7 +3,8 @@
 //    exec modes, through the engine, and through the result cache;
 //  * exactness — with an injected fake clock, total/self/wall and the folded
 //    stacks are exact, and merge() is additive; per-phase call counts and
-//    the warps_scanned work count match the modelled work exactly;
+//    the warps_scanned and warps_decided work counts match the modelled
+//    work exactly;
 //  * shape — grs-prof-v1 JSON and folded lines parse as documented, phase
 //    self times sum to the profiled wall clock.
 #include <gtest/gtest.h>
@@ -120,7 +121,7 @@ TEST(ProfTiming, FakeClockNestingIsExact) {
             "\"self_s\":6.000000000,\"pct_of_wall\":60.00},"
             "{\"name\":\"issue\",\"calls\":1,\"total_s\":3.000000000,"
             "\"self_s\":3.000000000,\"pct_of_wall\":20.00}],"
-            "\"counts\":{\"warps_scanned\":0}}\n");
+            "\"counts\":{\"warps_scanned\":0,\"warps_decided\":0}}\n");
 }
 
 TEST(ProfTiming, MergeIsAdditive) {
@@ -136,10 +137,13 @@ TEST(ProfTiming, MergeIsAdditive) {
 
   a.add_warps_scanned(7);
   b.add_warps_scanned(5);
+  a.add_warps_decided(3);
+  b.add_warps_decided(2);
 
   a.merge(b);
   EXPECT_EQ(a.calls(prof::Phase::kSimulate), 2u);
   EXPECT_EQ(a.warps_scanned(), 12u);
+  EXPECT_EQ(a.warps_decided(), 5u);
   EXPECT_DOUBLE_EQ(a.total_seconds(prof::Phase::kSimulate), 5.0);
   EXPECT_DOUBLE_EQ(a.wall_seconds(), 5.0);
   EXPECT_EQ(a.folded(), "simulate 5000000\n");
@@ -164,8 +168,8 @@ TEST(ProfZeroFeedback, StatsBitIdenticalBothExecModes) {
 TEST(ProfZeroFeedback, PhaseCallsCountModelledWork) {
   // Call counts and work counts are host-independent: each hook runs once
   // per unit of modelled work, so they are gated exactly, like cycles. A
-  // dropped or doubled hook, or a warp scanned while it should be parked,
-  // breaks an identity or a golden.
+  // dropped or doubled hook, a warp scanned while it should be parked, or a
+  // decided warp re-decided before it issues, breaks an identity or a golden.
   const KernelInfo kernel = shrink(workloads::hotspot(), 4);
   struct Golden {
     ExecMode mode;
@@ -201,21 +205,26 @@ TEST(ProfZeroFeedback, PhaseCallsCountModelledWork) {
     // Parked warps leave the scan until their wake event, so both modes
     // visit the same warps: cycle mode's extra steps find every warp parked.
     EXPECT_EQ(p.warps_scanned(), 38792u) << label;
+    // A warp runs the instruction-level checks until it passes them, then
+    // only the per-cycle ones until it issues.
+    EXPECT_EQ(p.warps_decided(), 25864u) << label;
   }
 
   // Sharing lines: lock-waiting warps park too, and wake on every lock-state
-  // change of their pair.
+  // change of their pair, which also makes the pair's decided warps decide
+  // again.
   struct SharingGolden {
     const char* name;
     KernelInfo kernel;
     GpuConfig cfg;
     std::uint64_t warps_scanned;
+    std::uint64_t warps_decided;
   };
   const SharingGolden sharing[] = {
       {"registers", shrink(workloads::hotspot(), 8),
-       configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1), 71304},
+       configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1), 71304, 52264},
       {"scratchpad", shrink(workloads::lavamd(), 8),
-       configs::shared_owf(Resource::kScratchpad, 0.1), 32032},
+       configs::shared_owf(Resource::kScratchpad, 0.1), 32032, 27512},
   };
   for (const SharingGolden& g : sharing) {
     for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
@@ -223,6 +232,7 @@ TEST(ProfZeroFeedback, PhaseCallsCountModelledWork) {
       cfg.exec_mode = mode;
       const prof::HostProfiler p = profile_sim(cfg, g.kernel);
       EXPECT_EQ(p.warps_scanned(), g.warps_scanned) << g.name << " " << to_string(mode);
+      EXPECT_EQ(p.warps_decided(), g.warps_decided) << g.name << " " << to_string(mode);
     }
   }
 }

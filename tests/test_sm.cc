@@ -94,6 +94,36 @@ TEST(Sm, ExitWaitsForInflightInstructions) {
   EXPECT_GT(end, h.cfg.l1_hit_latency) << "exit must not overtake the load";
 }
 
+TEST(Sm, ShorterWritebackOvertakesLongerOne) {
+  // The SFU write of r0 (due 1 + 18) is still in flight when the ALU chain
+  // r1 -> r2 -> r3 -> r4 runs: each link retires after alu_latency, not
+  // behind the earlier-issued, later-due SFU result.
+  ProgramBuilder b(5);
+  b.sfu(0).alu(1).alu(2, 1).alu(3, 2).alu(4, 3);
+  SmHarness h(one_sm(), b.build(), KernelResources{32, 5, 0});
+  h.sm.launch_block(0, 0);
+  // alu r1 at 2 (due 8), r2 at 8, r3 at 14, r4 at 20 (due 26), exit at 26.
+  EXPECT_EQ(h.run_until_drained(), 26u);
+  EXPECT_EQ(h.sm.stats().warp_instructions, 6u);
+}
+
+TEST(Sm, LongFixedLatencyKeepsEveryWritebackInFlight) {
+  // 48 warps x 8 independent ALU ops, all issued before the first one is
+  // due: 384 writebacks of one latency are in flight at once.
+  ProgramBuilder b(8);
+  for (RegNum r = 0; r < 8; ++r) b.alu(r);
+  GpuConfig cfg = one_sm();
+  cfg.alu_latency = 300;
+  SmHarness h(cfg, b.build(), KernelResources{256, 8, 0});
+  ASSERT_EQ(h.occ.total_blocks, 6u);
+  for (BlockSlot s = 0; s < h.occ.total_blocks; ++s) h.sm.launch_block(s, s);
+  // Each scheduler issues its 24 warps' 192 ALU ops in cycles 1-192; the
+  // last is due at 192 + 300, when its warp exits.
+  EXPECT_EQ(h.run_until_drained(), 492u);
+  EXPECT_EQ(h.sm.stats().warp_instructions, 48u * 9);
+  EXPECT_EQ(h.sm.stats().blocks_finished, 6u);
+}
+
 TEST(Sm, PartialLastWarpGetsReducedLanes) {
   ProgramBuilder b(2);
   b.alu(0).alu(1, 0);
