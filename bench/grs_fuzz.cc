@@ -8,20 +8,8 @@
 // structs bit for bit. Any divergence dumps the kernel as a .gkd repro file
 // (workloads/format) and fails the process.
 //
-//   grs_fuzz [--seeds N] [--start S] [--profile NAME|all] [--threads N]
-//            [--max-cycles N] [--out-dir DIR] [--full] [--list-profiles]
-//
-//   --seeds N        number of (profile, seed) pairs to run (default 20)
-//   --start S        first seed (default 0); pair k uses seed S+k and, with
-//                    --profile all, profile (S+k) mod #profiles
-//   --profile P      a single profile for every seed (default: all)
-//   --full           run all 8 config lines (default: a 5-line fast set)
-//   --max-cycles N   per-simulation safety cap (default 300000; 0 = none);
-//                    capped runs still diff bit-for-bit across modes
-//   --out-dir DIR    where divergence repros go (default .; must exist)
-//   --threads N      engine worker threads (default: hardware concurrency)
-//
-// Exit status: 0 = everything bit-identical, 1 = divergence, 2 = usage.
+// `grs_fuzz --help` documents every flag (print_help() below is the single
+// source of truth; scripts/check_docs.sh keeps the docs in sync with it).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -39,8 +27,31 @@ using namespace grs;
 namespace {
 
 [[noreturn]] void usage(const std::string& msg) {
-  std::fprintf(stderr, "error: %s\n(see the header of bench/grs_fuzz.cc)\n", msg.c_str());
+  std::fprintf(stderr, "error: %s\n(grs_fuzz --help lists the flags)\n", msg.c_str());
   std::exit(2);
+}
+
+void print_help() {
+  std::printf(
+      "usage: grs_fuzz [options]\n"
+      "\n"
+      "Differential fuzzer: each (profile, seed) pair generates a kernel, runs it\n"
+      "under scheduler x sharing configuration lines in both execution modes, and\n"
+      "diffs the statistics bit for bit. A divergence writes a .gkd repro.\n"
+      "\n"
+      "  --seeds N        number of (profile, seed) pairs to run (default 20)\n"
+      "  --start S        first seed (default 0); pair k uses seed S+k and, with\n"
+      "                   --profile all, profile (S+k) mod #profiles\n"
+      "  --profile P      a single profile for every seed (default: all)\n"
+      "  --full           run all 8 config lines (default: a 5-line fast set)\n"
+      "  --max-cycles N   per-simulation safety cap (default 300000; 0 = none);\n"
+      "                   capped runs still diff bit-for-bit across modes\n"
+      "  --out-dir DIR    where divergence repros go (default .; must exist)\n"
+      "  --threads N      engine worker threads (default: hardware concurrency)\n"
+      "  --list-profiles  list the generator profiles and exit\n"
+      "  --help           this text\n"
+      "\n"
+      "Exit status: 0 = everything bit-identical, 1 = divergence, 2 = usage.\n");
 }
 
 std::uint64_t arg_u64(const std::string& flag, const std::string& value) {
@@ -141,6 +152,9 @@ int main(int argc, char** argv) {
       out_dir = next();
     } else if (a == "--full") {
       full = true;
+    } else if (a == "--help" || a == "-h") {
+      print_help();
+      return 0;
     } else if (a == "--list-profiles") {
       for (const auto& p : workloads::gen::all_profiles()) std::printf("%s\n", p.name.c_str());
       return 0;

@@ -4,26 +4,29 @@
 #   1. The committed docs/study/ pages must be byte-identical to what
 #      `grs_bench study` regenerates — for --threads 1 and 8, so the check
 #      also re-proves the engine's thread-count determinism on the full study.
-#   2. Every `--flag` a doc shows on a grs_cli / grs_bench command line must
-#      exist in that binary's --help output (no documented-but-removed flags).
+#   2. Every `--flag` a doc shows on a grs_cli / grs_bench / grs_fuzz command
+#      line must exist in that binary's --help output (no
+#      documented-but-removed flags).
 #   3. Every bench registered in `grs_bench --list` must be mentioned in the
 #      docs, so the CLI surface and the documentation stay in sync.
 #
 # Usage: scripts/check_docs.sh  (from the repo root, after building ./build)
-# Override the binaries with GRS_BENCH / GRS_CLI. The two study regenerations
-# share one content-addressed result cache (GRS_RESULT_CACHE_DIR, default
-# build/result-cache — CI persists it between runs): the first pass fills it,
-# the second must be served from lookups alone, re-proving both the engine's
-# thread-count determinism and that cached rows are byte-identical to
-# simulated ones. A final verify-mode pass re-simulates each distinct machine
-# once (points that differ only in the sharing threshold and resolve to the
-# same launch plan share one simulation), checks every entry against it, and
-# fails on any byte diff against the store or on a simulation count other
-# than the study's pinned distinct-machine count.
+# Override the binaries with GRS_BENCH / GRS_CLI / GRS_FUZZ. The two study
+# regenerations share one content-addressed result cache
+# (GRS_RESULT_CACHE_DIR, default build/result-cache — CI persists it between
+# runs): the first pass fills it, the second must be served from lookups
+# alone, re-proving both the engine's thread-count determinism and that
+# cached rows are byte-identical to simulated ones. A final verify-mode pass
+# re-simulates each distinct machine once (points that differ only in the
+# sharing threshold and resolve to the same launch plan share one
+# simulation), checks every entry against it, and fails on any byte diff
+# against the store or on a simulation count other than the study's pinned
+# distinct-machine count.
 set -euo pipefail
 
 BENCH=${GRS_BENCH:-build/grs_bench}
 CLI=${GRS_CLI:-build/grs_cli}
+FUZZ=${GRS_FUZZ:-build/grs_fuzz}
 CACHE_DIR=${GRS_RESULT_CACHE_DIR:-build/result-cache}
 fail=0
 
@@ -73,17 +76,20 @@ rm -rf "$tmp"
 # --- 2. CLI flag drift --------------------------------------------------------
 cli_help=$("$CLI" --help)
 bench_help=$("$BENCH" --help)
-drift=$(python3 - "$cli_help" "$bench_help" README.md docs/*.md <<'EOF'
+fuzz_help=$("$FUZZ" --help)
+drift=$(python3 - "$cli_help" "$bench_help" "$fuzz_help" README.md docs/*.md <<'EOF'
 import re, sys
-cli_help, bench_help = sys.argv[1], sys.argv[2]
+cli_help, bench_help, fuzz_help = sys.argv[1], sys.argv[2], sys.argv[3]
 ok = True
-for path in sys.argv[3:]:
+for path in sys.argv[4:]:
     for lineno, line in enumerate(open(path, encoding="utf-8"), 1):
         helps = []
         if "grs_cli" in line:
             helps.append(("grs_cli", cli_help))
         if "grs_bench" in line:
             helps.append(("grs_bench", bench_help))
+        if "grs_fuzz" in line:
+            helps.append(("grs_fuzz", fuzz_help))
         if not helps:
             continue
         for flag in set(re.findall(r"--[a-z][a-z-]*", line)):

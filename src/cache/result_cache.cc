@@ -1,12 +1,15 @@
 #include "cache/result_cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "cache/key.h"
 #include "common/check.h"
@@ -15,6 +18,25 @@
 namespace grs::cache {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// The whole of the open file `fd`, in one read sized by fstat (retried on
+/// EINTR). False on a read error or a short read, which a lookup counts as
+/// `corrupt`, like any other damaged entry (a directory at the entry path
+/// fails the read).
+bool read_whole(int fd, std::string& out) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return false;
+  out.resize(static_cast<std::size_t>(st.st_size));
+  ssize_t got = 0;
+  do {
+    got = ::read(fd, out.data(), out.size());
+  } while (got < 0 && errno == EINTR);
+  return got >= 0 && static_cast<std::size_t>(got) == out.size();
+}
+
+}  // namespace
 
 std::optional<CacheMode> parse_cache_mode(const std::string& s) {
   if (s == "off") return CacheMode::kOff;
@@ -58,29 +80,37 @@ ResultCache::ResultCache(std::string dir, CacheMode mode)
 }
 
 std::string ResultCache::entry_path(const std::string& key) const {
-  return dir_ + "/" + schema_tag() + "/" + key.substr(0, 2) + "/" + key + ".grsr";
+  std::string path;
+  path.reserve(dir_.size() + key.size() + 16);
+  path += dir_;
+  path += '/';
+  path += schema_tag();
+  path += '/';
+  path.append(key, 0, 2);
+  path += '/';
+  path += key;
+  path += ".grsr";
+  return path;
 }
 
 bool ResultCache::lookup(const std::string& key, std::string* payload, SimResult* result) {
   const std::string path = entry_path(key);
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  std::ostringstream body;
-  body << f.rdbuf();
-  // A read error mid-stream leaves a short body; the strict decoder below
-  // rejects it, so both failure shapes land in `corrupt`.
-  const std::string bytes = body.str();
+  std::string bytes;
+  const bool whole = read_whole(fd, bytes);
+  ::close(fd);
   SimResult decoded;
-  if (!decode_result(bytes, decoded)) {
+  if (!whole || !decode_result(bytes, decoded)) {
     corrupt_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(bytes.size(), std::memory_order_relaxed);
-  if (payload != nullptr) *payload = bytes;
+  if (payload != nullptr) *payload = std::move(bytes);
   if (result != nullptr) *result = decoded;
   return true;
 }

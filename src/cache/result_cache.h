@@ -84,8 +84,10 @@ class ResultCache {
   /// `payload` receives the exact stored bytes and `result` the decoded
   /// stats/occupancy (result.config is NOT restored — the key pins it, and
   /// the caller reassigns its own config). Absent entries count as misses;
-  /// present-but-undecodable ones as corrupt (also a miss). Either out
-  /// pointer may be null.
+  /// present-but-undecodable ones as corrupt (also a miss), as does a read
+  /// error or a short read. The entry costs one open, one read sized by
+  /// fstat and one close, and is decoded in place. Either out pointer may be
+  /// null.
   [[nodiscard]] bool lookup(const std::string& key, std::string* payload, SimResult* result);
 
   /// Atomically store encode_result(result) under `key` (tmp + rename; safe

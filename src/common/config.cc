@@ -1,27 +1,27 @@
 #include "common/config.h"
 
-#include <cstdio>
-
 #include "common/check.h"
+#include "common/format.h"
 #include "common/hash.h"
 
 namespace grs {
 
 namespace {
 
-/// Canonical scalar spellings for the kv codec. Doubles use %.17g, which
-/// round-trips every IEEE-754 binary64 value exactly and prints identically
-/// on every correctly-rounding libc.
+/// Canonical "key value" lines for the kv codec, appended to one buffer.
+/// Integers print in decimal; doubles as %.17g (common/format.h).
 void kv(std::string& out, const char* key, std::uint64_t v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s %llu\n", key, static_cast<unsigned long long>(v));
-  out += buf;
+  out += key;
+  out += ' ';
+  append_u64(out, v);
+  out += '\n';
 }
 
 void kv(std::string& out, const char* key, double v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s %.17g\n", key, v);
-  out += buf;
+  out += key;
+  out += ' ';
+  append_exact(out, v);
+  out += '\n';
 }
 
 void kv(std::string& out, const char* key, const char* v) {
@@ -32,11 +32,14 @@ void kv(std::string& out, const char* key, const char* v) {
 }
 
 void kv_cache(std::string& out, const char* prefix, const CacheConfig& c) {
-  std::string p = prefix;
-  kv(out, (p + ".size_bytes").c_str(), std::uint64_t{c.size_bytes});
-  kv(out, (p + ".line_bytes").c_str(), std::uint64_t{c.line_bytes});
-  kv(out, (p + ".ways").c_str(), std::uint64_t{c.ways});
-  kv(out, (p + ".mshr_entries").c_str(), std::uint64_t{c.mshr_entries});
+  out += prefix;
+  kv(out, ".size_bytes", std::uint64_t{c.size_bytes});
+  out += prefix;
+  kv(out, ".line_bytes", std::uint64_t{c.line_bytes});
+  out += prefix;
+  kv(out, ".ways", std::uint64_t{c.ways});
+  out += prefix;
+  kv(out, ".mshr_entries", std::uint64_t{c.mshr_entries});
 }
 
 }  // namespace
@@ -55,6 +58,11 @@ std::string GpuConfig::line_label() const {
 std::string GpuConfig::canonical_kv() const {
   std::string out;
   out.reserve(1024);
+  canonical_kv(out);
+  return out;
+}
+
+void GpuConfig::canonical_kv(std::string& out) const {
   // Versioned header: bump when a field is added/removed/re-interpreted so
   // old fingerprints can never alias new configurations.
   out += "gpu_config 2\n";
@@ -101,7 +109,6 @@ std::string GpuConfig::canonical_kv() const {
   // produce bit-identical stats: the cache must never paper over the exact
   // divergence the differential oracle exists to catch.
   kv(out, "exec_mode", to_string(exec_mode));
-  return out;
 }
 
 std::string GpuConfig::fingerprint() const { return sha256_hex(canonical_kv()); }

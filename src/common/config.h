@@ -143,6 +143,9 @@ struct GpuConfig {
   /// GpuConfig (or its nested structs) without extending this codec fails the
   /// coverage guard in tests/test_cache.cc.
   [[nodiscard]] std::string canonical_kv() const;
+  /// Appends the same text to `out`, so a caller keying many configs can
+  /// reuse one buffer (cache::Fingerprints).
+  void canonical_kv(std::string& out) const;
 
   /// Lowercase SHA-256 hex digest of canonical_kv() — the config half of the
   /// content-addressed result-cache key (src/cache/key.h).

@@ -14,11 +14,12 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace grs {
 
 /// Non-negative decimal integer; the entire string must be digits.
-[[nodiscard]] inline std::optional<std::uint64_t> parse_u64(const std::string& s) {
+[[nodiscard]] inline std::optional<std::uint64_t> parse_u64(std::string_view s) {
   if (s.empty()) return std::nullopt;
   std::uint64_t v = 0;
   for (char c : s) {
@@ -30,22 +31,27 @@ namespace grs {
   return v;
 }
 
-[[nodiscard]] inline std::optional<std::uint32_t> parse_u32(const std::string& s) {
+[[nodiscard]] inline std::optional<std::uint32_t> parse_u32(std::string_view s) {
   const std::optional<std::uint64_t> v = parse_u64(s);
   if (!v.has_value() || *v > UINT32_MAX) return std::nullopt;
   return static_cast<std::uint32_t>(*v);
 }
 
-/// Finite double covering the whole string (NaN and inf are rejected, so a
-/// range check like `*v >= lo && *v <= hi` behaves as written).
-[[nodiscard]] inline std::optional<double> parse_finite_double(const std::string& s) {
-  if (s.empty() || s[0] == ' ' || s[0] == '\t') return std::nullopt;
+/// Finite double covering the whole NUL-terminated string (NaN and inf are
+/// rejected, so a range check like `*v >= lo && *v <= hi` behaves as
+/// written).
+[[nodiscard]] inline std::optional<double> parse_finite_double(const char* s) {
+  if (s[0] == '\0' || s[0] == ' ' || s[0] == '\t') return std::nullopt;
   char* end = nullptr;
   errno = 0;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return std::nullopt;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno == ERANGE) return std::nullopt;
   if (!(v == v) || v > 1e308 || v < -1e308) return std::nullopt;  // NaN / inf
   return v;
+}
+
+[[nodiscard]] inline std::optional<double> parse_finite_double(const std::string& s) {
+  return parse_finite_double(s.c_str());
 }
 
 }  // namespace grs

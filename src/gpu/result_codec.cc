@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/format.h"
 #include "common/parse.h"
 
 namespace grs {
@@ -41,12 +42,6 @@ std::string u64_str(std::uint64_t v) {
 std::string f6_str(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
-std::string exact_str(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);  // exact binary64 round-trip
   return buf;
 }
 
@@ -121,40 +116,52 @@ std::string encode_result(const SimResult& r) {
   std::string out;
   out.reserve(1200);
   out += "grs-result ";
-  out += u64_str(static_cast<std::uint64_t>(kResultCodecVersion));
+  append_u64(out, static_cast<std::uint64_t>(kResultCodecVersion));
   out += '\n';
   for (const ResultField& f : result_fields()) {
     if (f.derived) continue;
     out += f.name;
     out += ' ';
-    out += f.fractional ? exact_str(f.get_f64(r)) : u64_str(f.get_u64(r));
+    if (f.fractional) {
+      append_exact(out, f.get_f64(r));  // exact binary64 round-trip
+    } else {
+      append_u64(out, f.get_u64(r));
+    }
     out += '\n';
   }
   out += "end\n";
   return out;
 }
 
-bool decode_result(const std::string& text, SimResult& out) {
-  std::size_t pos = 0;
-  auto next_line = [&](std::string& line) {
-    if (pos >= text.size()) return false;
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) return false;  // truncated final line
-    line.assign(text, pos, nl - pos);
-    pos = nl + 1;
+bool decode_result(std::string_view text, SimResult& out) {
+  // Views into `text`, line by line: no per-line string.
+  std::string_view line;
+  const auto next_line = [&text, &line] {
+    const std::size_t nl = text.find('\n');
+    if (nl == std::string_view::npos) return false;  // no line, or a truncated one
+    line = text.substr(0, nl);
+    text.remove_prefix(nl + 1);
     return true;
   };
 
-  std::string line;
-  if (!next_line(line) || line != "grs-result 1") return false;
+  if (!next_line() || line != "grs-result 1") return false;
   for (const ResultField& f : result_fields()) {
     if (f.derived) continue;
-    if (!next_line(line)) return false;
-    const std::string prefix = std::string(f.name) + ' ';
-    if (line.compare(0, prefix.size(), prefix) != 0) return false;
-    const std::string value = line.substr(prefix.size());
+    if (!next_line()) return false;
+    const std::string_view name = f.name;
+    if (line.size() <= name.size() || line.compare(0, name.size(), name) != 0 ||
+        line[name.size()] != ' ') {
+      return false;
+    }
+    const std::string_view value = line.substr(name.size() + 1);
     if (f.fractional) {
-      const auto v = parse_finite_double(value);
+      // strtod needs a terminated copy. %.17g spells a double in at most 24
+      // characters; a longer value is not an encoding.
+      char buf[64];
+      if (value.size() >= sizeof(buf)) return false;
+      value.copy(buf, value.size());
+      buf[value.size()] = '\0';
+      const auto v = parse_finite_double(buf);
       if (!v.has_value()) return false;
       f.set_f64(out, *v);
     } else {
@@ -162,12 +169,11 @@ bool decode_result(const std::string& text, SimResult& out) {
       if (!v.has_value()) return false;
       // The one enum field: reject values outside the Resource range so a
       // damaged entry can never materialize an invalid enum.
-      if (std::string(f.name) == "limiter" && *v > 3) return false;
+      if (name == "limiter" && *v > 3) return false;
       f.set_u64(out, *v);
     }
   }
-  if (!next_line(line) || line != "end") return false;
-  return pos == text.size();
+  return next_line() && line == "end" && text.empty();
 }
 
 }  // namespace grs

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/simulator.h"
@@ -59,6 +60,7 @@ struct ResultField {
 /// caller restores it). Returns false on any malformed, truncated,
 /// reordered, or version-mismatched input without touching `out` partially
 /// observable state the caller relies on (on false, `out` must be discarded).
-[[nodiscard]] bool decode_result(const std::string& text, SimResult& out);
+/// Reads `text` in place: one pass, no per-line allocation.
+[[nodiscard]] bool decode_result(std::string_view text, SimResult& out);
 
 }  // namespace grs

@@ -94,6 +94,7 @@ void HostProfiler::merge(const HostProfiler& o) {
   wall_ += o.wall_;
   warps_scanned_ += o.warps_scanned_;
   warps_decided_ += o.warps_decided_;
+  fingerprints_hashed_ += o.fingerprints_hashed_;
 }
 
 std::string HostProfiler::json() const {
@@ -122,11 +123,13 @@ std::string HostProfiler::json() const {
     }
     out += '}';
   }
-  char tmp[128];
+  char tmp[160];
   std::snprintf(tmp, sizeof tmp,
-                "],\"counts\":{\"warps_scanned\":%llu,\"warps_decided\":%llu}}\n",
+                "],\"counts\":{\"warps_scanned\":%llu,\"warps_decided\":%llu,"
+                "\"fingerprints_hashed\":%llu}}\n",
                 static_cast<unsigned long long>(warps_scanned_),
-                static_cast<unsigned long long>(warps_decided_));
+                static_cast<unsigned long long>(warps_decided_),
+                static_cast<unsigned long long>(fingerprints_hashed_));
   out += tmp;
   return out;
 }

@@ -84,10 +84,14 @@ class HostProfiler {
   /// call counts. warps_scanned: scan_warp() calls, the warps the scheduler
   /// scans visited. warps_decided: the scans among them that ran the
   /// instruction-level checks, because the warp was not yet decided.
+  /// fingerprints_hashed: the canonical kernel and config texts a sweep's
+  /// key memo hashed (cache::Fingerprints), added once per sweep.
   void add_warps_scanned(std::uint64_t n) { warps_scanned_ += n; }
   [[nodiscard]] std::uint64_t warps_scanned() const { return warps_scanned_; }
   void add_warps_decided(std::uint64_t n) { warps_decided_ += n; }
   [[nodiscard]] std::uint64_t warps_decided() const { return warps_decided_; }
+  void add_fingerprints_hashed(std::uint64_t n) { fingerprints_hashed_ += n; }
+  [[nodiscard]] std::uint64_t fingerprints_hashed() const { return fingerprints_hashed_; }
 
   /// "grs-prof-v1" JSON document (docs/perf-tracking.md): wall_seconds, one
   /// entry per observed phase with calls/total_s/self_s/pct_of_wall, and the
@@ -123,6 +127,7 @@ class HostProfiler {
   double wall_ = 0.0;
   std::uint64_t warps_scanned_ = 0;
   std::uint64_t warps_decided_ = 0;
+  std::uint64_t fingerprints_hashed_ = 0;
 };
 
 /// RAII phase scope, null-safe: `ScopedPhase s(prof_, Phase::kIssue);` is one

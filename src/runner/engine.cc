@@ -90,16 +90,24 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
     }
   };
 
+  // Every key comes from one memo, on this thread before any worker starts,
+  // so the memo needs no lock; it hashes each distinct kernel and config text
+  // once (cache/key.h).
+  cache::Fingerprints fingerprints;
+  std::vector<std::string> keys(cache ? n : 0), stored(verify ? n : 0);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const WallTimer timer;
+    keys[i] = fingerprints.result_cache_key(spec.points[i].config, spec.points[i].kernel);
+    rows[i].wall_ms = timer.seconds() * 1000.0;
+  }
+
   // Pass 1: each point's cache lookup. A hit completes its row here, except
-  // under kVerify, which keeps the stored payload for pass 2 to check. Every
-  // other point gets its machine key, so a warm all-hit sweep computes none.
-  std::vector<std::string> keys(cache ? n : 0), stored(verify ? n : 0), machines(n);
+  // under kVerify, which keeps the stored payload for pass 2 to check.
   on_pool(n, [&](std::size_t i) {
     const WallTimer timer;
     const SweepPoint& p = spec.points[i];
     rows[i].point = p;
     if (cache) {
-      keys[i] = cache::result_cache_key(p.config, p.kernel);
       SimResult cached;
       bool hit;
       {
@@ -116,13 +124,13 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
         return;
       }
     }
-    if (!streams) machines[i] = cache::machine_key(p.config, p.kernel);
-    rows[i].wall_ms = timer.seconds() * 1000.0;
+    rows[i].wall_ms += timer.seconds() * 1000.0;
   });
 
   // Group the points the store did not serve by machine key, in spec order;
-  // a group's first point leads it. Traced and timelined points stay alone,
-  // since each writes its own event stream.
+  // a group's first point leads it. Only these points get a machine key, so
+  // a warm all-hit sweep computes none. Traced and timelined points stay
+  // alone, since each writes its own event stream.
   std::vector<std::vector<std::size_t>> groups;
   std::unordered_map<std::string, std::size_t> group_of;
   for (std::size_t i = 0; i < n; ++i) {
@@ -131,10 +139,15 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
       groups.push_back({i});
       continue;
     }
-    const auto [it, added] = group_of.emplace(std::move(machines[i]), groups.size());
+    const WallTimer timer;
+    const SweepPoint& p = spec.points[i];
+    std::string machine = fingerprints.machine_key(p.config, p.kernel);
+    const auto [it, added] = group_of.emplace(std::move(machine), groups.size());
     if (added) groups.emplace_back();
     groups[it->second].push_back(i);
+    rows[i].wall_ms += timer.seconds() * 1000.0;
   }
+  if (options.prof != nullptr) options.prof->add_fingerprints_hashed(fingerprints.hashed());
 
   // Pass 2: simulate each group's leader once. Every member's row is the
   // leader's stats plus its own config and launch plan (members differ at

@@ -27,8 +27,8 @@ namespace grs::runner {
 struct SweepRow {
   SweepPoint point;
   SimResult result;
-  /// Wall clock this cell took in this run: its cache lookup, plus the
-  /// simulation if it led its machine's group, or else only its own copy
+  /// Wall clock this cell took in this run: its keys and cache lookup, plus
+  /// the simulation if it led its machine's group, or else only its own copy
   /// and store of the leader's stats.
   double wall_ms = 0.0;
   bool from_cache = false;  ///< result served from the result cache
@@ -84,13 +84,21 @@ struct RunOptions {
 };
 
 /// Run every point of `spec`. Returns one row per point, in spec order.
-/// Two passes share one worker pool. The first looks each point up in the
-/// cache; a hit completes its row there. The second groups the remaining
-/// points by cache::machine_key in spec order, simulates each group's first
-/// point once, and fills every member's row with those stats plus the
-/// member's own config and compute_occupancy(); the rows equal per-point
-/// simulate() results byte for byte. A warm all-hit sweep computes no
-/// machine key.
+/// Two passes share one worker pool, each after a serial step on the
+/// calling thread:
+///  - with the cache on, every point is keyed (cache::result_cache_key);
+///  - pass 1 looks each point up in the cache; a hit completes its row;
+///  - the points the store did not serve are grouped by cache::machine_key,
+///    in spec order;
+///  - pass 2 simulates each group's first point once and fills every
+///    member's row with those stats plus the member's own config and
+///    compute_occupancy(); the rows equal per-point simulate() results byte
+///    for byte.
+/// Both serial steps key through one cache::Fingerprints memo, which lives
+/// only for this call and hashes each distinct kernel and config text once;
+/// being serial, they need no lock. A warm all-hit sweep computes no machine
+/// key. With options.prof set, the memo's count of hashed texts is added to
+/// it (prof::HostProfiler::fingerprints_hashed).
 /// An empty spec returns an empty vector without spawning workers.
 /// If a point (or the progress callback) throws, the rest of that pass still
 /// runs, no later pass starts, and the first exception is rethrown here

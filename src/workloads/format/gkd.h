@@ -86,6 +86,9 @@ class ParseError : public std::runtime_error {
 
 /// Canonical text form of `k` (ends with a newline).
 [[nodiscard]] std::string serialize(const KernelInfo& k);
+/// Appends the same text to `out`, so a caller keying many kernels can reuse
+/// one buffer (cache::Fingerprints).
+void serialize(const KernelInfo& k, std::string& out);
 
 /// Parse a .gkd document. `filename` only labels error messages.
 [[nodiscard]] KernelInfo parse(const std::string& text, const std::string& filename = "<gkd>");

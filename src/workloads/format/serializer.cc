@@ -2,61 +2,63 @@
 // this output, which is what makes round-trips byte-identical.
 #include <string>
 
+#include "common/format.h"
 #include "workloads/format/gkd.h"
 
 namespace grs::workloads::gkd {
 
 namespace {
 
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
+void append_quoted(std::string& out, const std::string& s) {
+  out += '"';
   for (char c : s) {
     if (c == '"' || c == '\\') out += '\\';
     out += c;
   }
   out += '"';
-  return out;
 }
 
-std::string reg_text(RegNum r) {
-  return r == kNoReg ? std::string("-") : "$r" + std::to_string(r);
-}
-
-std::string global_mem_suffix(const Instruction& i) {
-  std::string out = std::string(to_string(i.pattern)) + " " + to_string(i.locality) +
-                    " region=" + std::to_string(i.region) +
-                    " lines=" + std::to_string(i.footprint_lines);
-  return out;
+void append_reg(std::string& out, RegNum r) {
+  if (r == kNoReg) {
+    out += '-';
+    return;
+  }
+  out += "$r";
+  append_u64(out, r);
 }
 
 /// `is_reuse` maps the kColdReuse sentinel to "cold"; stride histograms keep
 /// plain -1 (a backwards unit stride).
-std::string bucket_entries(const std::vector<ProfileBucket>& h, bool is_reuse) {
-  std::string out;
+void append_buckets(std::string& out, const std::vector<ProfileBucket>& h, bool is_reuse) {
   for (const ProfileBucket& b : h) {
     out += ' ';
-    out += is_reuse && b.value == MemProfile::kColdReuse ? std::string("cold")
-                                                         : std::to_string(b.value);
-    out += ':' + std::to_string(b.weight);
+    if (is_reuse && b.value == MemProfile::kColdReuse) {
+      out += "cold";
+    } else {
+      append_i64(out, b.value);
+    }
+    out += ':';
+    append_u64(out, b.weight);
   }
-  return out;
 }
 
 /// The `profile { ... }` block trailing a global-memory instruction line.
 /// Field order and bucket order (canonical: sorted by value) are fixed so
 /// serialize -> parse -> serialize stays byte-identical.
-std::string profile_block(const MemProfile& p) {
-  std::string out = " profile {\n";
-  out += "    coalesce" + bucket_entries(p.coalesce, false) + "\n";
-  out += "    stride" + bucket_entries(p.stride, false) + "\n";
-  out += "    reuse" + bucket_entries(p.reuse, true) + "\n";
-  out += "    footprint " + std::to_string(p.footprint_lines) + "\n";
-  out += "  }";
-  return out;
+void append_profile_block(std::string& out, const MemProfile& p) {
+  out += " profile {\n    coalesce";
+  append_buckets(out, p.coalesce, false);
+  out += "\n    stride";
+  append_buckets(out, p.stride, false);
+  out += "\n    reuse";
+  append_buckets(out, p.reuse, true);
+  out += "\n    footprint ";
+  append_u64(out, p.footprint_lines);
+  out += "\n  }";
 }
 
-std::string instr_text(const Instruction& i) {
-  const std::string op = to_string(i.op);
+void append_instr(std::string& out, const Instruction& i) {
+  out += to_string(i.op);
   switch (i.op) {
     case Op::kAlu:
     case Op::kSfu: {
@@ -66,54 +68,81 @@ std::string instr_text(const Instruction& i) {
       for (int k = 0; k < 3; ++k) {
         if (ops[k] != kNoReg) last = k;
       }
-      std::string out = op;
       for (int k = 0; k <= last; ++k) {
         out += k == 0 ? " " : ", ";
-        out += reg_text(ops[k]);
+        append_reg(out, ops[k]);
       }
-      return out;
+      return;
     }
-    case Op::kLdGlobal: {
-      std::string out = op + " " + reg_text(i.dst) + ", " + global_mem_suffix(i);
-      if (i.src0 != kNoReg) out += " addr=" + reg_text(i.src0);
-      if (i.profile) out += profile_block(*i.profile);
-      return out;
-    }
-    case Op::kStGlobal: {
-      std::string out = op + " " + reg_text(i.src0) + ", " + global_mem_suffix(i);
-      if (i.profile) out += profile_block(*i.profile);
-      return out;
-    }
+    case Op::kLdGlobal:
+    case Op::kStGlobal:
+      out += ' ';
+      append_reg(out, i.op == Op::kLdGlobal ? i.dst : i.src0);
+      out += ", ";
+      out += to_string(i.pattern);
+      out += ' ';
+      out += to_string(i.locality);
+      out += " region=";
+      append_u64(out, i.region);
+      out += " lines=";
+      append_u64(out, i.footprint_lines);
+      if (i.op == Op::kLdGlobal && i.src0 != kNoReg) {
+        out += " addr=";
+        append_reg(out, i.src0);
+      }
+      if (i.profile) append_profile_block(out, *i.profile);
+      return;
     case Op::kLdShared:
-      return op + " " + reg_text(i.dst) + ", smem[" + std::to_string(i.smem_offset) + "]";
     case Op::kStShared:
-      return op + " " + reg_text(i.src0) + ", smem[" + std::to_string(i.smem_offset) + "]";
+      out += ' ';
+      append_reg(out, i.op == Op::kLdShared ? i.dst : i.src0);
+      out += ", smem[";
+      append_u64(out, i.smem_offset);
+      out += ']';
+      return;
     case Op::kBarrier:
     case Op::kExit:
-      return op;
+      return;
   }
-  return op;
 }
 
 }  // namespace
 
 std::string serialize(const KernelInfo& k) {
   std::string out;
-  out += "gkd 1\n";
-  out += "kernel " + quoted(k.name) + "\n";
-  out += "suite " + quoted(k.suite) + "\n";
-  out += "set " + quoted(k.set) + "\n";
-  out += "threads " + std::to_string(k.resources.threads_per_block) + "\n";
-  out += "regs " + std::to_string(k.resources.regs_per_thread) + "\n";
-  out += "smem " + std::to_string(k.resources.smem_per_block) + "\n";
-  out += "grid " + std::to_string(k.grid_blocks) + "\n";
-  out += "lanes " + std::to_string(k.active_lanes) + "\n";
+  serialize(k, out);
+  return out;
+}
+
+void serialize(const KernelInfo& k, std::string& out) {
+  out += "gkd 1\nkernel ";
+  append_quoted(out, k.name);
+  out += "\nsuite ";
+  append_quoted(out, k.suite);
+  out += "\nset ";
+  append_quoted(out, k.set);
+  out += "\nthreads ";
+  append_u64(out, k.resources.threads_per_block);
+  out += "\nregs ";
+  append_u64(out, k.resources.regs_per_thread);
+  out += "\nsmem ";
+  append_u64(out, k.resources.smem_per_block);
+  out += "\ngrid ";
+  append_u64(out, k.grid_blocks);
+  out += "\nlanes ";
+  append_u64(out, k.active_lanes);
+  out += '\n';
   for (const Segment& s : k.program.segments()) {
-    out += "\nsegment x" + std::to_string(s.iterations) + " {\n";
-    for (const Instruction& i : s.instrs) out += "  " + instr_text(i) + "\n";
+    out += "\nsegment x";
+    append_u64(out, s.iterations);
+    out += " {\n";
+    for (const Instruction& i : s.instrs) {
+      out += "  ";
+      append_instr(out, i);
+      out += '\n';
+    }
     out += "}\n";
   }
-  return out;
 }
 
 }  // namespace grs::workloads::gkd

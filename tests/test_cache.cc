@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -28,6 +29,7 @@
 #include "runner/cli_options.h"
 #include "runner/engine.h"
 #include "runner/sink.h"
+#include "workloads/format/gkd.h"
 #include "workloads/suites.h"
 
 namespace grs {
@@ -208,6 +210,104 @@ TEST(Fingerprint, KernelChangesReachTheKey) {
   EXPECT_EQ(cache::result_cache_key(cfg, base), cache::result_cache_key(GpuConfig{}, base));
 }
 
+/// Canonical .gkd that takes every serializer path: each opcode, an interior
+/// register hole, an addressed load, profile blocks with a negative stride
+/// and a `cold` reuse bucket, and a name with `"` and `\` to escape.
+constexpr const char* kEveryPathGkd = R"(gkd 1
+kernel "every \"op\" \\ path"
+suite "golden"
+set "keys"
+threads 192
+regs 40
+smem 2048
+grid 17
+lanes 24
+
+segment x3 {
+  alu $r0
+  alu $r1, $r0
+  alu $r2, -, $r1
+  sfu $r12, $r2, $r1
+  ld.global $r13, coalesced streaming region=2 lines=4096 addr=$r12 profile {
+    coalesce 1:90 2:10
+    stride -3:5 1:95
+    reuse cold:60 2:25 8:15
+    footprint 4096
+  }
+  st.global $r13, strided2 warp-local region=255 lines=64 profile {
+    coalesce 2:7
+    stride -1:3 16:4
+    reuse cold:7
+    footprint 64
+  }
+  ld.shared $r39, smem[2044]
+  st.shared $r39, smem[0]
+}
+
+segment x1 {
+  bar.sync
+  exit
+}
+)";
+
+TEST(Fingerprint, KeysMatchCommittedHex) {
+  // Stores restored from earlier commits (CI's restore-keys) stay valid only
+  // while these bytes hold. A change here orphans every stored entry.
+  EXPECT_EQ(GpuConfig{}.fingerprint(),
+            "6e6d6706360a9340cade6607a88c8bccea145dbb2b1e41b9e4e1d178fd4156e3");
+  GpuConfig odd;  // a 20-digit integer and a double that is not a short decimal
+  odd.max_cycles = UINT64_MAX;
+  odd.sharing.threshold_t = 1.0 / 3.0;
+  odd.exec_mode = ExecMode::kCycle;
+  EXPECT_EQ(odd.fingerprint(),
+            "ac38b11b880fe3ec71254dd70bd4fe0c9ebe0ee4717504afe8abcef488cc1eb2");
+
+  const KernelInfo hotspot = workloads::hotspot();
+  const GpuConfig shared = configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1);
+  EXPECT_EQ(cache::kernel_fingerprint(hotspot),
+            "451035f8355475156e31dd12f21a7d222279657db4a456e29bcd72dfe9e4640e");
+  EXPECT_EQ(cache::result_cache_key(shared, hotspot),
+            "f77075f8849e99763a9c6b7befc952282d2d54bd7976c78147c98390d94bf1a5");
+  EXPECT_EQ(cache::machine_key(shared, hotspot),
+            "9291197bfa977d05e1a71bb6f5fb171bc8d1865856301616d0a4f6f729101187");
+
+  const KernelInfo every = workloads::gkd::parse(kEveryPathGkd);
+  EXPECT_EQ(workloads::gkd::serialize(every), kEveryPathGkd);
+  EXPECT_EQ(cache::kernel_fingerprint(every),
+            "09b1eeb75c46e253459cb598535cba74fcd01c3fb2fd266d8fd37abf0c0c93a0");
+  EXPECT_EQ(cache::result_cache_key(shared, every),
+            "f8a2018097f019153b389bdb9e7b3232b21e35a1108914ef1d8aabfa06e7e021");
+  EXPECT_EQ(cache::machine_key(shared, every),
+            "c84eb30fffd755240972d2be64a442fdf033753e5b542fdf7f8ce076bd849311");
+}
+
+TEST(Fingerprint, MemoMatchesTheFreeFunctions) {
+  // 2 kernels x 3 configs, plus an equal copy of the first kernel: a separate
+  // object with the same text, which must hit the memo.
+  runner::SweepSpec spec;
+  const std::vector<runner::ConfigVariant> variants = {
+      runner::ConfigVariant::of(configs::unshared()),
+      runner::ConfigVariant::of(configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1)),
+      runner::ConfigVariant::of(configs::shared_owf(Resource::kScratchpad, 0.5))};
+  spec.add_grid(variants, {small_kernel(0), small_kernel(1), small_kernel(0)});
+
+  cache::Fingerprints memo;
+  for (const runner::SweepPoint& p : spec.points) {
+    const std::string key = cache::result_cache_key(p.config, p.kernel);
+    EXPECT_EQ(memo.result_cache_key(p.config, p.kernel), key) << p.variant << " " << p.kernel.name;
+    EXPECT_EQ(memo.config_fingerprint(p.config), p.config.fingerprint());
+    EXPECT_EQ(memo.kernel_fingerprint(p.kernel), cache::kernel_fingerprint(p.kernel));
+  }
+  EXPECT_EQ(memo.hashed(), 2u + 3u);  // distinct kernel texts + config texts
+
+  for (const runner::SweepPoint& p : spec.points) {
+    const std::string key = cache::machine_key(p.config, p.kernel);
+    EXPECT_EQ(memo.machine_key(p.config, p.kernel), key) << p.variant << " " << p.kernel.name;
+  }
+  // Each config once more with t pinned to 1.0: none of the three has t = 1.
+  EXPECT_EQ(memo.hashed(), 2u + 3u + 3u);
+}
+
 // --- result codec ---------------------------------------------------------------
 
 TEST(ResultCodec, EncodeDecodeRoundTripsByteIdentically) {
@@ -248,6 +348,30 @@ TEST(ResultCodec, RejectsAnyDamagedPayload) {
   const auto vpos = garbled.find("cycles ") + 7;
   garbled.replace(vpos, 1, "x");
   EXPECT_FALSE(decode_result(garbled, out));
+
+  // The payload with one field's line replaced by `line`.
+  const auto with_line = [&payload](const std::string& field, const std::string& line) {
+    std::string p = payload;
+    const std::size_t at = p.find('\n' + field + ' ') + 1;
+    p.replace(at, p.find('\n', at) - at, line);
+    return p;
+  };
+  // The boundaries still decode: the largest u64 and the largest limiter.
+  EXPECT_TRUE(decode_result(with_line("cycles", "cycles 18446744073709551615"), out));
+  EXPECT_TRUE(decode_result(with_line("limiter", "limiter 3"), out));
+  // A u64 overflow, an empty value, a leading '+', no separating space, a
+  // CRLF line, an embedded NUL, an enum out of range, NaN and infinity.
+  EXPECT_FALSE(decode_result(with_line("cycles", "cycles 99999999999999999999"), out));
+  EXPECT_FALSE(decode_result(with_line("cycles", "cycles 18446744073709551616"), out));
+  EXPECT_FALSE(decode_result(with_line("cycles", "cycles "), out));
+  EXPECT_FALSE(decode_result(with_line("cycles", "cycles +5"), out));
+  EXPECT_FALSE(decode_result(with_line("cycles", "cycles5"), out));
+  EXPECT_FALSE(decode_result(with_line("cycles", "cycles 5\r"), out));
+  EXPECT_FALSE(decode_result(with_line("cycles", std::string("cycles 5") + '\0' + "5"), out));
+  EXPECT_FALSE(decode_result(with_line("limiter", "limiter 4"), out));
+  const std::string waste = "baseline_waste_percent";
+  EXPECT_FALSE(decode_result(with_line(waste, waste + " nan"), out));
+  EXPECT_FALSE(decode_result(with_line(waste, waste + " inf"), out));
 }
 
 // --- the store ------------------------------------------------------------------
@@ -313,6 +437,22 @@ TEST(CacheTest, CorruptedOrTruncatedEntryIsAMissNotAnError) {
   EXPECT_EQ(read_file(path), good);  // healed back to the canonical payload
 }
 
+TEST(CacheTest, DirectoryAtEntryPathIsCorrupt) {
+  const std::string dir = fresh_store("dir_entry");
+  cache::ResultCache store(dir, cache::CacheMode::kReadWrite);
+  const std::string key = cache::result_cache_key(configs::unshared(), small_kernel(0));
+  fs::create_directories(store.entry_path(key));
+
+  std::string payload;
+  SimResult out;
+  EXPECT_FALSE(store.lookup(key, &payload, &out));
+  const cache::CacheStats s = store.stats();
+  EXPECT_EQ(s.corrupt, 1u);
+  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.bytes_read, 0u);
+}
+
 TEST(CacheTest, OffModeNeverConsultsTheStore) {
   // grs_fuzz relies on this: with mode off the engine must not open, read,
   // or create the store even when cache_dir points somewhere real.
@@ -373,6 +513,25 @@ TEST(CacheTest, WarmSweepIsAllHitsAndByteIdentical) {
   EXPECT_EQ(ro.misses, spec.size());
   EXPECT_EQ(ro.stores, 0u);
   EXPECT_EQ(ro_csv, cold_csv);
+}
+
+TEST(CacheTest, ProfiledSweepsCountEachTextHashedOnce) {
+  const std::string dir = fresh_store("fingerprints_hashed");
+  const runner::SweepSpec spec = tiny_spec();  // 2 configs x 2 kernels, t = 0.1
+  const auto hashed = [&spec](const std::string& store, cache::CacheMode mode) {
+    prof::HostProfiler prof;
+    runner::RunOptions o = cached_options(store, mode);
+    o.prof = &prof;
+    (void)runner::run_sweep(spec, o);
+    return prof.fingerprints_hashed();
+  };
+  // Cold: 2 kernel and 2 config texts for the result keys, then the 2 configs
+  // with t pinned to 1.0 for the machine keys of the 4 misses.
+  EXPECT_EQ(hashed(dir, cache::CacheMode::kReadWrite), 6u);
+  // Warm: all hits, so no machine key; 2 kernels + 2 configs, not 2 x 4 points.
+  EXPECT_EQ(hashed(dir, cache::CacheMode::kReadWrite), 4u);
+  // Cache off: machine keys only.
+  EXPECT_EQ(hashed(dir, cache::CacheMode::kOff), 4u);
 }
 
 TEST(CacheTest, ConcurrentWritersOfOneKeyLandOneWellFormedEntry) {

@@ -4,7 +4,7 @@
 //  * exactness — with an injected fake clock, total/self/wall and the folded
 //    stacks are exact, and merge() is additive; per-phase call counts and
 //    the warps_scanned and warps_decided work counts match the modelled
-//    work exactly;
+//    work exactly (fingerprints_hashed is pinned in tests/test_cache.cc);
 //  * shape — grs-prof-v1 JSON and folded lines parse as documented, phase
 //    self times sum to the profiled wall clock.
 #include <gtest/gtest.h>
@@ -121,7 +121,8 @@ TEST(ProfTiming, FakeClockNestingIsExact) {
             "\"self_s\":6.000000000,\"pct_of_wall\":60.00},"
             "{\"name\":\"issue\",\"calls\":1,\"total_s\":3.000000000,"
             "\"self_s\":3.000000000,\"pct_of_wall\":20.00}],"
-            "\"counts\":{\"warps_scanned\":0,\"warps_decided\":0}}\n");
+            "\"counts\":{\"warps_scanned\":0,\"warps_decided\":0,"
+            "\"fingerprints_hashed\":0}}\n");
 }
 
 TEST(ProfTiming, MergeIsAdditive) {
@@ -139,11 +140,14 @@ TEST(ProfTiming, MergeIsAdditive) {
   b.add_warps_scanned(5);
   a.add_warps_decided(3);
   b.add_warps_decided(2);
+  a.add_fingerprints_hashed(37);
+  b.add_fingerprints_hashed(4);
 
   a.merge(b);
   EXPECT_EQ(a.calls(prof::Phase::kSimulate), 2u);
   EXPECT_EQ(a.warps_scanned(), 12u);
   EXPECT_EQ(a.warps_decided(), 5u);
+  EXPECT_EQ(a.fingerprints_hashed(), 41u);
   EXPECT_DOUBLE_EQ(a.total_seconds(prof::Phase::kSimulate), 5.0);
   EXPECT_DOUBLE_EQ(a.wall_seconds(), 5.0);
   EXPECT_EQ(a.folded(), "simulate 5000000\n");
