@@ -5,10 +5,11 @@
 // std::nullopt into their own usage errors. The integer parsers accept only
 // decimal digits (no signs or whitespace); the double parser accepts any
 // finite strtod() spelling covering the whole string (signed, exponent or
-// hex-float forms included), rejecting NaN and infinities so callers' range
-// checks behave as written.
+// hex-float forms included) but no whitespace or NUL in it, rejecting NaN and
+// infinities so callers' range checks behave as written.
 #pragma once
 
+#include <cctype>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -37,21 +38,20 @@ namespace grs {
   return static_cast<std::uint32_t>(*v);
 }
 
-/// Finite double covering the whole NUL-terminated string (NaN and inf are
-/// rejected, so a range check like `*v >= lo && *v <= hi` behaves as
-/// written).
-[[nodiscard]] inline std::optional<double> parse_finite_double(const char* s) {
-  if (s[0] == '\0' || s[0] == ' ' || s[0] == '\t') return std::nullopt;
+/// Finite double spelled by the whole of `s` in any strtod() form, with no
+/// leading whitespace and no NUL (NaN and inf are rejected, so a range check
+/// like `*v >= lo && *v <= hi` behaves as written).
+[[nodiscard]] inline std::optional<double> parse_finite_double(std::string_view s) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s.front())) != 0 ||
+      s.find('\0') != std::string_view::npos)
+    return std::nullopt;
+  const std::string text(s);  // strtod reads up to a NUL
   char* end = nullptr;
   errno = 0;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE) return std::nullopt;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || errno == ERANGE) return std::nullopt;
   if (!(v == v) || v > 1e308 || v < -1e308) return std::nullopt;  // NaN / inf
   return v;
-}
-
-[[nodiscard]] inline std::optional<double> parse_finite_double(const std::string& s) {
-  return parse_finite_double(s.c_str());
 }
 
 }  // namespace grs

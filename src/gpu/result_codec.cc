@@ -155,13 +155,7 @@ bool decode_result(std::string_view text, SimResult& out) {
     }
     const std::string_view value = line.substr(name.size() + 1);
     if (f.fractional) {
-      // strtod needs a terminated copy. %.17g spells a double in at most 24
-      // characters; a longer value is not an encoding.
-      char buf[64];
-      if (value.size() >= sizeof(buf)) return false;
-      value.copy(buf, value.size());
-      buf[value.size()] = '\0';
-      const auto v = parse_finite_double(buf);
+      const auto v = parse_finite_double(value);
       if (!v.has_value()) return false;
       f.set_f64(out, *v);
     } else {

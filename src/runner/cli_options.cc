@@ -6,7 +6,6 @@
 #include "common/clock.h"
 #include "common/parse.h"
 #include "runner/progress.h"
-#include "runner/thread_pool.h"
 
 namespace grs::runner {
 
@@ -47,7 +46,7 @@ std::vector<SweepRow> CliSession::run(const std::string& name, const SweepSpec& 
   const double secs = timer.seconds();
   if (wall_seconds != nullptr) *wall_seconds = secs;
   if (!opts_.manifest_path.empty()) {
-    const std::size_t t = opts_.threads == 0 ? ThreadPool::default_threads() : opts_.threads;
+    const std::size_t t = opts_.threads == 0 ? default_threads() : opts_.threads;
     const auto threads = static_cast<unsigned>(std::min(t, std::max<std::size_t>(rows.size(), 1)));
     manifest_.add_sweep(name, rows, secs, threads);
   }

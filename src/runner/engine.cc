@@ -1,10 +1,14 @@
 #include "runner/engine.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 #include <unordered_map>
 
 #include "cache/key.h"
@@ -12,7 +16,6 @@
 #include "core/occupancy.h"
 #include "gpu/result_codec.h"
 #include "obs/obs.h"
-#include "runner/thread_pool.h"
 
 namespace grs::runner {
 
@@ -25,7 +28,47 @@ void write_text_file(const std::string& path, const std::string& body) {
   if (!f) throw std::runtime_error("failed writing '" + path + "'");
 }
 
+/// Runs job(0) .. job(count - 1), inline for one job or one thread, else on
+/// min(threads, count) workers that take indices from a shared counter while
+/// this thread joins them. A throwing index stops no other: the first
+/// exception is rethrown once every other index has run.
+void parallel_for(std::size_t count, unsigned threads,
+                  const std::function<void(std::size_t)>& job) {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+  const auto work = [&] {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        job(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+  };
+  const std::size_t workers = std::min<std::size_t>(threads, count);
+  if (workers <= 1) {
+    work();
+  } else {
+    std::vector<std::thread> started;
+    started.reserve(workers);
+    try {
+      while (started.size() < workers) started.emplace_back(work);
+    } catch (const std::system_error&) {
+      work();  // not every worker started: this thread takes a share
+    }
+    for (std::thread& t : started) t.join();
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 }  // namespace
+
+unsigned default_threads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
 std::string obs_point_path(const std::string& base, std::size_t index, std::size_t n) {
   if (n <= 1) return base;
@@ -42,9 +85,6 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
   std::vector<SweepRow> rows(n);
   if (n == 0) return rows;
 
-  unsigned threads = options.threads == 0 ? ThreadPool::default_threads() : options.threads;
-  threads = static_cast<unsigned>(std::min<std::size_t>(threads, n));
-
   obs::ObsOptions obs_opts;
   obs_opts.trace = !options.trace_path.empty();
   obs_opts.timeline_interval = options.timeline_path.empty() ? 0 : options.timeline_interval;
@@ -58,24 +98,12 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
     cache = std::make_unique<cache::ResultCache>(options.cache_dir, options.cache_mode);
   const bool verify = cache && cache->mode() == cache::CacheMode::kVerify;
 
-  // One observer per point keeps every pillar lock-free under worker
-  // threads; their outputs are written and merged below, in point order.
+  // One observer per point keeps every pillar lock-free under the simulation
+  // workers; their outputs are written and merged below, in point order.
   std::vector<std::unique_ptr<obs::SimObserver>> observers(obs_opts.any() ? n : 0);
   for (auto& o : observers) o = std::make_unique<obs::SimObserver>(obs_opts);
   const auto observer = [&observers](std::size_t i) {
     return observers.empty() ? nullptr : observers[i].get();
-  };
-
-  // Both passes share one pool; a single thread runs them inline.
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  const auto on_pool = [&pool](std::size_t count, const std::function<void(std::size_t)>& job) {
-    if (!pool) {
-      for (std::size_t i = 0; i < count; ++i) job(i);
-      return;
-    }
-    for (std::size_t i = 0; i < count; ++i) pool->submit([&job, i] { job(i); });
-    pool->wait();
   };
 
   // `done` is only mutated under the mutex so the callback sees a
@@ -90,9 +118,9 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
     }
   };
 
-  // Every key comes from one memo, on this thread before any worker starts,
-  // so the memo needs no lock; it hashes each distinct kernel and config text
-  // once (cache/key.h).
+  // Planning runs on this thread, so the one key memo needs no lock; it
+  // hashes each distinct kernel and config text once (cache/key.h). Every
+  // point is keyed before the first lookup.
   cache::Fingerprints fingerprints;
   std::vector<std::string> keys(cache ? n : 0), stored(verify ? n : 0);
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -101,9 +129,15 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
     rows[i].wall_ms = timer.seconds() * 1000.0;
   }
 
-  // Pass 1: each point's cache lookup. A hit completes its row here, except
-  // under kVerify, which keeps the stored payload for pass 2 to check.
-  on_pool(n, [&](std::size_t i) {
+  // Each point in spec order: its cache lookup, where a hit completes its row
+  // (kVerify keeps the stored payload for the simulation to check instead),
+  // and otherwise its machine group, which the group's first point leads.
+  // Only these points get a machine key, so a warm all-hit sweep computes
+  // none and simulates nothing. Traced and timelined points stay alone,
+  // since each writes its own event stream.
+  std::vector<std::vector<std::size_t>> groups;
+  std::unordered_map<std::string, std::size_t> group_of;
+  for (std::size_t i = 0; i < n; ++i) {
     const WallTimer timer;
     const SweepPoint& p = spec.points[i];
     rows[i].point = p;
@@ -121,39 +155,27 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
         rows[i].result = std::move(cached);
         rows[i].from_cache = true;
         complete(i, timer);
-        return;
+        continue;
       }
     }
-    rows[i].wall_ms += timer.seconds() * 1000.0;
-  });
-
-  // Group the points the store did not serve by machine key, in spec order;
-  // a group's first point leads it. Only these points get a machine key, so
-  // a warm all-hit sweep computes none. Traced and timelined points stay
-  // alone, since each writes its own event stream.
-  std::vector<std::vector<std::size_t>> groups;
-  std::unordered_map<std::string, std::size_t> group_of;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rows[i].from_cache) continue;
     if (streams) {
       groups.push_back({i});
-      continue;
+    } else {
+      std::string machine = fingerprints.machine_key(p.config, p.kernel);
+      const auto [it, added] = group_of.emplace(std::move(machine), groups.size());
+      if (added) groups.emplace_back();
+      groups[it->second].push_back(i);
     }
-    const WallTimer timer;
-    const SweepPoint& p = spec.points[i];
-    std::string machine = fingerprints.machine_key(p.config, p.kernel);
-    const auto [it, added] = group_of.emplace(std::move(machine), groups.size());
-    if (added) groups.emplace_back();
-    groups[it->second].push_back(i);
     rows[i].wall_ms += timer.seconds() * 1000.0;
   }
   if (options.prof != nullptr) options.prof->add_fingerprints_hashed(fingerprints.hashed());
 
-  // Pass 2: simulate each group's leader once. Every member's row is the
-  // leader's stats plus its own config and launch plan (members differ at
-  // most in t, their plans at most in eq4_blocks). It is stored under its own
-  // cache key, or under kVerify byte-compared with the entry pass 1 found.
-  on_pool(groups.size(), [&](std::size_t g) {
+  // Simulate each group's leader once. Every member's row is the leader's
+  // stats plus its own config and launch plan (members differ at most in t,
+  // their plans at most in eq4_blocks). It is stored under its own cache
+  // key, or under kVerify byte-compared with the entry its lookup found.
+  const unsigned threads = options.threads == 0 ? default_threads() : options.threads;
+  parallel_for(groups.size(), threads, [&](std::size_t g) {
     const std::vector<std::size_t>& members = groups[g];
     WallTimer timer;  // the leader's cell includes the simulation
     const SweepPoint& lead = spec.points[members.front()];

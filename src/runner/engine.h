@@ -1,8 +1,11 @@
-// Parallel experiment engine: execute a SweepSpec across a worker pool.
+// Parallel experiment engine: execute a SweepSpec, simulating on worker
+// threads.
 //
 // simulate() is pure and bit-deterministic (common/prng.h), so sweep points
-// are embarrassingly parallel; each worker writes into a pre-allocated result
-// slot and the returned vector is always in submission order. A sweep run
+// are embarrassingly parallel. run_sweep plans on the calling thread (keys,
+// cache lookups, machine groups), then simulates each distinct machine once
+// in one parallel loop; each simulation writes into its pre-allocated result
+// slots and the returned vector is always in submission order. A sweep run
 // with 1 thread and with N threads produces byte-identical results. Points
 // that differ only in the sharing threshold and resolve to the same launch
 // plan are one machine (cache::machine_key) and share one simulate().
@@ -35,12 +38,16 @@ struct SweepRow {
 };
 
 struct RunOptions {
-  /// Worker threads; 0 means ThreadPool::default_threads(). Never more
-  /// workers than points.
+  /// Cap on the simulation workers; 0 means default_threads(). Planning is
+  /// serial on the calling thread; simulation then runs on min(threads,
+  /// distinct machines) workers, or inline when that is one, so a sweep the
+  /// cache serves whole starts no thread.
   unsigned threads = 0;
 
-  /// Optional progress callback, invoked from worker threads (internally
-  /// serialized) after each point completes as (done, total).
+  /// Optional progress callback, invoked after each point completes as
+  /// (done, total): on the calling thread for a cache hit, which completes
+  /// while planning, otherwise on the thread that simulated its machine
+  /// (calls are serialized).
   std::function<void(std::size_t, std::size_t)> progress;
 
   /// Content-addressed result cache (src/cache). Caching is active only when
@@ -84,27 +91,33 @@ struct RunOptions {
 };
 
 /// Run every point of `spec`. Returns one row per point, in spec order.
-/// Two passes share one worker pool, each after a serial step on the
-/// calling thread:
+/// Planning is serial, on the calling thread:
 ///  - with the cache on, every point is keyed (cache::result_cache_key);
-///  - pass 1 looks each point up in the cache; a hit completes its row;
-///  - the points the store did not serve are grouped by cache::machine_key,
-///    in spec order;
-///  - pass 2 simulates each group's first point once and fills every
-///    member's row with those stats plus the member's own config and
-///    compute_occupancy(); the rows equal per-point simulate() results byte
-///    for byte.
-/// Both serial steps key through one cache::Fingerprints memo, which lives
-/// only for this call and hashes each distinct kernel and config text once;
-/// being serial, they need no lock. A warm all-hit sweep computes no machine
-/// key. With options.prof set, the memo's count of hashed texts is added to
-/// it (prof::HostProfiler::fingerprints_hashed).
-/// An empty spec returns an empty vector without spawning workers.
-/// If a point (or the progress callback) throws, the rest of that pass still
-/// runs, no later pass starts, and the first exception is rethrown here
-/// instead of terminating the process inside a worker thread.
+///  - then, in spec order, each point is looked up in the cache. A hit
+///    completes its row (kVerify keeps its stored payload instead); every
+///    other point joins its machine's group (cache::machine_key), which its
+///    first point leads.
+/// One parallel loop then simulates each group's leader once, on at most
+/// options.threads workers, and fills every member's row with those stats
+/// plus the member's own config and compute_occupancy(); the rows equal
+/// per-point simulate() results byte for byte.
+/// Planning keys through one cache::Fingerprints memo, which lives only for
+/// this call and hashes each distinct kernel and config text once; being
+/// serial, it needs no lock. A warm all-hit sweep computes no machine key and
+/// starts no thread. With options.prof set, the memo's count of hashed texts
+/// is added to it (prof::HostProfiler::fingerprints_hashed).
+/// An empty spec returns an empty vector.
+/// A throw while planning (from the progress callback on a hit, say)
+/// propagates at once, before anything is simulated. If a simulation (or the
+/// progress callback after it) throws, the other groups still run, and the
+/// first exception is rethrown here once they have, instead of terminating
+/// the process inside a worker thread.
 [[nodiscard]] std::vector<SweepRow> run_sweep(const SweepSpec& spec,
                                               const RunOptions& options = {});
+
+/// The default worker cap: std::thread::hardware_concurrency(), or 1 when
+/// that is unknown.
+[[nodiscard]] unsigned default_threads();
 
 /// File name for point `index` of an `n`-point sweep writing to `base`:
 /// `base` itself when n == 1, otherwise `base` with ".<index>" spliced in

@@ -1,5 +1,5 @@
 // Run telemetry: a machine-readable record of how a sweep run went —
-// wall-clock per cell, sims/sec, thread-pool utilization, result-cache
+// wall-clock per cell, sims/sec, worker utilization, result-cache
 // counters, and host + config fingerprints. Written by the CLIs on
 // --manifest; this is the perf trajectory the ROADMAP's speedup work diffs
 // against, so the schema is versioned ("grs-run-manifest-v1") and documented
@@ -24,7 +24,7 @@ class RunManifest {
 
   /// Record one completed sweep: per-cell wall time and cache provenance come
   /// from the rows (engine.h fills them), `wall_seconds` is the whole-sweep
-  /// wall clock, `threads` the worker count actually used.
+  /// wall clock, `threads` the run's worker cap (at most one per point).
   void add_sweep(const std::string& name, const std::vector<SweepRow>& rows,
                  double wall_seconds, unsigned threads);
 
@@ -51,7 +51,8 @@ class RunManifest {
     unsigned threads = 0;
     double wall_seconds = 0.0;
     double sims_per_second = 0.0;
-    /// sum(cell wall) / (threads * sweep wall): 1.0 = perfectly packed pool.
+    /// sum(cell wall) / (threads * sweep wall): 1.0 = every worker busy
+    /// for the whole sweep.
     double pool_utilization = 0.0;
     std::vector<Cell> cells;
   };

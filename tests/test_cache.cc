@@ -372,6 +372,14 @@ TEST(ResultCodec, RejectsAnyDamagedPayload) {
   const std::string waste = "baseline_waste_percent";
   EXPECT_FALSE(decode_result(with_line(waste, waste + " nan"), out));
   EXPECT_FALSE(decode_result(with_line(waste, waste + " inf"), out));
+  // A double is one whole strtod spelling: no NUL with junk after it and no
+  // leading whitespace of any kind.
+  EXPECT_TRUE(decode_result(with_line(waste, waste + " 12.5"), out));
+  EXPECT_FALSE(decode_result(with_line(waste, waste + " 12.5" + '\0' + "x"), out));
+  EXPECT_FALSE(decode_result(with_line(waste, waste + "  12.5"), out));
+  EXPECT_FALSE(decode_result(with_line(waste, waste + " \f12.5"), out));
+  EXPECT_FALSE(decode_result(with_line(waste, waste + " \v12.5"), out));
+  EXPECT_FALSE(decode_result(with_line(waste, waste + " \r12.5"), out));
 }
 
 // --- the store ------------------------------------------------------------------

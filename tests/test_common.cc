@@ -1,9 +1,13 @@
 // Common substrate: config factories & validation, stats, PRNG, table writer,
-// JSON string escaping, and the §V hardware-cost formulas.
+// JSON string escaping, strict number parsing, and the §V hardware-cost
+// formulas.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "common/config.h"
 #include "common/json.h"
+#include "common/parse.h"
 #include "common/prng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -220,6 +224,34 @@ TEST(Json, StringLiteralEscapesQuotesBackslashesAndControlCharacters) {
   std::string empty;
   append_json_string(empty, "");
   EXPECT_EQ(empty, "\"\"");
+}
+
+// --- strict parsing ---------------------------------------------------------------
+
+TEST(Parse, FiniteDoubleIsAWholeStringParse) {
+  EXPECT_EQ(parse_finite_double(std::string("12.5")), 12.5);
+  EXPECT_EQ(parse_finite_double(std::string("+3")), 3.0);
+  EXPECT_EQ(parse_finite_double(std::string("-2.5e-3")), -2.5e-3);
+  EXPECT_EQ(parse_finite_double(std::string("0x1p-2")), 0.25);
+  EXPECT_EQ(parse_finite_double(std::string("3.5714285714285716")), 3.5714285714285716);
+
+  // Partial spellings, any whitespace, a NUL anywhere, and non-finite values.
+  const auto rejected = [](const std::string& s) { return !parse_finite_double(s).has_value(); };
+  EXPECT_TRUE(rejected(""));
+  EXPECT_TRUE(rejected("4x"));
+  EXPECT_TRUE(rejected("12.5 "));
+  EXPECT_TRUE(rejected(" 12.5"));
+  EXPECT_TRUE(rejected("\t12.5"));
+  EXPECT_TRUE(rejected("\n12.5"));
+  EXPECT_TRUE(rejected("\r12.5"));
+  EXPECT_TRUE(rejected("\v12.5"));
+  EXPECT_TRUE(rejected("\f12.5"));
+  EXPECT_TRUE(rejected(std::string("12.5\0junk", 9)));
+  EXPECT_TRUE(rejected(std::string("12.5\0", 5)));
+  EXPECT_TRUE(rejected(std::string("\0" "12.5", 5)));
+  EXPECT_TRUE(rejected("nan"));
+  EXPECT_TRUE(rejected("inf"));
+  EXPECT_TRUE(rejected("1e999"));
 }
 
 // --- hardware cost (paper §V) -----------------------------------------------------

@@ -1,10 +1,10 @@
-// Runner subsystem: thread pool, parallel sweep engine determinism across
-// worker counts, sink well-formedness, the bench registry, and kernel-spec
-// resolution.
+// Runner subsystem: the sweep engine (determinism across worker counts, one
+// simulation per distinct machine, exceptions thrown while planning and by
+// simulation workers), sink well-formedness, the bench registry, and
+// kernel-spec resolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/key.h"
 #include "common/config.h"
 #include "gpu/result_codec.h"
 #include "gpu/simulator.h"
@@ -22,7 +23,6 @@
 #include "runner/registry.h"
 #include "runner/sink.h"
 #include "runner/sweep.h"
-#include "runner/thread_pool.h"
 #include "study/plan.h"
 #include "workloads/format/gkd.h"
 #include "workloads/gen/generator.h"
@@ -73,56 +73,7 @@ std::size_t count_fields(const std::string& csv_line) {
   return static_cast<std::size_t>(std::count(csv_line.begin(), csv_line.end(), ',')) + 1;
 }
 
-// --- thread pool --------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryJobAndIsReusableAfterWait) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&counter] { ++counter; });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 100);
-  for (int i = 0; i < 50; ++i) pool.submit([&counter] { ++counter; });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 150);
-}
-
-TEST(ThreadPool, ZeroRequestedThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { ++counter; });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, RethrowsFirstJobExceptionAndStaysUsable) {
-  // A throwing job used to std::terminate the whole process inside the
-  // worker thread; wait() must surface it to the submitting caller instead.
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 20; ++i)
-    pool.submit([&ran] {
-      ++ran;
-      throw std::runtime_error("job failed");
-    });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 20) << "remaining jobs must still run";
-
-  // The error is consumed: the pool remains usable afterwards.
-  pool.submit([&ran] { ++ran; });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 21);
-}
-
-TEST(Engine, RethrowsWorkerExceptionToCaller) {
-  RunOptions options;
-  options.threads = 4;
-  options.progress = [](std::size_t done, std::size_t) {
-    if (done == 2) throw std::runtime_error("sweep point failed");
-  };
-  EXPECT_THROW((void)run_sweep(tiny_spec(), options), std::runtime_error);
-}
+// --- engine exceptions --------------------------------------------------------
 
 TEST(Engine, SerialPathPropagatesExceptionsToo) {
   RunOptions options;
@@ -131,6 +82,54 @@ TEST(Engine, SerialPathPropagatesExceptionsToo) {
     throw std::runtime_error("serial failure");
   };
   EXPECT_THROW((void)run_sweep(tiny_spec(), options), std::runtime_error);
+}
+
+TEST(Engine, ThrowingPointLetsTheOthersFinish) {
+  // The throw reaches the caller rather than ending the process in a worker.
+  // tiny_spec's six points are six machines, so it ends one job; the other
+  // points still complete before run_sweep rethrows.
+  const SweepSpec spec = tiny_spec();
+  std::size_t calls = 0;
+  RunOptions options = with_threads(4);
+  options.progress = [&calls](std::size_t done, std::size_t) {
+    ++calls;
+    if (done == 2) throw std::runtime_error("sweep point failed");
+  };
+  EXPECT_THROW((void)run_sweep(spec, options), std::runtime_error);
+  EXPECT_EQ(calls, spec.size());
+}
+
+TEST(Engine, ThrowWhilePlanningSimulatesNothing) {
+  // A warm store serves every tiny_spec point, and one uncached point goes
+  // first. The callback throws on the first hit, while planning, so run_sweep
+  // throws before the uncached point is simulated or stored.
+  const std::string dir = testing::TempDir() + "/grs_engine_throw_while_planning";
+  std::filesystem::remove_all(dir);
+  RunOptions options = with_threads(4);
+  options.cache_dir = dir;
+  options.cache_mode = cache::CacheMode::kReadWrite;
+  (void)run_sweep(tiny_spec(), options);
+
+  KernelInfo uncached = workloads::set1()[3];
+  uncached.grid_blocks = 6;
+  SweepSpec spec;
+  spec.add("uncached", configs::unshared(), uncached);
+  for (const SweepPoint& p : tiny_spec().points) spec.points.push_back(p);
+
+  std::size_t calls = 0;
+  prof::HostProfiler prof;
+  options.prof = &prof;
+  options.progress = [&calls](std::size_t, std::size_t) {
+    ++calls;
+    throw std::runtime_error("progress failed on a hit");
+  };
+  EXPECT_THROW((void)run_sweep(spec, options), std::runtime_error);
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(prof.calls(prof::Phase::kSimulate), 0u);
+  const cache::ResultCache store(dir, cache::CacheMode::kRead);
+  EXPECT_FALSE(std::filesystem::exists(
+      store.entry_path(cache::result_cache_key(configs::unshared(), uncached))));
+  std::filesystem::remove_all(dir);
 }
 
 // --- sweep spec ---------------------------------------------------------------
