@@ -18,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runner/cli_options.h"
@@ -48,8 +49,6 @@ void print_help() {
       "  <bench...>|all    benches to run (see --list)\n"
       "  --list            list registered benches with descriptions and exit\n"
       "%s"
-      "  --exec-mode M     force cycle | event on every sweep point (default:\n"
-      "                    whatever the configs say — event); bit-identical stats\n"
       "  --table           also print the generic per-sweep console table\n"
       "  --quiet           skip the paper-shaped presenters (sinks still run;\n"
       "                    note: the study bench writes its reports from its\n"
@@ -73,8 +72,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> selected;
   runner::CommonOptions opts;
   bool table = false, quiet = false;
-  bool exec_mode_set = false;
-  ExecMode exec_mode = ExecMode::kEvent;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -91,12 +88,6 @@ int main(int argc, char** argv) {
       } else if (a == "--list") {
         list_benches();
         return 0;
-      } else if (a == "--exec-mode") {
-        const std::string m = next();
-        if (m == "cycle") exec_mode = ExecMode::kCycle;
-        else if (m == "event") exec_mode = ExecMode::kEvent;
-        else usage("unknown --exec-mode (cycle | event)");
-        exec_mode_set = true;
       } else if (a == "--table") {
         table = true;
       } else if (a == "--quiet") {
@@ -151,18 +142,18 @@ int main(int argc, char** argv) {
   for (const runner::BenchDef* b : to_run) {
     runner::SweepSpec spec = b->build();
     spec.filter_kernels(opts.filter);
-    if (exec_mode_set)
-      for (runner::SweepPoint& p : spec.points) p.config.exec_mode = exec_mode;
 
     double secs = 0.0;
     std::vector<runner::SweepRow> rows;
     try {
-      rows = session.run(b->name, spec, &secs);
+      rows = session.run(b->name, std::move(spec), &secs);
     } catch (const std::exception& e) {
       // A cache-verify byte diff (or cache/obs I/O failure) is a hard,
-      // diagnosed failure, not a crash.
+      // diagnosed failure, not a crash. The session's tail still reports
+      // what the run counted (its verify failures among them).
       std::fprintf(stderr, "error: %s bench: %s\n", b->name.c_str(), e.what());
       for (auto& s : sinks) s->end();
+      (void)session.finish();
       return 2;
     }
     std::fprintf(stderr, "[grs_bench] %s: %zu points in %.2fs\n", b->name.c_str(),
@@ -179,6 +170,7 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s bench: %s\n", b->name.c_str(), e.what());
       for (auto& s : sinks) s->end();
+      (void)session.finish();
       return 2;
     }
   }

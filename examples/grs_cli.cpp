@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -70,7 +71,6 @@ void print_help() {
       "  --dyn             dynamic warp execution\n"
       "  --grid N          override grid size (>= 1)\n"
       "  --compare         also run Unshared-LRR and print the delta\n"
-      "  --exec-mode M     cycle | event (default event; bit-identical stats)\n"
       "%s",
       runner::common_options_help(kFlags).c_str());
 }
@@ -81,12 +81,6 @@ SchedulerKind parse_sched(const std::string& s) {
   if (s == "twolevel") return SchedulerKind::kTwoLevel;
   if (s == "owf") return SchedulerKind::kOwf;
   usage("unknown scheduler");
-}
-
-ExecMode parse_exec_mode(const std::string& s) {
-  if (s == "cycle") return ExecMode::kCycle;
-  if (s == "event") return ExecMode::kEvent;
-  usage("unknown --exec-mode (cycle | event)");
 }
 
 /// Strict numeric parsing (common/parse.h): the whole argument must be a
@@ -111,7 +105,6 @@ int main(int argc, char** argv) {
   std::string dump_file;
   double t = 0.1;
   SchedulerKind sched = SchedulerKind::kLrr;
-  ExecMode exec_mode = ExecMode::kEvent;
   bool unroll = false, dyn = false, compare = false, sweep = false, kernel_set = false;
   std::string validate_file;
   std::uint32_t grid = 0;
@@ -140,8 +133,6 @@ int main(int argc, char** argv) {
         if (!(t >= 0.001 && t <= 1.0)) usage("--t must be in [0.001, 1]");
       } else if (a == "--sched") {
         sched = parse_sched(next());
-      } else if (a == "--exec-mode") {
-        exec_mode = parse_exec_mode(next());
       } else if (a == "--unroll") {
         unroll = true;
       } else if (a == "--dyn") {
@@ -174,7 +165,6 @@ int main(int argc, char** argv) {
   if (!opts.out_csv.empty() && !sweep) usage("--out writes the --sweep rows; it needs --sweep");
 
   GpuConfig cfg = configs::unshared(sched);
-  cfg.exec_mode = exec_mode;
   if (share != "none") {
     cfg.sharing.enabled = true;
     cfg.sharing.resource =
@@ -248,9 +238,10 @@ int main(int argc, char** argv) {
 
     std::vector<runner::SweepRow> rows;
     try {
-      rows = session.run("sweep", spec);
+      rows = session.run("sweep", std::move(spec));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
+      (void)session.finish();
       return 2;
     }
 
@@ -282,7 +273,7 @@ int main(int argc, char** argv) {
   auto run_one = [&](const GpuConfig& c) -> SimResult {
     runner::SweepSpec spec;
     spec.add(c.line_label(), c, kernel);
-    return session.run(c.line_label(), spec)[0].result;
+    return session.run(c.line_label(), std::move(spec))[0].result;
   };
 
   try {
@@ -297,14 +288,13 @@ int main(int argc, char** argv) {
                 r.occupancy.shared_pairs);
 
     if (compare) {
-      GpuConfig base_cfg = configs::unshared();
-      base_cfg.exec_mode = exec_mode;
-      const SimResult base = run_one(base_cfg);
+      const SimResult base = run_one(configs::unshared());
       std::printf("\nvs Unshared-LRR: IPC %.2f -> %.2f (%+.2f%%)\n", base.stats.ipc(),
                   r.stats.ipc(), percent_improvement(base.stats.ipc(), r.stats.ipc()));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    (void)session.finish();
     return 2;
   }
   return session.finish();

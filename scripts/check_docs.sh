@@ -102,10 +102,10 @@ sys.exit(0 if ok else 1)
 EOF
 ) || { printf '%s\n' "$drift" >&2; echo "error: documented flags drifted from --help" >&2; fail=1; }
 
-# --- 2b. observability + profiling flags must exist in both helps -------------
+# --- 2b. shared, observability + profiling flags must exist in both helps ----
 # The flag-drift check above only catches flags the docs mention; this pins the
 # observability/perf surface itself so it cannot be dropped from either binary.
-for flag in --trace --timeline --timeline-interval --manifest \
+for flag in --exec-mode --trace --timeline --timeline-interval --manifest \
             --prof --prof-folded --progress; do
   for tool in grs_cli grs_bench; do
     help_text=$cli_help

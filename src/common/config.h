@@ -31,8 +31,8 @@ inline constexpr Cycle kL2PipeLatency = 40;
 
 /// Configuration of the resource-sharing runtime (the paper's contribution).
 struct SharingConfig {
-  /// Master switch. When false the dispatcher behaves exactly like the
-  /// baseline GPGPU-Sim block launcher.
+  /// Master switch. When false blocks launch exactly as under the baseline
+  /// GPGPU-Sim block launcher.
   bool enabled = false;
 
   /// Which resource is shared. The paper evaluates register sharing (Set-1)

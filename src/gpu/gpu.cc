@@ -1,6 +1,7 @@
 #include "gpu/gpu.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.h"
 #include "prof/prof.h"
@@ -21,23 +22,21 @@ Gpu::Gpu(const GpuConfig& cfg, const Occupancy& occupancy, const KernelInfo& ker
   for (SmId i = 0; i < cfg.num_sms; ++i) {
     sms_.emplace_back(i, cfg_, program, kernel.resources, occupancy_,
                       kernel.active_lanes, memsys_, &dyn_, obs_);
+    sms_.back().set_block_finish_callback([this](SmId sm, BlockSlot slot) {
+      if (next_block_ < grid_blocks_) sms_[sm].launch_block(slot, next_block_++);
+    });
   }
-  dispatcher_ = std::make_unique<Dispatcher>(kernel.grid_blocks, occupancy_, sms_);
 }
 
 void Gpu::take_timeline_sample(Cycle b) {
   prof::ScopedPhase prof_scope(obs_->profiler(), prof::Phase::kTimeline);
-  const bool event_mode = cfg_.exec_mode == ExecMode::kEvent;
   std::vector<obs::SmTimelinePoint> pts;
   pts.reserve(sms_.size());
   for (const auto& sm : sms_) {
     obs::SmTimelinePoint p;
-    // In event mode a sleeping SM's counters lag; stats_at() replays the
-    // provably-identical skipped cycles up to the boundary. Gauges need no
-    // reconstruction: nothing an SM owns moves while it sleeps.
-    p.stats = event_mode ? sm.stats_at(b) : sm.stats();
-    p.l1_accesses = sm.l1_accesses();
-    p.l1_misses = sm.l1_misses();
+    // A sleeping SM's gauges need no reconstruction: nothing it owns moves
+    // while it sleeps.
+    p.stats = sm.stats(b);
     p.resident_blocks = sm.resident_blocks();
     p.resident_warps = sm.resident_warps();
     p.mshr_inflight = sm.l1_mshr_inflight();
@@ -54,7 +53,7 @@ void Gpu::take_timeline_sample(Cycle b) {
 }
 
 bool Gpu::done() const {
-  if (!dispatcher_->all_dispatched()) return false;
+  if (next_block_ < grid_blocks_) return false;
   for (const auto& sm : sms_) {
     if (!sm.drained()) return false;
   }
@@ -76,16 +75,21 @@ GpuStats Gpu::run() {
     obs_->begin_run(topo);
   }
 
-  dispatcher_->initial_fill();
+  // Initial fill: every SM gets its k-th block before any gets its (k+1)-th,
+  // so block 0 -> SM0 slot 0, block 1 -> SM1 slot 0, ...
+  for (BlockSlot slot = 0; slot < occupancy_.total_blocks; ++slot) {
+    for (auto& sm : sms_) {
+      if (next_block_ < grid_blocks_) sm.launch_block(slot, next_block_++);
+    }
+  }
 
   std::vector<std::uint64_t> stall_mark(sms_.size(), 0);
   std::vector<std::uint64_t> period_stalls(sms_.size(), 0);
-  const bool event_mode = cfg_.exec_mode == ExecMode::kEvent;
 
   // Timeline sampling: counters are captured at every multiple of the
-  // interval. Boundaries the event-mode loop jumped over are emitted as
-  // catch-up samples — valid because every SM slept through them, so
-  // stats_at() reconstructs the exact counters and no gauge moved.
+  // interval. Boundaries the clock jumped over are emitted as catch-up
+  // samples — valid because every SM slept through them, so stats(b) gives
+  // the exact counters and no gauge moved.
   const Cycle tl_interval = obs_ != nullptr ? obs_->timeline_interval() : 0;
   Cycle next_sample = tl_interval;
 
@@ -98,23 +102,19 @@ GpuStats Gpu::run() {
         next_sample += tl_interval;
       }
     }
+    // An event-mode SM sleeps through its own provably-idle windows (O(1)
+    // per slept cycle); SMs interact only through issue-time memory
+    // accesses, which a sleeping SM by definition does not generate.
     bool issued = false;
-    if (event_mode) {
-      // tick() lets each SM sleep through its own provably-idle windows
-      // (O(1) per slept cycle); SMs interact only through issue-time memory
-      // accesses, which a sleeping SM by definition does not generate.
-      for (auto& sm : sms_) issued |= sm.tick(cycle);
-    } else {
-      for (auto& sm : sms_) issued |= sm.step(cycle);
-    }
+    for (auto& sm : sms_) issued |= sm.tick(cycle);
 
     // Dynamic warp execution: periodic stall comparison against SM0
     // (paper §IV-C, monitoring period 1000 cycles). Sleeping SMs never cross
-    // a monitoring boundary (tick clamps their windows to it), so every SM's
-    // stall counter is exact here in both modes.
+    // a monitoring boundary (tick clamps their windows to it), so every SM
+    // has stepped this cycle.
     if (dyn_.enabled() && cycle % dyn_.period() == 0) {
       for (std::size_t i = 0; i < sms_.size(); ++i) {
-        const std::uint64_t s = sms_[i].stats().stall_cycles;
+        const std::uint64_t s = sms_[i].stats(cycle).stall_cycles;
         period_stalls[i] = s - stall_mark[i];
         stall_mark[i] = s;
       }
@@ -127,29 +127,36 @@ GpuStats Gpu::run() {
     }
 
     if (cfg_.max_cycles != 0 && cycle >= cfg_.max_cycles) break;
+    if (issued) continue;
 
-    // With every SM asleep, nothing can happen until the earliest window
-    // ends: jump the clock straight there (the cycle counter is the only
-    // state that moves; skipped-cycle accounting is settled lazily when each
-    // SM wakes or at the final flush below).
-    if (event_mode && !issued) {
-      Cycle next = kNeverCycle;
-      for (const auto& sm : sms_) next = std::min(next, sm.idle_until());
-      if (cfg_.max_cycles != 0) next = std::min(next, cfg_.max_cycles);
-      GRS_CHECK_MSG(next != kNeverCycle,
-                    "deadlock: no warp can ever issue again and no event is pending");
-      if (next > cycle + 1) cycle = next - 1;
+    // No SM issued, so nothing can happen until the earliest window ends:
+    // jump the clock straight there (the cycle counter is the only state
+    // that moves; stats(c) accounts the skipped cycles). A cycle-mode SM
+    // opens no window, so the minimum is 0 and the clock steps by one.
+    Cycle next = kNeverCycle;
+    for (const auto& sm : sms_) next = std::min(next, sm.idle_until());
+    if (cfg_.max_cycles != 0) {
+      next = std::min(next, cfg_.max_cycles);
+    } else {
+      // The deadlock rule. Event mode reads it for free from the windows,
+      // which are all open-ended exactly when every SM is stuck; cycle mode
+      // asks each SM, and only here, where no cap would end the run.
+      const bool deadlocked =
+          next == kNeverCycle ||
+          (next == 0 && std::all_of(sms_.begin(), sms_.end(),
+                                    [](const StreamingMultiprocessor& sm) { return sm.stuck(); }));
+      GRS_CHECK_MSG(!deadlocked, ("deadlock at cycle " + std::to_string(cycle) +
+                                  ": no warp can ever issue again and no event is pending")
+                                     .c_str());
     }
+    if (next > cycle + 1) cycle = next - 1;
   }
 
-  if (event_mode) {
-    for (auto& sm : sms_) sm.flush_idle_accounting(cycle);
-  }
   if (obs_ != nullptr) obs_->finalize(cycle);
 
   GpuStats g;
   g.cycles = cycle;
-  for (auto& sm : sms_) g.sm_total.merge(sm.finalize_stats());
+  for (const auto& sm : sms_) g.sm_total.merge(sm.stats(cycle));
   g.l2_accesses = memsys_.l2_accesses();
   g.l2_misses = memsys_.l2_misses();
   g.dram_requests = memsys_.dram_requests();

@@ -50,8 +50,8 @@ void put_sm_columns(std::string& out, const SmTimelinePoint& cur, const SmTimeli
   put_u64(out, c.dyn_throttled_issues - p.dyn_throttled_issues);
   put_u64(out, c.lock_acquisitions - p.lock_acquisitions);
   put_u64(out, c.ownership_transfers - p.ownership_transfers);
-  put_u64(out, cur.l1_accesses - prev.l1_accesses);
-  put_u64(out, cur.l1_misses - prev.l1_misses);
+  put_u64(out, c.l1_accesses - p.l1_accesses);
+  put_u64(out, c.l1_misses - p.l1_misses);
   put_u64(out, cur.resident_blocks);
   put_u64(out, cur.resident_warps);
   put_u64(out, cur.mshr_inflight);
@@ -74,20 +74,14 @@ void TimelineSampler::sample(Cycle boundary, const std::vector<SmTimelinePoint>&
     rows_ += ",,,,,,\n";  // L2/DRAM columns are gpu-row only
 
     total.stats.merge(sms[i].stats);
-    // merge() folds the counters; sum the per-point extras by hand.
-    total.l1_accesses += sms[i].l1_accesses;
-    total.l1_misses += sms[i].l1_misses;
+    // merge() folds the counters; sum the gauges by hand.
     total.resident_blocks += sms[i].resident_blocks;
     total.resident_warps += sms[i].resident_warps;
     total.mshr_inflight += sms[i].mshr_inflight;
   }
 
   SmTimelinePoint prev_total;
-  for (const auto& p : prev_sms_) {
-    prev_total.stats.merge(p.stats);
-    prev_total.l1_accesses += p.l1_accesses;
-    prev_total.l1_misses += p.l1_misses;
-  }
+  for (const auto& p : prev_sms_) prev_total.stats.merge(p.stats);
 
   std::snprintf(head, sizeof head, "%" PRIu64 ",gpu", static_cast<std::uint64_t>(boundary));
   rows_ += head;

@@ -2,13 +2,13 @@
 // counters plus a handful of occupancy gauges, rendered as CSV.
 //
 // The GPU loop (gpu/gpu.cc) calls sample() at every multiple of the
-// configured interval with counter values *as they stand at that boundary*.
-// In event mode a sleeping SM's counters are reconstructed with
-// StreamingMultiprocessor::stats_at(), which adds the SM's last scan tally
-// once per skipped cycle (the accounting that makes end-of-run stats
-// bit-identical across modes), and boundaries inside a skipped window are
-// emitted as catch-up samples — so the CSV is byte-identical across
-// cycle/event exec modes and across --threads.
+// configured interval with counter values *as they stand at that boundary*,
+// read through StreamingMultiprocessor::stats(boundary): for an SM that
+// sleeps through the boundary it adds the SM's last scan tally once per
+// skipped cycle (the accounting that makes end-of-run stats bit-identical
+// across modes). Boundaries inside a skipped window are emitted as catch-up
+// samples — so the CSV is byte-identical across cycle/event exec modes and
+// across --threads.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +22,7 @@ namespace grs::obs {
 
 /// One SM's cumulative counters + instantaneous gauges at a sample boundary.
 struct SmTimelinePoint {
-  SmStats stats;                  ///< cumulative (l1_* fields unused here)
-  std::uint64_t l1_accesses = 0;  ///< cumulative, straight from the L1
-  std::uint64_t l1_misses = 0;
+  SmStats stats;                      ///< cumulative, L1 counters included
   std::uint32_t resident_blocks = 0;  ///< gauges at the boundary
   std::uint32_t resident_warps = 0;
   std::uint32_t mshr_inflight = 0;    ///< L1 MSHR occupancy

@@ -2,10 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 
 #include "common/check.h"
+#include "common/io.h"
 
 namespace grs::prof {
 
@@ -148,14 +147,8 @@ std::string HostProfiler::folded() const {
 
 void write_prof_outputs(const HostProfiler& prof, const std::string& json_path,
                         const std::string& folded_path) {
-  const auto write = [](const std::string& path, const std::string& body) {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    if (!f) throw std::runtime_error("cannot open profile file '" + path + "' for writing");
-    f.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!f) throw std::runtime_error("failed writing profile file '" + path + "'");
-  };
-  if (!json_path.empty()) write(json_path, prof.json());
-  if (!folded_path.empty()) write(folded_path, prof.folded());
+  if (!json_path.empty()) write_file(json_path, prof.json());
+  if (!folded_path.empty()) write_file(folded_path, prof.folded());
 }
 
 }  // namespace grs::prof

@@ -33,8 +33,10 @@ RunOptions CommonOptions::run_options(cache::CacheStats* stats_out,
 CliSession::CliSession(const std::string& tool, const CommonOptions& opts)
     : opts_(opts), tag_("[" + tool + "]"), manifest_(tool) {}
 
-std::vector<SweepRow> CliSession::run(const std::string& name, const SweepSpec& spec,
+std::vector<SweepRow> CliSession::run(const std::string& name, SweepSpec spec,
                                       double* wall_seconds) {
+  if (opts_.exec_mode.has_value())
+    for (SweepPoint& p : spec.points) p.config.exec_mode = *opts_.exec_mode;
   RunOptions options = opts_.run_options(&cache_, &prof_);
   ProgressTicker ticker(tag_.c_str());
   if (opts_.progress)
@@ -89,6 +91,17 @@ bool parse_common_flag(CommonOptions& opts, const CommonFlagSet& set, const std:
   }
   if (set.json && arg == "--json") {
     opts.out_json = next();
+    return true;
+  }
+  if (arg == "--exec-mode") {
+    const std::string value = next();
+    if (value == "cycle") {
+      opts.exec_mode = ExecMode::kCycle;
+    } else if (value == "event") {
+      opts.exec_mode = ExecMode::kEvent;
+    } else {
+      throw UsageError("unknown --exec-mode '" + value + "' (cycle | event)");
+    }
     return true;
   }
   if (arg == "--cache") {
@@ -161,6 +174,9 @@ std::string common_options_help(const CommonFlagSet& set) {
   if (set.json)
     out += "  --json FILE       write the same rows as a JSON array to FILE\n";
   out +=
+      "  --exec-mode M     cycle | event: run every sweep point under that loop\n"
+      "                    (default: each config's own, event); stats are\n"
+      "                    bit-identical either way\n"
       "  --cache DIR       content-addressed result cache under DIR: sweep\n"
       "                    points are keyed on hash(kernel, config, schema)\n"
       "                    and reused across runs (docs/result-cache.md)\n"

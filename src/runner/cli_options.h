@@ -1,7 +1,7 @@
 // Shared CLI option surface for the sweep-running frontends (grs_cli,
 // grs_bench): one strict parser and one --help text source for the engine
-// options they have in common — --threads/--filter/--out/--json, the
-// result-cache family --cache/--cache-mode, the
+// options they have in common — --threads/--filter/--out/--json,
+// --exec-mode, the result-cache family --cache/--cache-mode, the
 // observability family --trace/--timeline/--timeline-interval/--manifest,
 // the host-profiling family --prof/--prof-folded, and --progress — so the
 // scripts/check_docs.sh flag-drift check has a single origin and the two
@@ -27,11 +27,13 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cache/result_cache.h"
+#include "common/config.h"
 #include "common/types.h"
 #include "prof/prof.h"
 #include "runner/engine.h"
@@ -58,6 +60,8 @@ struct CommonOptions {
   std::string filter;       ///< --filter substring (when the set allows it)
   std::string out_csv;      ///< --out FILE
   std::string out_json;     ///< --json FILE (when the set allows it)
+  /// --exec-mode: forced on every sweep point; unset keeps each config's own.
+  std::optional<ExecMode> exec_mode;
   std::string cache_dir;    ///< --cache DIR ("" = caching off)
   cache::CacheMode cache_mode = cache::CacheMode::kReadWrite;  ///< --cache-mode
   bool cache_mode_set = false;
@@ -116,10 +120,11 @@ class CliSession {
   CliSession(const std::string& tool, const CommonOptions& opts);
 
   /// run_sweep(spec) under the session's engine options, with a --progress
-  /// ticker of its own. Records the sweep as `name` in the manifest when
-  /// --manifest is set, and its wall clock in `*wall_seconds` (may be null).
-  /// Exceptions from run_sweep propagate.
-  std::vector<SweepRow> run(const std::string& name, const SweepSpec& spec,
+  /// ticker of its own, and with every point under --exec-mode when set.
+  /// Records the sweep as `name` in the manifest when --manifest is set, and
+  /// its wall clock in `*wall_seconds` (may be null). Exceptions from
+  /// run_sweep propagate.
+  std::vector<SweepRow> run(const std::string& name, SweepSpec spec,
                             double* wall_seconds = nullptr);
 
   /// Print the cache summary (when --cache is on) and write the --prof,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -13,6 +12,7 @@
 
 #include "cache/key.h"
 #include "common/clock.h"
+#include "common/io.h"
 #include "core/occupancy.h"
 #include "gpu/result_codec.h"
 #include "obs/obs.h"
@@ -20,13 +20,6 @@
 namespace grs::runner {
 
 namespace {
-
-void write_text_file(const std::string& path, const std::string& body) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open '" + path + "' for writing");
-  f.write(body.data(), static_cast<std::streamsize>(body.size()));
-  if (!f) throw std::runtime_error("failed writing '" + path + "'");
-}
 
 /// Runs job(0) .. job(count - 1), inline for one job or one thread, else on
 /// min(threads, count) workers that take indices from a shared counter while
@@ -122,103 +115,113 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
   // hashes each distinct kernel and config text once (cache/key.h). Every
   // point is keyed before the first lookup.
   cache::Fingerprints fingerprints;
-  std::vector<std::string> keys(cache ? n : 0), stored(verify ? n : 0);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const WallTimer timer;
-    keys[i] = fingerprints.result_cache_key(spec.points[i].config, spec.points[i].kernel);
-    rows[i].wall_ms = timer.seconds() * 1000.0;
-  }
-
-  // Each point in spec order: its cache lookup, where a hit completes its row
-  // (kVerify keeps the stored payload for the simulation to check instead),
-  // and otherwise its machine group, which the group's first point leads.
-  // Only these points get a machine key, so a warm all-hit sweep computes
-  // none and simulates nothing. Traced and timelined points stay alone,
-  // since each writes its own event stream.
-  std::vector<std::vector<std::size_t>> groups;
-  std::unordered_map<std::string, std::size_t> group_of;
-  for (std::size_t i = 0; i < n; ++i) {
-    const WallTimer timer;
-    const SweepPoint& p = spec.points[i];
-    rows[i].point = p;
-    if (cache) {
-      SimResult cached;
-      bool hit;
-      {
-        prof::ScopedPhase prof_scope(obs::profiler(observer(i)), prof::Phase::kCacheLookup);
-        hit = cache->lookup(keys[i], verify ? &stored[i] : nullptr, &cached);
-      }
-      if (hit && !verify) {
-        // The payload carries stats + occupancy; the key pins the config, so
-        // the caller-visible config is restored from the point itself.
-        cached.config = p.config;
-        rows[i].result = std::move(cached);
-        rows[i].from_cache = true;
-        complete(i, timer);
-        continue;
-      }
+  std::exception_ptr failure;
+  try {
+    std::vector<std::string> keys(cache ? n : 0), stored(verify ? n : 0);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const WallTimer timer;
+      keys[i] = fingerprints.result_cache_key(spec.points[i].config, spec.points[i].kernel);
+      rows[i].wall_ms = timer.seconds() * 1000.0;
     }
-    if (streams) {
-      groups.push_back({i});
-    } else {
-      std::string machine = fingerprints.machine_key(p.config, p.kernel);
-      const auto [it, added] = group_of.emplace(std::move(machine), groups.size());
-      if (added) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-    rows[i].wall_ms += timer.seconds() * 1000.0;
-  }
-  if (options.prof != nullptr) options.prof->add_fingerprints_hashed(fingerprints.hashed());
 
-  // Simulate each group's leader once. Every member's row is the leader's
-  // stats plus its own config and launch plan (members differ at most in t,
-  // their plans at most in eq4_blocks). It is stored under its own cache
-  // key, or under kVerify byte-compared with the entry its lookup found.
-  const unsigned threads = options.threads == 0 ? default_threads() : options.threads;
-  parallel_for(groups.size(), threads, [&](std::size_t g) {
-    const std::vector<std::size_t>& members = groups[g];
-    WallTimer timer;  // the leader's cell includes the simulation
-    const SweepPoint& lead = spec.points[members.front()];
-    const GpuStats stats = simulate(lead.config, lead.kernel, observer(members.front())).stats;
-    for (const std::size_t i : members) {
+    // Each point in spec order: its cache lookup, where a hit completes its row
+    // (kVerify keeps the stored payload for the simulation to check instead),
+    // and otherwise its machine group, which the group's first point leads.
+    // Only these points get a machine key, so a warm all-hit sweep computes
+    // none and simulates nothing. Traced and timelined points stay alone,
+    // since each writes its own event stream.
+    std::vector<std::vector<std::size_t>> groups;
+    std::unordered_map<std::string, std::size_t> group_of;
+    for (std::size_t i = 0; i < n; ++i) {
+      const WallTimer timer;
       const SweepPoint& p = spec.points[i];
-      SimResult& r = rows[i].result;
-      r.stats = stats;
-      r.occupancy = compute_occupancy(p.config, p.kernel.resources);
-      r.config = p.config;
-      if (verify && !stored[i].empty()) {  // a verify-mode hit
-        // The fuzz oracle recast as an integrity check: a warm entry must be
-        // byte-identical to a fresh simulation's encoding.
-        if (encode_result(r) != stored[i]) {
-          cache->note_verify_failure();
-          throw std::runtime_error("result cache verify FAILED: stored entry " +
-                                   cache->entry_path(keys[i]) + " differs from re-simulating '" +
-                                   p.kernel.name + "' under " + p.variant +
-                                   " — the store is poisoned or the simulator changed without "
-                                   "bumping the schema version (src/cache/key.h)");
+      rows[i].point = p;
+      if (cache) {
+        SimResult cached;
+        bool hit;
+        {
+          prof::ScopedPhase prof_scope(obs::profiler(observer(i)), prof::Phase::kCacheLookup);
+          hit = cache->lookup(keys[i], verify ? &stored[i] : nullptr, &cached);
         }
-        cache->note_verified();
-      } else if (cache && cache->mode() != cache::CacheMode::kRead) {
-        prof::ScopedPhase prof_scope(obs::profiler(observer(i)), prof::Phase::kCacheStore);
-        cache->store(keys[i], r);
+        if (hit && !verify) {
+          // The payload carries stats + occupancy; the key pins the config, so
+          // the caller-visible config is restored from the point itself.
+          cached.config = p.config;
+          rows[i].result = std::move(cached);
+          rows[i].from_cache = true;
+          complete(i, timer);
+          continue;
+        }
       }
-      complete(i, timer);
-      timer.restart();
+      if (streams) {
+        groups.push_back({i});
+      } else {
+        std::string machine = fingerprints.machine_key(p.config, p.kernel);
+        const auto [it, added] = group_of.emplace(std::move(machine), groups.size());
+        if (added) groups.emplace_back();
+        groups[it->second].push_back(i);
+      }
+      rows[i].wall_ms += timer.seconds() * 1000.0;
     }
-  });
 
-  // Outputs land on disk, and profiles in *options.prof, only after the
-  // sweep and in point order — byte-identical files and thread-count
-  // independent aggregates for any worker count.
+    // Simulate each group's leader once. Every member's row is the leader's
+    // stats plus its own config and launch plan (members differ at most in t,
+    // their plans at most in eq4_blocks). It is stored under its own cache
+    // key, or under kVerify byte-compared with the entry its lookup found.
+    const unsigned threads = options.threads == 0 ? default_threads() : options.threads;
+    parallel_for(groups.size(), threads, [&](std::size_t g) {
+      const std::vector<std::size_t>& members = groups[g];
+      WallTimer timer;  // the leader's cell includes the simulation
+      const SweepPoint& lead = spec.points[members.front()];
+      const GpuStats stats = simulate(lead.config, lead.kernel, observer(members.front())).stats;
+      for (const std::size_t i : members) {
+        const SweepPoint& p = spec.points[i];
+        SimResult& r = rows[i].result;
+        r.stats = stats;
+        r.occupancy = compute_occupancy(p.config, p.kernel.resources);
+        r.config = p.config;
+        if (verify && !stored[i].empty()) {  // a verify-mode hit
+          // The fuzz oracle recast as an integrity check: a warm entry must be
+          // byte-identical to a fresh simulation's encoding.
+          if (encode_result(r) != stored[i]) {
+            cache->note_verify_failure();
+            throw std::runtime_error("result cache verify FAILED: stored entry " +
+                                     cache->entry_path(keys[i]) + " differs from re-simulating '" +
+                                     p.kernel.name + "' under " + p.variant +
+                                     " — the store is poisoned or the simulator changed without "
+                                     "bumping the schema version (src/cache/key.h)");
+          }
+          cache->note_verified();
+        } else if (cache && cache->mode() != cache::CacheMode::kRead) {
+          prof::ScopedPhase prof_scope(obs::profiler(observer(i)), prof::Phase::kCacheStore);
+          cache->store(keys[i], r);
+        }
+        complete(i, timer);
+        timer.restart();
+      }
+    });
+  } catch (...) {
+    failure = std::current_exception();
+  }
+
+  // Counters and profiles are published however the sweep ends, so a failed
+  // sweep still reports what it counted (a verify failure, say); profiles
+  // merge in point order, independent of the worker count.
+  if (options.prof != nullptr) {
+    options.prof->add_fingerprints_hashed(fingerprints.hashed());
+    for (const auto& o : observers) options.prof->merge(*o->profiler());
+  }
+  if (cache && options.cache_stats != nullptr) *options.cache_stats += cache->stats();
+  if (failure) std::rethrow_exception(failure);
+
+  // Output files land on disk only after a complete sweep, in point order,
+  // so they are byte-identical for any worker count.
   for (std::size_t i = 0; i < observers.size(); ++i) {
     const obs::SimObserver& o = *observers[i];
-    if (obs_opts.trace) write_text_file(obs_point_path(options.trace_path, i, n), o.trace_json());
+    if (obs_opts.trace) write_file(obs_point_path(options.trace_path, i, n), o.trace_json());
     if (obs_opts.timeline_interval != 0)
-      write_text_file(obs_point_path(options.timeline_path, i, n), o.timeline_csv());
-    if (obs_opts.prof) options.prof->merge(*o.profiler());
+      write_file(obs_point_path(options.timeline_path, i, n), o.timeline_csv());
   }
-
-  if (cache && options.cache_stats != nullptr) *options.cache_stats += cache->stats();
   return rows;
 }
 

@@ -64,7 +64,7 @@ struct RunOptions {
   cache::CacheMode cache_mode = cache::CacheMode::kOff;
 
   /// When non-null, this run's cache counters are accumulated (+=) into it
-  /// after the sweep completes.
+  /// after the sweep, also when it throws.
   cache::CacheStats* cache_stats = nullptr;
 
   /// Instrumentation (src/obs). The three settings below are the pillars of
@@ -83,10 +83,11 @@ struct RunOptions {
 
   /// Host-phase profiling, the observer's profiler pillar (src/prof). When
   /// non-null, each point's profile (cache lookup/store phases included) is
-  /// merged into *prof after the sweep. Profiling does NOT bypass the result
-  /// cache: a cache hit simply contributes cache_lookup time and no simulate
-  /// phases, and only a machine's leading point contributes one. Sim stats
-  /// stay bit-identical with profiling on (tests/test_prof.cc).
+  /// merged into *prof after the sweep, also when it throws. Profiling does
+  /// NOT bypass the result cache: a cache hit simply contributes
+  /// cache_lookup time and no simulate phases, and only a machine's leading
+  /// point contributes one. Sim stats stay bit-identical with profiling on
+  /// (tests/test_prof.cc).
   prof::HostProfiler* prof = nullptr;
 };
 
@@ -111,7 +112,9 @@ struct RunOptions {
 /// propagates at once, before anything is simulated. If a simulation (or the
 /// progress callback after it) throws, the other groups still run, and the
 /// first exception is rethrown here once they have, instead of terminating
-/// the process inside a worker thread.
+/// the process inside a worker thread. A throwing sweep still publishes its
+/// cache counters and profiles before the rethrow; only a complete sweep
+/// writes trace and timeline files.
 [[nodiscard]] std::vector<SweepRow> run_sweep(const SweepSpec& spec,
                                               const RunOptions& options = {});
 

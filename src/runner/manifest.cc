@@ -2,11 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 #include <thread>
 
 #include "common/buildinfo.h"
+#include "common/io.h"
 #include "common/json.h"
 
 namespace grs::runner {
@@ -148,12 +147,6 @@ std::string RunManifest::to_json() const {
   return out;
 }
 
-void RunManifest::write(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open manifest file '" + path + "' for writing");
-  const std::string json = to_json();
-  f.write(json.data(), static_cast<std::streamsize>(json.size()));
-  if (!f) throw std::runtime_error("failed writing manifest file '" + path + "'");
-}
+void RunManifest::write(const std::string& path) const { write_file(path, to_json()); }
 
 }  // namespace grs::runner

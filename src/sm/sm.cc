@@ -65,6 +65,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
              WritebackRing(cfg.sfu_latency, false, cfg.num_schedulers),
              WritebackRing(cfg.scratchpad_latency, true, cfg.num_schedulers),
              WritebackRing(cfg.l1_hit_latency, true, cfg.num_schedulers)},
+      event_mode_(cfg.exec_mode == ExecMode::kEvent),
       trace_(obs::tracer(obs)),
       prof_(obs::profiler(obs)) {
   GRS_CHECK_MSG(program.num_regs() <= 64, "scoreboard supports at most 64 registers/thread");
@@ -292,6 +293,15 @@ bool StreamingMultiprocessor::step(Cycle now) {
   return issued;
 }
 
+SmStats StreamingMultiprocessor::stats(Cycle c) const {
+  SmStats s = stats_;
+  if (c > now_) tally_.add_to(s, c - now_);
+  s.l1_accesses = l1_.accesses;
+  s.l1_misses = l1_.misses;
+  s.l1_mshr_merges = l1_.merges;
+  return s;
+}
+
 void StreamingMultiprocessor::ScanTally::add_to(SmStats& s, std::uint64_t cycles) const {
   for (std::size_t i = 0; i < warps.size(); ++i) {
     if (kStateAccounting[i].counter != nullptr)
@@ -309,18 +319,22 @@ Cycle StreamingMultiprocessor::next_wakeup() const {
   return std::min(next, l1_.next_ready());
 }
 
+bool StreamingMultiprocessor::stuck() const {
+  return next_wakeup() == kNeverCycle && (dyn_ == nullptr || !dyn_->enabled());
+}
+
 bool StreamingMultiprocessor::tick(Cycle now) {
-  if (now < idle_until_) return false;  // known idle; accounted on wake/flush
-  if (now > last_stepped_ + 1) {
+  if (now < idle_until_) return false;  // known idle; accounted on wake or by stats(c)
+  if (now > now_ + 1) {
     prof::ScopedPhase prof_scope(prof_, prof::Phase::kEventSleep);
-    tally_.add_to(stats_, now - last_stepped_ - 1);
+    tally_.add_to(stats_, now - now_ - 1);
   }
   const bool issued = step(now);
-  last_stepped_ = now;
   if (issued) {
     idle_until_ = 0;  // machine state moved; re-scan next cycle
     return true;
   }
+  if (!event_mode_) return false;  // cycle mode opens no window
   // Nothing issued: until a timed wakeup fires, every future scan repeats
   // this one — locks, barriers, ownership, and dispatch only move when a
   // warp on this SM issues. Dyn caveats: a scan taken on a monitoring
@@ -357,13 +371,6 @@ bool StreamingMultiprocessor::tick(Cycle now) {
   }
   idle_until_ = w;
   return false;
-}
-
-void StreamingMultiprocessor::flush_idle_accounting(Cycle final_cycle) {
-  if (final_cycle > last_stepped_) {
-    tally_.add_to(stats_, final_cycle - last_stepped_);
-    last_stepped_ = final_cycle;
-  }
 }
 
 bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
@@ -696,13 +703,6 @@ bool StreamingMultiprocessor::drained() const {
   return resident_blocks_ == 0 && late_loads_.empty() &&
          std::all_of(rings_.begin(), rings_.end(),
                      [](const WritebackRing& r) { return r.empty(); });
-}
-
-const SmStats& StreamingMultiprocessor::finalize_stats() {
-  stats_.l1_accesses = l1_.accesses;
-  stats_.l1_misses = l1_.misses;
-  stats_.l1_mshr_merges = l1_.merges;
-  return stats_;
 }
 
 }  // namespace grs

@@ -26,6 +26,13 @@
 // can start to fail only at a new acquisition or an ownership transfer, both
 // of which clear the marks of the pair's warps.
 //
+// The GPU loop (gpu/gpu.cc) calls tick() every cycle in both exec modes. In
+// event mode a step that issues nothing opens an idle window up to the SM's
+// next timed wakeup, whose cycles tick() skips: each would repeat that step,
+// so its tally is added once per skipped cycle, when the SM wakes or when
+// stats(c) reads the counters as of a later cycle. An SM built for cycle
+// mode opens no window and steps every cycle.
+//
 // Writebacks retire at the cycle their latency makes them due. ALU, SFU,
 // scratchpad and L1-hit (load or store) writebacks have a latency fixed at
 // issue, so each of these classes is due in issue order and waits in a FIFO
@@ -76,8 +83,8 @@ class HostProfiler;
 
 class StreamingMultiprocessor {
  public:
-  /// Invoked when a resident block finishes, so the dispatcher can refill
-  /// the slot. Called after ownership transfer has been applied.
+  /// Invoked when a resident block finishes, so the GPU can refill the
+  /// slot. Called after ownership transfer has been applied.
   using BlockFinishFn = std::function<void(SmId, BlockSlot)>;
 
   /// `obs` (optional) receives event-trace hooks and host-phase timings; its
@@ -102,25 +109,16 @@ class StreamingMultiprocessor {
   /// True when no blocks are resident and no instructions are in flight.
   [[nodiscard]] bool drained() const;
 
-  // --- event-driven execution (gpu/gpu.cc, exec_mode = kEvent) -----------
-  /// Event-aware wrapper around step(): while inside a known-idle window
-  /// (`now < idle_until()`) the call is O(1) — the step is provably identical
-  /// to the last one, so each skipped cycle is accounted by adding the last
-  /// step's tally (scanned warps plus parked populations) once more, in bulk
-  /// when the SM wakes (or at flush_idle_accounting). A scan that issues
-  /// nothing opens a window up to the SM's next timed wakeup. Statistics stay
-  /// bit-identical to calling step() every cycle.
+  /// The GPU loop's per-cycle call, in both exec modes (see the file
+  /// comment): O(1) inside a known-idle window (`now < idle_until()`),
+  /// otherwise step(). Returns what step() returns, or false when idle.
   bool tick(Cycle now);
 
   /// End of the current known-idle window: this SM's scan cannot change
-  /// before this cycle. 0 when the SM must be stepped next cycle;
-  /// kNeverCycle when only external termination can end the window.
+  /// before this cycle. 0 when the SM must be stepped next cycle (always,
+  /// in cycle mode); kNeverCycle when only external termination can end the
+  /// window.
   [[nodiscard]] Cycle idle_until() const { return idle_until_; }
-
-  /// Account a still-open idle window through `final_cycle` (inclusive).
-  /// Must be called once after the simulation loop exits so skipped trailing
-  /// cycles are reflected in the counters.
-  void flush_idle_accounting(Cycle final_cycle);
 
   /// Earliest future cycle at which this SM's candidate scan can change on
   /// its own: the first due writeback (the fronts of the fixed-latency rings
@@ -131,29 +129,21 @@ class StreamingMultiprocessor {
   /// warp on this SM issues.
   [[nodiscard]] Cycle next_wakeup() const;
 
-  /// Copy the L1 counters into the stats block and return it.
-  [[nodiscard]] const SmStats& finalize_stats();
+  /// True when this SM cannot change on its own: no writeback or L1 fill is
+  /// pending and no Dyn gate could reopen at a monitoring boundary. If every
+  /// SM is stuck after a cycle in which none issued, no warp can ever issue
+  /// again: the GPU loop's deadlock rule (gpu/gpu.cc).
+  [[nodiscard]] bool stuck() const;
 
-  [[nodiscard]] const SmStats& stats() const { return stats_; }
+  /// The counters as they stand at cycle `c` (default: the last stepped
+  /// cycle), L1 counters included. Past the last step the SM sleeps, so the
+  /// last step's tally is added once per skipped cycle, the accounting tick()
+  /// applies when the SM wakes; live state is not touched.
+  [[nodiscard]] SmStats stats(Cycle c = 0) const;
   [[nodiscard]] SmId id() const { return id_; }
   [[nodiscard]] const Occupancy& occupancy() const { return occ_; }
   [[nodiscard]] std::uint32_t resident_blocks() const { return resident_blocks_; }
   [[nodiscard]] std::uint32_t resident_warps() const { return resident_warps_; }
-
-  // --- timeline sampling (gpu/gpu.cc; event mode) ------------------------
-  /// Counters as they will stand at cycle `c` >= the last stepped cycle,
-  /// assuming the SM sleeps through the gap: the last step's tally (scanned
-  /// warps plus parked populations) added `c - last_stepped` more times,
-  /// without touching live state. tick() and flush_idle_accounting() account
-  /// skipped cycles the same way, so sampled values are bit-identical to
-  /// stepping every cycle.
-  [[nodiscard]] SmStats stats_at(Cycle c) const {
-    SmStats s = stats_;
-    if (c > last_stepped_) tally_.add_to(s, c - last_stepped_);
-    return s;
-  }
-  [[nodiscard]] std::uint64_t l1_accesses() const { return l1_.accesses; }
-  [[nodiscard]] std::uint64_t l1_misses() const { return l1_.misses; }
   [[nodiscard]] std::uint32_t l1_mshr_inflight() const {
     return static_cast<std::uint32_t>(l1_.inflight());
   }
@@ -318,14 +308,16 @@ class StreamingMultiprocessor {
   /// hash draws are the only cycle-dependent part of an issue-free scan, so
   /// tick() can fast-forward to the first cycle any of them is allowed.
   std::vector<std::uint64_t> dyn_blocked_uids_;
+  /// Built for event mode: tick() opens idle windows.
+  bool event_mode_;
   Cycle idle_until_ = 0;                ///< end of the current known-idle window
-  Cycle last_stepped_ = 0;              ///< last cycle step() actually ran
+  /// The cycle step() last ran, 0 before the first. tick() and stats(c)
+  /// account the skipped cycles after it, and launch_block() stamps trace
+  /// events with it (a refill runs inside the step that finished a block).
+  Cycle now_ = 0;
   BlockFinishFn on_block_finish_;
   obs::SimObserver* trace_ = nullptr;   ///< null unless event tracing is on
   prof::HostProfiler* prof_ = nullptr;  ///< null unless host profiling is on
-  /// Cycle currently being stepped; lets dispatcher-driven launch_block()
-  /// (called from inside finish_block) stamp trace events. 0 = initial fill.
-  Cycle now_ = 0;
 
   // scratch buffers (avoid per-cycle allocation)
   std::vector<SchedCandidate> cands_;

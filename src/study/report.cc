@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
+
+#include "common/io.h"
 
 namespace grs::study {
 
@@ -365,11 +366,7 @@ std::vector<std::string> write_reports(const StudyAggregation& agg, const std::s
   };
   std::vector<std::string> written;
   for (const auto& [name, content] : files) {
-    const std::string path = dir + "/" + name;
-    std::ofstream f(path, std::ios::binary);
-    if (!f) throw std::runtime_error("cannot write " + path);
-    f << content;
-    if (!f) throw std::runtime_error("short write to " + path);
+    write_file(dir + "/" + name, content);
     written.push_back(name);
   }
   return written;

@@ -2,7 +2,6 @@
 // output plus comments and flexible whitespace; every structural rule that
 // Program::validate()/KernelInfo::validate() would abort on is caught here
 // first and reported as a ParseError with a 1-based line:column.
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -570,11 +569,6 @@ KernelInfo load_file(const std::string& path) {
   return parse(*text, path);
 }
 
-void dump_file(const KernelInfo& k, const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open " + path + " for writing");
-  f << serialize(k);
-  if (!f) throw std::runtime_error("failed writing " + path);
-}
+void dump_file(const KernelInfo& k, const std::string& path) { write_file(path, serialize(k)); }
 
 }  // namespace grs::workloads::gkd

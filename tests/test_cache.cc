@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -23,6 +22,7 @@
 #include "cache/result_cache.h"
 #include "common/config.h"
 #include "common/hash.h"
+#include "common/io.h"
 #include "gpu/result_codec.h"
 #include "gpu/simulator.h"
 #include "prof/prof.h"
@@ -79,18 +79,6 @@ std::string csv_of(const std::vector<runner::SweepRow>& rows) {
   for (const runner::SweepRow& r : rows) sink.add("cachetest", r);
   sink.end();
   return out.str();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
-
-void write_file(const std::string& path, const std::string& body) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f << body;
 }
 
 // --- coverage guards ----------------------------------------------------------
@@ -423,7 +411,7 @@ TEST(CacheTest, CorruptedOrTruncatedEntryIsAMissNotAnError) {
   store.store(key, simulate(cfg, kernel));
 
   const std::string path = store.entry_path(key);
-  const std::string good = read_file(path);
+  const std::string good = read_file(path).value();
 
   write_file(path, good.substr(0, good.size() / 3));  // truncated
   EXPECT_FALSE(store.lookup(key, nullptr, nullptr));
@@ -442,7 +430,7 @@ TEST(CacheTest, CorruptedOrTruncatedEntryIsAMissNotAnError) {
   EXPECT_EQ(stats.corrupt, 1u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.stores, 1u);
-  EXPECT_EQ(read_file(path), good);  // healed back to the canonical payload
+  EXPECT_EQ(read_file(path).value(), good);  // healed back to the canonical payload
 }
 
 TEST(CacheTest, DirectoryAtEntryPathIsCorrupt) {
@@ -600,6 +588,8 @@ TEST(CacheTest, VerifyModePassesOnHonestStoreAndThrowsOnPoison) {
   EXPECT_THROW(
       (void)runner::run_sweep(spec, cached_options(dir, cache::CacheMode::kVerify, &poisoned)),
       std::runtime_error);
+  // The throwing sweep still publishes its counters.
+  EXPECT_EQ(poisoned.verify_failures, 1u);
 }
 
 TEST(CacheTest, VerifyChecksEveryMemberOfAMergedMachine) {
@@ -640,7 +630,7 @@ TEST(CacheTest, VerifyChecksEveryMemberOfAMergedMachine) {
   const std::string path = cache::ResultCache(dir, cache::CacheMode::kRead)
                                .entry_path(cache::result_cache_key(p.config, p.kernel));
   SimResult tampered;
-  ASSERT_TRUE(decode_result(read_file(path), tampered));
+  ASSERT_TRUE(decode_result(read_file(path).value(), tampered));
   tampered.stats.cycles += 1;
   write_file(path, encode_result(tampered));
   try {

@@ -10,6 +10,7 @@
 
 #include "common/config.h"
 #include "gpu/simulator.h"
+#include "isa/builder.h"
 #include "runner/kernel_source.h"
 #include "workloads/suites.h"
 
@@ -141,6 +142,35 @@ TEST(GpuIntegration, RefusesALoadWiderThanTheL1Mshr) {
                  "l1.mshr_entries 1")
         << to_string(mode);
   }
+}
+
+TEST(GpuIntegration, DeadlockAbortsAtTheSameCycleInBothModes) {
+  // No LSU issue port, a config validate() accepts: once the ALU chains have
+  // drained, no load can ever issue and no event is pending. Both modes stop
+  // at the same cycle; under a max_cycles cap both run to the cap instead,
+  // with equal stats.
+  KernelInfo k;
+  k.name = "lsu_starved";
+  k.resources = KernelResources{256, 4, 0};
+  k.grid_blocks = 28;
+  ProgramBuilder b(4);
+  b.alu_chain(8, {0, 1, 2}).ld_global(3, MemPattern::kCoalesced, Locality::kStreaming, 1, 64);
+  k.program = b.build();
+  GpuConfig cfg = configs::unshared();
+  cfg.lsu_issue_per_cycle = 0;
+  std::vector<GpuStats> capped;
+  for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+    cfg.exec_mode = mode;
+    cfg.max_cycles = 0;
+    EXPECT_DEATH((void)simulate(cfg, k), "deadlock at cycle 70") << to_string(mode);
+    cfg.max_cycles = 2000;
+    capped.push_back(simulate(cfg, k).stats);
+    EXPECT_EQ(capped.back().cycles, 2000u) << to_string(mode);
+    EXPECT_EQ(capped.back().sm_total.blocks_finished, 0u) << to_string(mode);
+    EXPECT_EQ(capped.back().sm_total.stall_cycles, 54208u) << to_string(mode);
+    EXPECT_EQ(capped.back().sm_total.blocked_lsu_port, 434448u) << to_string(mode);
+  }
+  EXPECT_TRUE(capped[0] == capped[1]);
 }
 
 TEST(GpuIntegration, SchedulerCycleAccountingIsExhaustive) {

@@ -154,8 +154,8 @@ obs::SmTimelinePoint sm_sample(std::uint64_t k) {
   s.dyn_throttled_issues = 13 * k;
   s.lock_acquisitions = 14 * k;
   s.ownership_transfers = 15 * k;
-  p.l1_accesses = 16 * k;
-  p.l1_misses = 17 * k;
+  s.l1_accesses = 16 * k;
+  s.l1_misses = 17 * k;
   p.resident_blocks = static_cast<std::uint32_t>(18 * k);
   p.resident_warps = static_cast<std::uint32_t>(19 * k);
   p.mshr_inflight = static_cast<std::uint32_t>(20 * k);

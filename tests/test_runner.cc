@@ -126,6 +126,8 @@ TEST(Engine, ThrowWhilePlanningSimulatesNothing) {
   EXPECT_THROW((void)run_sweep(spec, options), std::runtime_error);
   EXPECT_EQ(calls, 1u);
   EXPECT_EQ(prof.calls(prof::Phase::kSimulate), 0u);
+  // The profile of the lookup made before the throw is still merged.
+  EXPECT_GE(prof.calls(prof::Phase::kCacheLookup), 1u);
   const cache::ResultCache store(dir, cache::CacheMode::kRead);
   EXPECT_FALSE(std::filesystem::exists(
       store.entry_path(cache::result_cache_key(configs::unshared(), uncached))));

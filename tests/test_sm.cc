@@ -94,6 +94,23 @@ TEST(Sm, ExitWaitsForInflightInstructions) {
   EXPECT_GT(end, h.cfg.l1_hit_latency) << "exit must not overtake the load";
 }
 
+TEST(Sm, StatsCarryL1CountersBeforeTheRunEnds) {
+  // Counters read before the GPU loop ends include the L1's: each
+  // transaction of each load is one L1 lookup, and each miss one access to
+  // the memory system.
+  ProgramBuilder b(2);
+  b.ld_global(0, MemPattern::kStrided4, Locality::kStreaming, 1, 64)
+      .ld_global(1, MemPattern::kCoalesced, Locality::kStreaming, 1, 64);
+  SmHarness h(one_sm(), b.build(), KernelResources{64, 2, 0});
+  h.sm.launch_block(0, 0);
+  h.run_until_drained();
+  const std::uint32_t lookups_per_warp = transactions_per_access(MemPattern::kStrided4) +
+                                         transactions_per_access(MemPattern::kCoalesced);
+  EXPECT_EQ(h.sm.stats().l1_accesses, 2u * lookups_per_warp);
+  EXPECT_GT(h.sm.stats().l1_accesses, 0u);
+  EXPECT_EQ(h.sm.stats().l1_misses, h.memsys.l2_accesses());
+}
+
 TEST(Sm, ShorterWritebackOvertakesLongerOne) {
   // The SFU write of r0 (due 1 + 18) is still in flight when the ALU chain
   // r1 -> r2 -> r3 -> r4 runs: each link retires after alu_latency, not
