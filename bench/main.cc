@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
     try {
       rows = session.run(b->name, std::move(spec), &secs);
     } catch (const std::exception& e) {
-      // A cache-verify byte diff (or cache/obs I/O failure) is a hard,
+      // A cache-verify stats difference (or cache/obs I/O failure) is a hard,
       // diagnosed failure, not a crash. The session's tail still reports
       // what the run counted (its verify failures among them).
       std::fprintf(stderr, "error: %s bench: %s\n", b->name.c_str(), e.what());

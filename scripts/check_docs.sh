@@ -15,12 +15,13 @@
 # regenerations share one content-addressed result cache
 # (GRS_RESULT_CACHE_DIR, default build/result-cache — CI persists it between
 # runs): the first pass fills it, the second must be served from lookups
-# alone, re-proving both the engine's thread-count determinism and that
-# cached rows are byte-identical to simulated ones. A final verify-mode pass
-# re-simulates each distinct machine once (points that differ only in the
-# sharing threshold and resolve to the same launch plan share one
-# simulation), checks every entry against it, and fails on any byte diff
-# against the store or on a simulation count other than the study's pinned
+# alone, one per distinct machine (points that differ only in the sharing
+# threshold and resolve to the same launch plan share one key, one entry
+# and one simulation), re-proving both the engine's thread-count
+# determinism and that cached rows are byte-identical to simulated ones. A
+# final verify-mode pass re-simulates each machine once, checks each
+# entry's stats against it, and fails on any stats diff against the store
+# or on a simulation or verified count other than the study's pinned
 # distinct-machine count.
 set -euo pipefail
 
@@ -38,11 +39,10 @@ for threads in 1 8; do
   GRS_STUDY_DIR="$tmp" "$BENCH" study --threads "$threads" \
     --cache "$CACHE_DIR" >/dev/null 2>"$stats"
   elapsed=$(date +%s.%N | awk -v s="$start" '{printf "%.2f", $1 - s}')
-  hits=$(grep -o '[0-9]* hits' "$stats" | awk '{print $1}' || echo 0)
   echo "study --threads $threads: ${elapsed}s, $(grep 'cache:' "$stats" | sed 's/^.*cache: //')"
-  if [ "$threads" = 8 ] && [ "${hits:-0}" -eq 0 ]; then
-    echo "error: warm study pass reported 0 cache hits; the result cache is not" >&2
-    echo "       being consulted across regenerations" >&2
+  if [ "$threads" = 8 ] && ! grep -q 'cache: 509 hits, 0 misses' "$stats"; then
+    echo "error: the warm study pass did not read 509 hits, 0 misses: one lookup" >&2
+    echo "       per distinct machine, all served by the store filled above" >&2
     fail=1
   fi
   rm -f "$stats"
@@ -57,11 +57,18 @@ done
 # --- 1b. verify mode over the whole warm store --------------------------------
 tmp=$(mktemp -d)
 if ! GRS_STUDY_DIR="$tmp" "$BENCH" study --threads 8 \
-    --cache "$CACHE_DIR" --cache-mode verify --prof "$tmp/prof.json" >/dev/null; then
-  echo "error: a cached study entry failed verify-mode re-simulation (byte diff" >&2
+    --cache "$CACHE_DIR" --cache-mode verify --prof "$tmp/prof.json" >/dev/null \
+    2>"$tmp/verify.log"; then
+  cat "$tmp/verify.log" >&2
+  echo "error: a cached study entry failed verify-mode re-simulation (stats diff" >&2
   echo "       between the store and a fresh simulate()); delete $CACHE_DIR" >&2
   fail=1
+elif ! grep -q ' 509 verified' "$tmp/verify.log"; then
+  cat "$tmp/verify.log" >&2
+  echo "error: the verify pass did not report 509 verified, one per distinct machine" >&2
+  fail=1
 else
+  echo "study verify: $(grep 'cache:' "$tmp/verify.log" | sed 's/^.*cache: //')"
   sims=$(python3 -c 'import json, sys
 print(sum(p["calls"] for p in json.load(open(sys.argv[1]))["phases"]
           if p["name"] == "simulate"))' "$tmp/prof.json")

@@ -25,10 +25,6 @@ std::string result_cache_key(const GpuConfig& cfg, const KernelInfo& kernel) {
   return Fingerprints().result_cache_key(cfg, kernel);
 }
 
-std::string machine_key(const GpuConfig& cfg, const KernelInfo& kernel) {
-  return Fingerprints().machine_key(cfg, kernel);
-}
-
 const std::string& Fingerprints::memo() {
   const auto it = sha_of_.find(text_);
   if (it != sha_of_.end()) return it->second;
@@ -50,23 +46,12 @@ const std::string& Fingerprints::config_fingerprint(const GpuConfig& cfg) {
 }
 
 std::string Fingerprints::result_cache_key(const GpuConfig& cfg, const KernelInfo& kernel) {
+  const Occupancy o = compute_occupancy(cfg, kernel.resources);
   std::string material;
   material.reserve(256);
   material += "grs-result-cache ";
   material += schema_tag();
   material += "\nconfig ";
-  material += config_fingerprint(cfg);
-  material += "\nkernel ";
-  material += kernel_fingerprint(kernel);
-  material += '\n';
-  return sha256_hex(material);
-}
-
-std::string Fingerprints::machine_key(const GpuConfig& cfg, const KernelInfo& kernel) {
-  const Occupancy o = compute_occupancy(cfg, kernel.resources);
-  std::string material;
-  material.reserve(256);
-  material += "grs-machine\nconfig ";
   material += config_fingerprint(machine_config(cfg));
   material += "\nplan";
   const auto plan_field = [&material](std::uint64_t v) {

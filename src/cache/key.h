@@ -1,11 +1,14 @@
-// Content-addressed cache keys: the canonical fingerprint of one simulation.
+// Content-addressed cache keys: the canonical fingerprint of one machine.
 //
 // simulate() is pure and bit-deterministic (the repo's fuzz-verified core
-// invariant), so one result is fully determined by (kernel, config,
-// simulator schema). The key hashes exactly those three:
+// invariant), and the sharing threshold t reaches the machine only through
+// the resolved launch plan (gpu/simulator.h). So the key hashes exactly what
+// the machine is built from, and points that differ only in t and resolve to
+// the same plan share one key, one simulation and one store entry:
 //
 //   key = sha256( "grs-result-cache <schema_tag>\n"
-//                 "config <GpuConfig::fingerprint()>\n"
+//                 "config <machine_config(cfg).fingerprint()>\n"
+//                 "plan <the resolved Occupancy less eq4_blocks>\n"
 //                 "kernel <sha256(gkd::serialize(kernel))>\n" )
 //
 // The kernel half rides on the canonical .gkd serialization (workloads/
@@ -18,8 +21,8 @@
 // different subdirectory until deleted.
 //
 // Hash each text once. A sweep has far fewer distinct kernels and configs
-// than points (the full sharing study: 1152 points, 117 kernel texts, 12
-// config texts), so runner::run_sweep keys its points through one
+// than points (the full sharing study: 1152 points, 117 kernel texts, 2
+// machine config texts), so runner::run_sweep keys its points through one
 // Fingerprints memo. The memo maps each canonical text (gkd::serialize(),
 // canonical_kv()) to its sha256: the text is still built per point, into one
 // reused buffer, but hashed only the first time those bytes appear. Keying
@@ -49,17 +52,9 @@ inline constexpr int kSimSchemaVersion = 1;
 /// SHA-256 hex of the kernel's canonical .gkd serialization.
 [[nodiscard]] std::string kernel_fingerprint(const KernelInfo& kernel);
 
-/// The full 64-hex-digit content-addressed key for one simulation.
+/// The full 64-hex-digit content-addressed key of the machine simulate()
+/// builds for (cfg, kernel); see the file comment.
 [[nodiscard]] std::string result_cache_key(const GpuConfig& cfg, const KernelInfo& kernel);
-
-/// SHA-256 hex of exactly what simulate() builds its machine from:
-/// machine_config(cfg).fingerprint(), the resolved Occupancy less its
-/// t-dependent pre-cap diagnostic eq4_blocks, and kernel_fingerprint(kernel).
-/// Points with equal machine keys differ at most in the sharing threshold t,
-/// so they produce identical GpuStats; runner::run_sweep simulates each
-/// distinct machine key once. Not a store key: the cache stays keyed per
-/// point on result_cache_key().
-[[nodiscard]] std::string machine_key(const GpuConfig& cfg, const KernelInfo& kernel);
 
 /// The memo behind every key above: each distinct canonical text is hashed
 /// once per Fingerprints object. Not thread-safe; run_sweep keeps one per
@@ -72,7 +67,6 @@ class Fingerprints {
   [[nodiscard]] const std::string& kernel_fingerprint(const KernelInfo& kernel);
   [[nodiscard]] const std::string& config_fingerprint(const GpuConfig& cfg);
   [[nodiscard]] std::string result_cache_key(const GpuConfig& cfg, const KernelInfo& kernel);
-  [[nodiscard]] std::string machine_key(const GpuConfig& cfg, const KernelInfo& kernel);
 
   /// Canonical texts hashed so far: one per distinct text.
   [[nodiscard]] std::uint64_t hashed() const { return sha_of_.size(); }

@@ -129,7 +129,7 @@ void ResultCache::store(const std::string& key, const SimResult& result) {
   // Unique temp name in the final directory so rename() stays within one
   // filesystem (atomic on POSIX). pid + sequence uniquifies across the
   // processes and threads that may race on one key; whoever renames last
-  // wins with an identical, content-addressed payload.
+  // wins with a payload of the same stats.
   char suffix[64];
   std::snprintf(suffix, sizeof(suffix), ".tmp.%ld.%llu",
                 static_cast<long>(::getpid()),

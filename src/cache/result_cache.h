@@ -5,13 +5,14 @@
 //
 //   <dir>/<schema_tag>/<key[0:2]>/<key>.grsr
 //
-// where <key> is result_cache_key(config, kernel) (cache/key.h) and the file
-// body is exactly encode_result(result) (gpu/result_codec.h) — a versioned,
+// where <key> is result_cache_key(config, kernel) (cache/key.h), one key per
+// machine, and the file body is exactly encode_result(result)
+// (gpu/result_codec.h) of the first point that stored it — a versioned,
 // self-describing text payload whose strict decoder treats any truncated,
 // corrupted, or reordered entry as a miss, never an error. Writes go through
 // a unique temp file in the final directory followed by rename(), so readers
 // only ever observe absent or complete entries, and racing writers of the
-// same key both land a full (identical, content-addressed) payload.
+// same key both land a full payload with the same stats.
 //
 // Modes:
 //   kOff        never touches the store (the differential fuzz oracle runs
@@ -19,10 +20,10 @@
 //   kRead       lookups only; misses simulate but are not stored
 //   kReadWrite  lookups + atomic stores on miss (the default for --cache)
 //   kVerify     like kReadWrite, but every hit is re-simulated (once per
-//               distinct machine, runner/engine.h) and the fresh encoding
-//               byte-compared against the stored payload — the fuzz
-//               bit-identity oracle recast as a cache-integrity check; any
-//               diff is a hard failure
+//               machine, runner/engine.h) and the stats it serves compared
+//               with the fresh simulation's — the fuzz bit-identity oracle
+//               recast as a cache-integrity check; any difference is a hard
+//               failure
 #pragma once
 
 #include <atomic>
@@ -57,8 +58,8 @@ struct CacheStats {
   std::uint64_t misses = 0;           ///< absent entries (simulated fresh)
   std::uint64_t corrupt = 0;          ///< present but undecodable (treated as miss)
   std::uint64_t stores = 0;           ///< entries written
-  std::uint64_t verified = 0;         ///< verify-mode hits re-proven byte-identical
-  std::uint64_t verify_failures = 0;  ///< verify-mode byte diffs (fatal)
+  std::uint64_t verified = 0;         ///< verify-mode hits whose stats re-simulation matched
+  std::uint64_t verify_failures = 0;  ///< verify-mode stats differences (fatal)
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
 
@@ -82,12 +83,12 @@ class ResultCache {
 
   /// Look up `key`. True only for a present, fully well-formed entry:
   /// `payload` receives the exact stored bytes and `result` the decoded
-  /// stats/occupancy (result.config is NOT restored — the key pins it, and
-  /// the caller reassigns its own config). Absent entries count as misses;
-  /// present-but-undecodable ones as corrupt (also a miss), as does a read
-  /// error or a short read. The entry costs one open, one read sized by
-  /// fstat and one close, and is decoded in place. Either out pointer may be
-  /// null.
+  /// stats/occupancy (result.config is NOT restored, and the occupancy is
+  /// the storing point's: the engine serves only the stats). Absent entries
+  /// count as misses; present-but-undecodable ones as corrupt (also a miss),
+  /// as does a read error or a short read. The entry costs one open, one
+  /// read sized by fstat and one close, and is decoded in place. Either out
+  /// pointer may be null.
   [[nodiscard]] bool lookup(const std::string& key, std::string* payload, SimResult* result);
 
   /// Atomically store encode_result(result) under `key` (tmp + rename; safe

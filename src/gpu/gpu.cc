@@ -138,13 +138,16 @@ GpuStats Gpu::run() {
     if (cfg_.max_cycles != 0) {
       next = std::min(next, cfg_.max_cycles);
     } else {
-      // The deadlock rule. Event mode reads it for free from the windows,
-      // which are all open-ended exactly when every SM is stuck; cycle mode
-      // asks each SM, and only here, where no cap would end the run.
+      // The deadlock rule. Without Dyn, event mode reads it for free from
+      // the windows, which are all open-ended exactly when every SM is
+      // stuck; cycle mode asks each SM, and only here, where no cap would
+      // end the run. With Dyn on, windows end at every monitoring boundary,
+      // where every SM steps in both modes, so both ask there.
+      const bool ask = dyn_.enabled() ? cycle % dyn_.period() == 0 : next == 0;
       const bool deadlocked =
           next == kNeverCycle ||
-          (next == 0 && std::all_of(sms_.begin(), sms_.end(),
-                                    [](const StreamingMultiprocessor& sm) { return sm.stuck(); }));
+          (ask && std::all_of(sms_.begin(), sms_.end(),
+                              [](const StreamingMultiprocessor& sm) { return sm.stuck(); }));
       GRS_CHECK_MSG(!deadlocked, ("deadlock at cycle " + std::to_string(cycle) +
                                   ": no warp can ever issue again and no event is pending")
                                      .c_str());

@@ -31,7 +31,7 @@ struct SimResult {
 /// the machine from. Beside the resolved Occupancy, it is all the machine
 /// sees, so no code inside the machine can read t, and two configs that
 /// differ only in t and resolve to the same plan simulate bit-identically
-/// (cache::machine_key, which the sweep engine groups points by).
+/// (one cache::result_cache_key, which the sweep engine groups points by).
 [[nodiscard]] GpuConfig machine_config(const GpuConfig& cfg);
 
 /// Run `kernel` under `cfg`. The machine is built from machine_config(cfg)

@@ -181,7 +181,7 @@ std::string common_options_help(const CommonFlagSet& set) {
       "                    points are keyed on hash(kernel, config, schema)\n"
       "                    and reused across runs (docs/result-cache.md)\n"
       "  --cache-mode M    off | read | readwrite | verify (default readwrite;\n"
-      "                    verify re-simulates hits and fails on any byte diff)\n"
+      "                    verify re-simulates hits and fails on any stats diff)\n"
       "  --trace FILE      write a Chrome-trace/Perfetto JSON of every sweep\n"
       "                    point (multi-point sweeps write FILE.0, FILE.1, ...);\n"
       "                    forces fresh simulation, bypassing --cache\n"

@@ -5,6 +5,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -14,7 +15,6 @@
 #include "common/clock.h"
 #include "common/io.h"
 #include "core/occupancy.h"
-#include "gpu/result_codec.h"
 #include "obs/obs.h"
 
 namespace grs::runner {
@@ -91,14 +91,6 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
     cache = std::make_unique<cache::ResultCache>(options.cache_dir, options.cache_mode);
   const bool verify = cache && cache->mode() == cache::CacheMode::kVerify;
 
-  // One observer per point keeps every pillar lock-free under the simulation
-  // workers; their outputs are written and merged below, in point order.
-  std::vector<std::unique_ptr<obs::SimObserver>> observers(obs_opts.any() ? n : 0);
-  for (auto& o : observers) o = std::make_unique<obs::SimObserver>(obs_opts);
-  const auto observer = [&observers](std::size_t i) {
-    return observers.empty() ? nullptr : observers[i].get();
-  };
-
   // `done` is only mutated under the mutex so the callback sees a
   // monotonically increasing count.
   std::mutex progress_mu;
@@ -111,94 +103,99 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
     }
   };
 
+  // One machine per distinct key, in order of first appearance; its first
+  // point leads it, and one observer per machine keeps every pillar
+  // lock-free under the simulation workers.
+  struct Machine {
+    std::string key;
+    std::vector<std::size_t> points;
+  };
+  std::vector<Machine> machines;
+  std::vector<std::unique_ptr<obs::SimObserver>> observers;
+  const auto observer = [&observers](std::size_t m) {
+    return observers.empty() ? nullptr : observers[m].get();
+  };
+  // Every member's row: the machine's stats with its own config and plan
+  // (members differ at most in t, their plans at most in eq4_blocks).
+  const auto fill = [&](std::size_t m, const GpuStats& stats, bool from_cache, WallTimer timer) {
+    for (const std::size_t i : machines[m].points) {
+      const SweepPoint& p = spec.points[i];
+      rows[i].result = SimResult{stats, compute_occupancy(p.config, p.kernel.resources), p.config};
+      rows[i].from_cache = from_cache;
+      complete(i, timer);
+      timer.restart();
+    }
+  };
+
   // Planning runs on this thread, so the one key memo needs no lock; it
-  // hashes each distinct kernel and config text once (cache/key.h). Every
-  // point is keyed before the first lookup.
+  // hashes each distinct kernel and config text once (cache/key.h).
   cache::Fingerprints fingerprints;
   std::exception_ptr failure;
   try {
-    std::vector<std::string> keys(cache ? n : 0), stored(verify ? n : 0);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const WallTimer timer;
-      keys[i] = fingerprints.result_cache_key(spec.points[i].config, spec.points[i].kernel);
-      rows[i].wall_ms = timer.seconds() * 1000.0;
-    }
-
-    // Each point in spec order: its cache lookup, where a hit completes its row
-    // (kVerify keeps the stored payload for the simulation to check instead),
-    // and otherwise its machine group, which the group's first point leads.
-    // Only these points get a machine key, so a warm all-hit sweep computes
-    // none and simulates nothing. Traced and timelined points stay alone,
-    // since each writes its own event stream.
-    std::vector<std::vector<std::size_t>> groups;
-    std::unordered_map<std::string, std::size_t> group_of;
+    std::unordered_map<std::string, std::size_t> machine_of;
     for (std::size_t i = 0; i < n; ++i) {
       const WallTimer timer;
       const SweepPoint& p = spec.points[i];
       rows[i].point = p;
+      const auto [it, added] =
+          machine_of.emplace(fingerprints.result_cache_key(p.config, p.kernel), machines.size());
+      if (added) machines.push_back({it->first, {}});
+      machines[it->second].points.push_back(i);
+      rows[i].wall_ms = timer.seconds() * 1000.0;
+    }
+    observers.resize(obs_opts.any() ? machines.size() : 0);
+    for (auto& o : observers) o = std::make_unique<obs::SimObserver>(obs_opts);
+
+    // Each machine's one lookup. A hit fills its rows, except under kVerify,
+    // which keeps the stats it serves for the simulation to check.
+    std::vector<std::size_t> unserved;
+    std::vector<std::optional<GpuStats>> served(verify ? machines.size() : 0);
+    for (std::size_t m = 0; m < machines.size(); ++m) {
+      const WallTimer timer;
       if (cache) {
-        SimResult cached;
-        bool hit;
+        SimResult hit;
+        bool found;
         {
-          prof::ScopedPhase prof_scope(obs::profiler(observer(i)), prof::Phase::kCacheLookup);
-          hit = cache->lookup(keys[i], verify ? &stored[i] : nullptr, &cached);
+          prof::ScopedPhase prof_scope(obs::profiler(observer(m)), prof::Phase::kCacheLookup);
+          found = cache->lookup(machines[m].key, nullptr, &hit);
         }
-        if (hit && !verify) {
-          // The payload carries stats + occupancy; the key pins the config, so
-          // the caller-visible config is restored from the point itself.
-          cached.config = p.config;
-          rows[i].result = std::move(cached);
-          rows[i].from_cache = true;
-          complete(i, timer);
+        if (found && !verify) {
+          fill(m, hit.stats, true, timer);
           continue;
         }
+        if (found) served[m] = hit.stats;
       }
-      if (streams) {
-        groups.push_back({i});
-      } else {
-        std::string machine = fingerprints.machine_key(p.config, p.kernel);
-        const auto [it, added] = group_of.emplace(std::move(machine), groups.size());
-        if (added) groups.emplace_back();
-        groups[it->second].push_back(i);
-      }
-      rows[i].wall_ms += timer.seconds() * 1000.0;
+      rows[machines[m].points.front()].wall_ms += timer.seconds() * 1000.0;
+      unserved.push_back(m);
     }
 
-    // Simulate each group's leader once. Every member's row is the leader's
-    // stats plus its own config and launch plan (members differ at most in t,
-    // their plans at most in eq4_blocks). It is stored under its own cache
-    // key, or under kVerify byte-compared with the entry its lookup found.
+    // Simulate each machine the store did not serve once, from its leader.
+    // It is stored under its key, or under kVerify compared with the stats
+    // its entry serves.
     const unsigned threads = options.threads == 0 ? default_threads() : options.threads;
-    parallel_for(groups.size(), threads, [&](std::size_t g) {
-      const std::vector<std::size_t>& members = groups[g];
-      WallTimer timer;  // the leader's cell includes the simulation
-      const SweepPoint& lead = spec.points[members.front()];
-      const GpuStats stats = simulate(lead.config, lead.kernel, observer(members.front())).stats;
-      for (const std::size_t i : members) {
-        const SweepPoint& p = spec.points[i];
-        SimResult& r = rows[i].result;
-        r.stats = stats;
-        r.occupancy = compute_occupancy(p.config, p.kernel.resources);
-        r.config = p.config;
-        if (verify && !stored[i].empty()) {  // a verify-mode hit
-          // The fuzz oracle recast as an integrity check: a warm entry must be
-          // byte-identical to a fresh simulation's encoding.
-          if (encode_result(r) != stored[i]) {
-            cache->note_verify_failure();
-            throw std::runtime_error("result cache verify FAILED: stored entry " +
-                                     cache->entry_path(keys[i]) + " differs from re-simulating '" +
-                                     p.kernel.name + "' under " + p.variant +
-                                     " — the store is poisoned or the simulator changed without "
-                                     "bumping the schema version (src/cache/key.h)");
-          }
-          cache->note_verified();
-        } else if (cache && cache->mode() != cache::CacheMode::kRead) {
-          prof::ScopedPhase prof_scope(obs::profiler(observer(i)), prof::Phase::kCacheStore);
-          cache->store(keys[i], r);
+    parallel_for(unserved.size(), threads, [&](std::size_t u) {
+      const std::size_t m = unserved[u];
+      const WallTimer timer;  // the leader's cell includes the simulation
+      const SweepPoint& lead = spec.points[machines[m].points.front()];
+      const SimResult r = simulate(lead.config, lead.kernel, observer(m));
+      if (verify && served[m]) {
+        // The fuzz oracle recast as an integrity check: what a warm entry
+        // serves must equal a fresh simulation's stats.
+        if (r.stats != *served[m]) {
+          cache->note_verify_failure();
+          throw std::runtime_error("result cache verify FAILED: stored entry " +
+                                   cache->entry_path(machines[m].key) +
+                                   " differs from re-simulating '" + lead.kernel.name +
+                                   "' under " + lead.variant +
+                                   " — the store is poisoned or the simulator changed without "
+                                   "bumping the schema version (src/cache/key.h)");
         }
-        complete(i, timer);
-        timer.restart();
+        cache->note_verified();
+      } else if (cache && cache->mode() != cache::CacheMode::kRead) {
+        prof::ScopedPhase prof_scope(obs::profiler(observer(m)), prof::Phase::kCacheStore);
+        cache->store(machines[m].key, r);
       }
+      fill(m, r.stats, false, timer);
     });
   } catch (...) {
     failure = std::current_exception();
@@ -206,7 +203,7 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
 
   // Counters and profiles are published however the sweep ends, so a failed
   // sweep still reports what it counted (a verify failure, say); profiles
-  // merge in point order, independent of the worker count.
+  // merge in machine order, independent of the worker count.
   if (options.prof != nullptr) {
     options.prof->add_fingerprints_hashed(fingerprints.hashed());
     for (const auto& o : observers) options.prof->merge(*o->profiler());
@@ -214,13 +211,16 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
   if (cache && options.cache_stats != nullptr) *options.cache_stats += cache->stats();
   if (failure) std::rethrow_exception(failure);
 
-  // Output files land on disk only after a complete sweep, in point order,
-  // so they are byte-identical for any worker count.
-  for (std::size_t i = 0; i < observers.size(); ++i) {
-    const obs::SimObserver& o = *observers[i];
-    if (obs_opts.trace) write_file(obs_point_path(options.trace_path, i, n), o.trace_json());
-    if (obs_opts.timeline_interval != 0)
-      write_file(obs_point_path(options.timeline_path, i, n), o.timeline_csv());
+  // Output files land on disk only after a complete sweep, so they are
+  // byte-identical for any worker count. Every member's file repeats its
+  // machine's stream: t never reaches the machine, so neither do the events.
+  for (std::size_t m = 0; m < observers.size(); ++m) {
+    const obs::SimObserver& o = *observers[m];
+    for (const std::size_t i : machines[m].points) {
+      if (obs_opts.trace) write_file(obs_point_path(options.trace_path, i, n), o.trace_json());
+      if (obs_opts.timeline_interval != 0)
+        write_file(obs_point_path(options.timeline_path, i, n), o.timeline_csv());
+    }
   }
   return rows;
 }

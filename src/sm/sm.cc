@@ -320,7 +320,13 @@ Cycle StreamingMultiprocessor::next_wakeup() const {
 }
 
 bool StreamingMultiprocessor::stuck() const {
-  return next_wakeup() == kNeverCycle && (dyn_ == nullptr || !dyn_->enabled());
+  // Exact after a step that issued nothing: when it holds, no warp can ever
+  // issue again. A warp not at a Dyn gate is either parked, and only an
+  // event wakes it, or structurally blocked. With nothing pending the LSU
+  // queue and the L1 MSHR are empty, so a structural block means a zero
+  // issue port (or LSU queue), and no gate change lifts that.
+  return next_wakeup() == kNeverCycle &&
+         tally_.warps[static_cast<std::size_t>(obs::WarpState::kDynGated)] == 0;
 }
 
 bool StreamingMultiprocessor::tick(Cycle now) {

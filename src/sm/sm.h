@@ -130,9 +130,10 @@ class StreamingMultiprocessor {
   [[nodiscard]] Cycle next_wakeup() const;
 
   /// True when this SM cannot change on its own: no writeback or L1 fill is
-  /// pending and no Dyn gate could reopen at a monitoring boundary. If every
-  /// SM is stuck after a cycle in which none issued, no warp can ever issue
-  /// again: the GPU loop's deadlock rule (gpu/gpu.cc).
+  /// pending and the last scan left no warp at a Dyn gate, so no gate that
+  /// reopens at a monitoring boundary lets a warp issue. If every SM is
+  /// stuck after a cycle in which none issued, no warp can ever issue again:
+  /// the GPU loop's deadlock rule (gpu/gpu.cc).
   [[nodiscard]] bool stuck() const;
 
   /// The counters as they stand at cycle `c` (default: the last stepped

@@ -23,13 +23,17 @@
 #include "common/config.h"
 #include "common/hash.h"
 #include "common/io.h"
+#include "core/occupancy.h"
 #include "gpu/result_codec.h"
 #include "gpu/simulator.h"
 #include "prof/prof.h"
 #include "runner/cli_options.h"
 #include "runner/engine.h"
 #include "runner/sink.h"
+#include "study/plan.h"
 #include "workloads/format/gkd.h"
+#include "workloads/gen/generator.h"
+#include "workloads/gen/profile.h"
 #include "workloads/suites.h"
 
 namespace grs {
@@ -85,7 +89,7 @@ std::string csv_of(const std::vector<runner::SweepRow>& rows) {
 
 // If any of these fail after a struct gained a field: extend
 // GpuConfig::canonical_kv() / result_fields() (and, for Occupancy,
-// cache::machine_key()), bump the matching schema version (kSimSchemaVersion
+// cache::result_cache_key()), bump the matching schema version (kSimSchemaVersion
 // for semantics, kResultCodecVersion for payload layout), and update the
 // numbers here. Pointer-size gate: the sizeof values are for LP64; the
 // enumeration-count guards below hold everywhere.
@@ -255,18 +259,14 @@ TEST(Fingerprint, KeysMatchCommittedHex) {
   EXPECT_EQ(cache::kernel_fingerprint(hotspot),
             "451035f8355475156e31dd12f21a7d222279657db4a456e29bcd72dfe9e4640e");
   EXPECT_EQ(cache::result_cache_key(shared, hotspot),
-            "f77075f8849e99763a9c6b7befc952282d2d54bd7976c78147c98390d94bf1a5");
-  EXPECT_EQ(cache::machine_key(shared, hotspot),
-            "9291197bfa977d05e1a71bb6f5fb171bc8d1865856301616d0a4f6f729101187");
+            "7ee0ad23dcba31e3050841b33ad1de13cd5416d1385f62ea9ec4702f691e008f");
 
   const KernelInfo every = workloads::gkd::parse(kEveryPathGkd);
   EXPECT_EQ(workloads::gkd::serialize(every), kEveryPathGkd);
   EXPECT_EQ(cache::kernel_fingerprint(every),
             "09b1eeb75c46e253459cb598535cba74fcd01c3fb2fd266d8fd37abf0c0c93a0");
   EXPECT_EQ(cache::result_cache_key(shared, every),
-            "f8a2018097f019153b389bdb9e7b3232b21e35a1108914ef1d8aabfa06e7e021");
-  EXPECT_EQ(cache::machine_key(shared, every),
-            "c84eb30fffd755240972d2be64a442fdf033753e5b542fdf7f8ce076bd849311");
+            "09a6afba869cec9943ccad6268e121d2db6c70d617b9affa3092ab8db94daa99");
 }
 
 TEST(Fingerprint, MemoMatchesTheFreeFunctions) {
@@ -286,13 +286,8 @@ TEST(Fingerprint, MemoMatchesTheFreeFunctions) {
     EXPECT_EQ(memo.config_fingerprint(p.config), p.config.fingerprint());
     EXPECT_EQ(memo.kernel_fingerprint(p.kernel), cache::kernel_fingerprint(p.kernel));
   }
-  EXPECT_EQ(memo.hashed(), 2u + 3u);  // distinct kernel texts + config texts
-
-  for (const runner::SweepPoint& p : spec.points) {
-    const std::string key = cache::machine_key(p.config, p.kernel);
-    EXPECT_EQ(memo.machine_key(p.config, p.kernel), key) << p.variant << " " << p.kernel.name;
-  }
-  // Each config once more with t pinned to 1.0: none of the three has t = 1.
+  // Distinct kernel texts, the config texts the keys hash (t pinned to 1.0),
+  // and the configs as given: none of the three has t = 1.
   EXPECT_EQ(memo.hashed(), 2u + 3u + 3u);
 }
 
@@ -511,6 +506,46 @@ TEST(CacheTest, WarmSweepIsAllHitsAndByteIdentical) {
   EXPECT_EQ(ro_csv, cold_csv);
 }
 
+TEST(CacheTest, OneEntryServesEveryThresholdOfAMachine) {
+  // At t = 1.0 and t = 0.9 this kernel resolves to one launch plan but for
+  // the pre-cap diagnostic eq4_blocks (2 and 3): one machine, one entry.
+  const std::string dir = fresh_store("one_entry");
+  KernelInfo kernel =
+      workloads::gen::generate(workloads::gen::study_profile({44, 6144, 0, 32}), 1);
+  kernel.grid_blocks = 28;
+  const GpuConfig t09 = study::family_config(Resource::kRegisters, 10);
+  ASSERT_EQ(compute_occupancy(study::family_config(Resource::kRegisters, 0), kernel.resources)
+                .eq4_blocks,
+            2u);
+  ASSERT_EQ(compute_occupancy(t09, kernel.resources).eq4_blocks, 3u);
+  const auto sweep = [&](double percent, cache::CacheMode mode, cache::CacheStats* stats) {
+    runner::SweepSpec spec;
+    spec.add(study::variant_label(Resource::kRegisters, percent),
+             study::family_config(Resource::kRegisters, percent), kernel);
+    return runner::run_sweep(spec, cached_options(dir, mode, stats));
+  };
+
+  cache::CacheStats cold;
+  (void)sweep(0, cache::CacheMode::kReadWrite, &cold);
+  EXPECT_EQ(cold.stores, 1u);
+
+  // The t = 0.9 point hits the t = 1.0 entry and still gets its own plan.
+  cache::CacheStats warm;
+  const std::vector<runner::SweepRow> rows = sweep(10, cache::CacheMode::kReadWrite, &warm);
+  EXPECT_EQ(warm.hits, 1u);
+  EXPECT_EQ(warm.misses, 0u);
+  EXPECT_EQ(warm.stores, 0u);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_TRUE(rows[0].from_cache);
+  EXPECT_EQ(rows[0].result.occupancy.eq4_blocks, 3u);
+  EXPECT_EQ(encode_result(rows[0].result), encode_result(simulate(t09, kernel)));
+
+  cache::CacheStats verify;
+  (void)sweep(10, cache::CacheMode::kVerify, &verify);
+  EXPECT_EQ(verify.verified, 1u);
+  EXPECT_EQ(verify.verify_failures, 0u);
+}
+
 TEST(CacheTest, ProfiledSweepsCountEachTextHashedOnce) {
   const std::string dir = fresh_store("fingerprints_hashed");
   const runner::SweepSpec spec = tiny_spec();  // 2 configs x 2 kernels, t = 0.1
@@ -521,12 +556,10 @@ TEST(CacheTest, ProfiledSweepsCountEachTextHashedOnce) {
     (void)runner::run_sweep(spec, o);
     return prof.fingerprints_hashed();
   };
-  // Cold: 2 kernel and 2 config texts for the result keys, then the 2 configs
-  // with t pinned to 1.0 for the machine keys of the 4 misses.
-  EXPECT_EQ(hashed(dir, cache::CacheMode::kReadWrite), 6u);
-  // Warm: all hits, so no machine key; 2 kernels + 2 configs, not 2 x 4 points.
+  // One key per point hashes the 2 kernels and the 2 configs with t pinned to
+  // 1.0, not 2 x 4 points, whether the sweep is cold, warm or uncached.
   EXPECT_EQ(hashed(dir, cache::CacheMode::kReadWrite), 4u);
-  // Cache off: machine keys only.
+  EXPECT_EQ(hashed(dir, cache::CacheMode::kReadWrite), 4u);
   EXPECT_EQ(hashed(dir, cache::CacheMode::kOff), 4u);
 }
 
@@ -566,7 +599,8 @@ TEST(CacheTest, VerifyModePassesOnHonestStoreAndThrowsOnPoison) {
   const runner::SweepSpec spec = tiny_spec();
   (void)runner::run_sweep(spec, cached_options(dir, cache::CacheMode::kReadWrite));
 
-  // Honest store: every hit re-simulates and proves byte-identical.
+  // Honest store: every hit re-simulates and serves the same stats (tiny_spec's
+  // 4 points are 4 machines).
   cache::CacheStats honest;
   const auto rows =
       runner::run_sweep(spec, cached_options(dir, cache::CacheMode::kVerify, &honest));
@@ -607,25 +641,28 @@ TEST(CacheTest, VerifyChecksEveryMemberOfAMergedMachine) {
   std::vector<std::string> machines;
   std::size_t member = spec.size();
   for (std::size_t i = 0; i < spec.size(); ++i) {
-    const std::string m = cache::machine_key(spec.points[i].config, kernel);
+    const std::string m = cache::result_cache_key(spec.points[i].config, kernel);
     if (std::find(machines.begin(), machines.end(), m) == machines.end())
       machines.push_back(m);
     else if (member == spec.size())
       member = i;
   }
   ASSERT_LT(member, spec.size()) << "no two thresholds share a machine";
+  ASSERT_EQ(machines.size(), 2u);
 
-  // Untouched store: every member verifies against one simulation per machine.
+  // Untouched store: each machine's one entry verifies against one
+  // simulation, so verified counts machines, not points.
   cache::CacheStats honest;
   prof::HostProfiler prof;
   runner::RunOptions verify = cached_options(dir, cache::CacheMode::kVerify, &honest);
   verify.prof = &prof;
   (void)runner::run_sweep(spec, verify);
-  EXPECT_EQ(honest.verified, spec.size());
+  EXPECT_EQ(honest.verified, machines.size());
   EXPECT_EQ(honest.verify_failures, 0u);
   EXPECT_EQ(prof.calls(prof::Phase::kSimulate), machines.size());
 
-  // A well-formed entry that differs in one stat, on that non-leading member.
+  // A well-formed entry that differs in one stat: the one entry the
+  // non-leading member shares with its leader.
   const runner::SweepPoint& p = spec.points[member];
   const std::string path = cache::ResultCache(dir, cache::CacheMode::kRead)
                                .entry_path(cache::result_cache_key(p.config, p.kernel));

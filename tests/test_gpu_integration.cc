@@ -171,6 +171,23 @@ TEST(GpuIntegration, DeadlockAbortsAtTheSameCycleInBothModes) {
     EXPECT_EQ(capped.back().sm_total.blocked_lsu_port, 434448u) << to_string(mode);
   }
   EXPECT_TRUE(capped[0] == capped[1]);
+
+  // With Dyn on, both modes ask at monitoring boundaries, so they abort at
+  // the first boundary after the deadlock. This plan has no pairs, so no
+  // warp ever meets a gate.
+  GpuConfig dyn = configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1);
+  dyn.lsu_issue_per_cycle = 0;
+  std::vector<GpuStats> dyn_capped;
+  for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+    dyn.exec_mode = mode;
+    dyn.max_cycles = 0;
+    EXPECT_DEATH((void)simulate(dyn, k), "deadlock at cycle 1000") << to_string(mode);
+    dyn.max_cycles = 2000;
+    dyn_capped.push_back(simulate(dyn, k).stats);
+    EXPECT_EQ(dyn_capped.back().cycles, 2000u) << to_string(mode);
+    EXPECT_EQ(dyn_capped.back().sm_total.blocks_finished, 0u) << to_string(mode);
+  }
+  EXPECT_TRUE(dyn_capped[0] == dyn_capped[1]);
 }
 
 TEST(GpuIntegration, SchedulerCycleAccountingIsExhaustive) {

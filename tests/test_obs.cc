@@ -469,7 +469,7 @@ TEST(ObsEngine, SweepFilesByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ObsEngine, EveryPillarOnOneObserver) {
-  // Trace, timeline and profiler share one observer per point without
+  // Trace, timeline and profiler share one observer per machine without
   // disturbing each other: the files match a trace+timeline run byte for
   // byte, and the profile matches a profile-only run call for call, plus one
   // timeline_sample call per gpu row the timeline files carry.

@@ -15,8 +15,10 @@
 
 #include "cache/key.h"
 #include "common/config.h"
+#include "common/io.h"
 #include "gpu/result_codec.h"
 #include "gpu/simulator.h"
+#include "obs/obs.h"
 #include "prof/prof.h"
 #include "runner/engine.h"
 #include "runner/kernel_source.h"
@@ -257,7 +259,9 @@ TEST(Engine, SimulatesEachDistinctMachineOnce) {
     EXPECT_EQ(prof.calls(prof::Phase::kSimulate), kDistinctMachines);
   }
 
-  // A traced run keeps one simulation per point: each writes its own events.
+  // A traced and timelined run simulates each machine once too. Each point's
+  // files repeat its leader's, byte for byte what the point's own observed
+  // simulate() writes: t never reaches the machine, so neither do the events.
   const std::string dir = testing::TempDir() + "/grs_engine_distinct_machines";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -265,10 +269,22 @@ TEST(Engine, SimulatesEachDistinctMachineOnce) {
   RunOptions traced = with_threads(3);
   traced.prof = &prof;
   traced.trace_path = dir + "/trace.json";
+  traced.timeline_path = dir + "/timeline.csv";
   expect_fresh(run_sweep(spec, traced));
-  EXPECT_EQ(prof.calls(prof::Phase::kSimulate), spec.size());
-  for (std::size_t i = 0; i < spec.size(); ++i)
-    EXPECT_TRUE(std::filesystem::exists(obs_point_path(traced.trace_path, i, spec.size()))) << i;
+  EXPECT_EQ(prof.calls(prof::Phase::kSimulate), kDistinctMachines);
+  obs::ObsOptions opts;
+  opts.trace = true;
+  opts.timeline_interval = traced.timeline_interval;
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    obs::SimObserver own(opts);
+    (void)simulate(spec.points[i].config, spec.points[i].kernel, &own);
+    // EXPECT_TRUE, not EXPECT_EQ: a mismatch would print whole traces.
+    EXPECT_TRUE(read_file(obs_point_path(traced.trace_path, i, spec.size())) == own.trace_json())
+        << "point " << i;
+    EXPECT_TRUE(read_file(obs_point_path(traced.timeline_path, i, spec.size())) ==
+                own.timeline_csv())
+        << "point " << i;
+  }
   std::filesystem::remove_all(dir);
 }
 
