@@ -17,11 +17,11 @@
 // and the timeline see the same values in both modes.
 //
 // One deadlock rule covers both modes: when no SM issued and every SM is
-// stuck() (no pending writeback or L1 fill, no warp at a Dyn gate), no warp
-// can ever issue again, and unless cfg.max_cycles caps the run the loop
-// aborts with "deadlock at cycle N". With Dyn on, the loop asks only at
-// monitoring boundaries, where every SM steps in both modes, so both modes
-// abort at the same boundary.
+// stuck() (no pending writeback or L1 fill, and no warp at a Dyn gate that
+// could issue if the gate reopened), no warp can ever issue again, and
+// unless cfg.max_cycles caps the run the loop aborts with "deadlock at
+// cycle N". With Dyn on, the loop asks only at monitoring boundaries, where
+// every SM steps in both modes, so both modes abort at the same boundary.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,30 @@
 #include <cstdint>
 
 #include "common/types.h"
+#include "isa/instruction.h"
 
 namespace grs {
+
+/// The sharing lock an instruction takes at issue (paper Fig. 3/4 steps
+/// (c)-(e)): none, the warp's register lock or its block's scratchpad lock.
+enum class LockNeed : std::uint8_t { kNone, kReg, kSmem };
+
+/// Which instructions of a block's warps take a sharing lock: in a shared
+/// block, those touching a register at or above the unshared register count
+/// (register sharing) or a scratchpad offset at or above the unshared bytes
+/// (scratchpad sharing). Fixed for the block's life.
+struct LockRule {
+  LockNeed lock = LockNeed::kNone;  ///< kNone: the block is unshared
+  std::uint32_t threshold = 0;      ///< first shared register number or byte
+
+  [[nodiscard]] LockNeed need(const Instruction& ins) const {
+    const RegNum m = ins.max_reg();
+    const bool shared = lock == LockNeed::kReg
+                            ? m != kNoReg && m >= threshold
+                            : is_shared_mem(ins.op) && ins.smem_offset >= threshold;
+    return shared ? lock : LockNeed::kNone;
+  }
+};
 
 struct ResidentBlock {
   bool active = false;
@@ -17,6 +39,7 @@ struct ResidentBlock {
   /// unshared block; side is 0/1 within the pair.
   int pair_id = -1;
   int side = -1;
+  LockRule lock_rule;
 
   std::uint32_t warps_exited = 0;
   std::uint32_t barrier_arrived = 0;

@@ -6,83 +6,10 @@ namespace grs {
 
 WarpScheduler::WarpScheduler(SchedulerKind kind, std::uint32_t total_slots,
                              std::uint32_t group_size)
-    : kind_(kind), total_slots_(total_slots), group_size_(group_size) {
+    : kind_(kind), group_size_(group_size) {
   GRS_CHECK(total_slots >= 1);
   GRS_CHECK(group_size >= 1);
-}
-
-std::size_t WarpScheduler::oldest_index(const std::vector<SchedCandidate>& cands,
-                                        std::size_t begin, std::size_t end) {
-  std::size_t best = begin;
-  for (std::size_t i = begin + 1; i < end; ++i)
-    if (cands[i].age < cands[best].age) best = i;
-  return best;
-}
-
-std::size_t WarpScheduler::select(const std::vector<SchedCandidate>& cands) {
-  GRS_CHECK(!cands.empty());
-  std::size_t pick = 0;
-  switch (kind_) {
-    case SchedulerKind::kLrr: pick = select_lrr(cands); break;
-    case SchedulerKind::kGto: pick = select_gto(cands); break;
-    case SchedulerKind::kTwoLevel: pick = select_two_level(cands); break;
-    case SchedulerKind::kOwf: pick = select_owf(cands); break;
-  }
-  last_slot_ = cands[pick].slot;
-  greedy_slot_ = cands[pick].slot;
-  return pick;
-}
-
-std::size_t WarpScheduler::select_lrr(const std::vector<SchedCandidate>& cands) {
-  // First candidate with slot strictly after the last issued slot, wrapping.
-  for (std::size_t i = 0; i < cands.size(); ++i)
-    if (cands[i].slot > last_slot_) return i;
-  return 0;
-}
-
-std::size_t WarpScheduler::select_gto(const std::vector<SchedCandidate>& cands) {
-  for (std::size_t i = 0; i < cands.size(); ++i)
-    if (cands[i].slot == greedy_slot_) return i;
-  return oldest_index(cands, 0, cands.size());
-}
-
-std::size_t WarpScheduler::select_two_level(const std::vector<SchedCandidate>& cands) {
-  const std::uint32_t n_groups = (total_slots_ + group_size_ - 1) / group_size_;
-  // Try the active group first, then subsequent groups in round-robin order.
-  for (std::uint32_t g = 0; g < n_groups; ++g) {
-    const std::uint32_t group = (active_group_ + g) % n_groups;
-    const std::uint32_t lo = group * group_size_;
-    const std::uint32_t hi = lo + group_size_;
-    // Round-robin inside the group, continuing after last_slot_.
-    std::size_t first_in_group = cands.size();
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (cands[i].slot < lo || cands[i].slot >= hi) continue;
-      if (first_in_group == cands.size()) first_in_group = i;
-      if (cands[i].slot > last_slot_) {
-        active_group_ = group;
-        return i;
-      }
-    }
-    if (first_in_group != cands.size()) {
-      active_group_ = group;
-      return first_in_group;
-    }
-  }
-  return 0;  // unreachable for non-empty cands
-}
-
-std::size_t WarpScheduler::select_owf(const std::vector<SchedCandidate>& cands) {
-  int best_rank = 4;
-  for (const auto& c : cands) best_rank = std::min(best_rank, owf_rank(c.cls));
-  // Greedy within the best class, else oldest within the best class.
-  std::size_t oldest = cands.size();
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    if (owf_rank(cands[i].cls) != best_rank) continue;
-    if (cands[i].slot == greedy_slot_) return i;
-    if (oldest == cands.size() || cands[i].age < cands[oldest].age) oldest = i;
-  }
-  GRS_CHECK(oldest < cands.size());
-  return oldest;
+  n_groups_ = (total_slots + group_size - 1) / group_size;
 }
 
 }  // namespace grs

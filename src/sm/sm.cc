@@ -69,6 +69,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
       trace_(obs::tracer(obs)),
       prof_(obs::profiler(obs)) {
   GRS_CHECK_MSG(program.num_regs() <= 64, "scoreboard supports at most 64 registers/thread");
+  GRS_CHECK_MSG(cfg.num_schedulers <= 256, "at most 256 warp schedulers per SM");
   GRS_CHECK(occ.total_blocks >= 1);
   GRS_CHECK(occ.total_blocks * warps_per_block_ <= cfg.max_warps_per_sm());
   warps_.resize(static_cast<std::size_t>(occ.total_blocks) * warps_per_block_);
@@ -79,12 +80,16 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
   for (std::uint32_t s = 0; s < cfg.num_schedulers; ++s)
     schedulers_.emplace_back(cfg.scheduler, static_cast<std::uint32_t>(warps_.size()),
                              cfg.two_level_group_size);
+  const std::size_t words = (warps_.size() + 63) / 64;
+  ready_.assign(words, 0);
   scan_sets_.resize(cfg.num_schedulers);
-  for (std::uint32_t s = 0; s < cfg.num_schedulers; ++s) {
-    const std::size_t slots = (warps_.size() + cfg.num_schedulers - 1 - s) / cfg.num_schedulers;
-    scan_sets_[s].ready.assign((slots + 63) / 64, 0);
+  for (ScanSet& set : scan_sets_) set.mask.assign(words, 0);
+  sched_of_.resize(warps_.size());
+  for (std::uint32_t slot = 0; slot < warps_.size(); ++slot) {
+    const std::uint32_t s = slot % cfg.num_schedulers;
+    sched_of_[slot] = static_cast<std::uint8_t>(s);
+    scan_sets_[s].mask[slot / 64] |= 1ull << (slot % 64);
   }
-  cands_.reserve(warps_.size());
   txns_.reserve(32);
 }
 
@@ -118,6 +123,10 @@ void StreamingMultiprocessor::launch_block(BlockSlot slot, std::uint64_t block_u
     p.locks.on_block_replace(b.side);
     // First occupant of an empty pair owns the shared pool.
     if (p.owner_side == PairLockState::kNoSide) p.owner_side = b.side;
+    if (cfg_.sharing.resource == Resource::kRegisters)
+      b.lock_rule = {LockNeed::kReg, occ_.unshared_regs_per_thread};
+    if (cfg_.sharing.resource == Resource::kScratchpad)
+      b.lock_rule = {LockNeed::kSmem, occ_.unshared_smem_bytes};
   }
 
   const std::uint32_t tail_threads = res_.threads_per_block % cfg_.warp_size;
@@ -131,7 +140,7 @@ void StreamingMultiprocessor::launch_block(BlockSlot slot, std::uint64_t block_u
     w.warp_uid = block_uid * warps_per_block_ + i;
     w.dynamic_id = next_dynamic_id_++;
     w.cursor = ProgramCursor(*program_);
-    w.decode(*program_);
+    w.decode(*program_, b.lock_rule);
     w.active_lanes = kernel_active_lanes_;
     if (i + 1 == warps_per_block_ && tail_threads != 0)
       w.active_lanes = std::min(w.active_lanes, tail_threads);
@@ -190,27 +199,23 @@ void StreamingMultiprocessor::retire(const Event& e, bool mem) {
 }
 
 void StreamingMultiprocessor::make_ready(std::uint32_t slot) {
-  const auto n_sched = static_cast<std::uint32_t>(scan_sets_.size());
-  const std::uint32_t i = slot / n_sched;
-  scan_sets_[slot % n_sched].ready[i / 64] |= 1ull << (i % 64);
+  ready_[slot / 64] |= 1ull << (slot % 64);
 }
 
 void StreamingMultiprocessor::drop_ready(std::uint32_t slot) {
-  const auto n_sched = static_cast<std::uint32_t>(scan_sets_.size());
-  const std::uint32_t i = slot / n_sched;
-  scan_sets_[slot % n_sched].ready[i / 64] &= ~(1ull << (i % 64));
+  ready_[slot / 64] &= ~(1ull << (slot % 64));
 }
 
 void StreamingMultiprocessor::park(Warp& w, obs::WarpState st) {
   const std::uint32_t slot = warp_slot_of(w);
   drop_ready(slot);
-  ++scan_sets_[slot % scan_sets_.size()].parked[static_cast<std::size_t>(st)];
+  ++scan_sets_[sched_of_[slot]].parked[static_cast<std::size_t>(st)];
   w.parked = st;
 }
 
 void StreamingMultiprocessor::wake(Warp& w) {
   const std::uint32_t slot = warp_slot_of(w);
-  --scan_sets_[slot % scan_sets_.size()].parked[static_cast<std::size_t>(w.parked)];
+  --scan_sets_[sched_of_[slot]].parked[static_cast<std::size_t>(w.parked)];
   w.parked = obs::WarpState::kNone;
   make_ready(slot);
 }
@@ -224,19 +229,6 @@ void StreamingMultiprocessor::wake_lock_waiters(const PairState& p) {
     w.decided = false;
     if (w.parked == obs::WarpState::kLockWait) wake(w);
   }
-}
-
-bool StreamingMultiprocessor::needs_reg_lock(const ResidentBlock& b,
-                                             const Instruction& ins) const {
-  if (!b.is_shared() || cfg_.sharing.resource != Resource::kRegisters) return false;
-  const RegNum m = ins.max_reg();
-  return m != kNoReg && m >= occ_.unshared_regs_per_thread;
-}
-
-bool StreamingMultiprocessor::needs_smem_lock(const ResidentBlock& b,
-                                              const Instruction& ins) const {
-  if (!b.is_shared() || cfg_.sharing.resource != Resource::kScratchpad) return false;
-  return is_shared_mem(ins.op) && ins.smem_offset >= occ_.unshared_smem_bytes;
 }
 
 void StreamingMultiprocessor::acquire_with_ownership(PairState& p, int side, bool reg,
@@ -324,13 +316,16 @@ bool StreamingMultiprocessor::stuck() const {
   // issue again. A warp not at a Dyn gate is either parked, and only an
   // event wakes it, or structurally blocked. With nothing pending the LSU
   // queue and the L1 MSHR are empty, so a structural block means a zero
-  // issue port (or LSU queue), and no gate change lifts that.
-  return next_wakeup() == kNeverCycle &&
-         tally_.warps[static_cast<std::size_t>(obs::WarpState::kDynGated)] == 0;
+  // issue port (or LSU queue), and no gate change lifts that. A gated warp
+  // waits to issue a global access, which needs an LSU port and a queue
+  // entry but cannot fail the pre-check on an empty MSHR (simulate() rejects
+  // wider loads): once its gate reopens it can issue iff both are nonzero.
+  const bool gated = tally_.warps[static_cast<std::size_t>(obs::WarpState::kDynGated)] != 0;
+  const bool lsu_open = cfg_.lsu_issue_per_cycle != 0 && cfg_.lsu_max_inflight != 0;
+  return next_wakeup() == kNeverCycle && !(gated && lsu_open);
 }
 
-bool StreamingMultiprocessor::tick(Cycle now) {
-  if (now < idle_until_) return false;  // known idle; accounted on wake or by stats(c)
+bool StreamingMultiprocessor::resume(Cycle now) {
   if (now > now_ + 1) {
     prof::ScopedPhase prof_scope(prof_, prof::Phase::kEventSleep);
     tally_.add_to(stats_, now - now_ - 1);
@@ -380,9 +375,8 @@ bool StreamingMultiprocessor::tick(Cycle now) {
 }
 
 bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
-  cands_.clear();
-  bool saw_stall = false;
-  ScanSet& set = scan_sets_[sched_id];
+  const ScanSet& set = scan_sets_[sched_id];
+  WarpScheduler& sched = schedulers_[sched_id];
   // Parked warps count as they stand when this scan starts, which is when a
   // per-warp scan would have decided them: one that a later scheduler's
   // issue wakes still counts in its parked state this cycle.
@@ -390,12 +384,15 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
 #ifndef NDEBUG
   check_parked(sched_id);
 #endif
-  const auto n_sched = static_cast<std::uint32_t>(schedulers_.size());
-  for (std::size_t word = 0; word < set.ready.size(); ++word) {
-    // Ascending bits are ascending slots, the order select() requires.
-    for (std::uint64_t bits = set.ready[word]; bits != 0; bits &= bits - 1) {
-      const auto i = static_cast<std::uint32_t>(word * 64 + __builtin_ctzll(bits));
-      const std::uint32_t slot = sched_id + i * n_sched;
+  const bool owf = sched.kind() == SchedulerKind::kOwf;
+  bool saw_stall = false;
+  std::uint32_t pick = kInvalidSlot;
+  std::uint64_t pick_key = 0;
+  for (std::size_t word = 0; word < ready_.size(); ++word) {
+    // Ascending bits are ascending slots, the order of the counters and the
+    // trace; the pick is the lowest key whatever the order.
+    for (std::uint64_t bits = ready_[word] & set.mask[word]; bits != 0; bits &= bits - 1) {
+      const auto slot = static_cast<std::uint32_t>(word * 64 + __builtin_ctzll(bits));
       Warp& w = warps_[slot];
       const obs::WarpState st = scan_warp(w, now);
       ++scanned_;
@@ -406,24 +403,28 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
       // (obs/events.h explains why that stays byte-identical across modes).
       if (trace_) trace_->warp_scan(id_, slot, now, st);
       if (st == obs::WarpState::kEligible) {
-        cands_.push_back(SchedCandidate{slot, w.dynamic_id, classify(w)});
+        const std::uint64_t key =
+            sched.key(slot, w.dynamic_id, owf ? classify(w) : WarpClass::kUnshared);
+        if (pick == kInvalidSlot || key < pick_key) {
+          pick = slot;
+          pick_key = key;
+        }
       } else if (acct.parks) {
         park(w, st);
       }
     }
   }
 
-  if (cands_.empty()) {
+  if (pick == kInvalidSlot) {
     ++(saw_stall ? tally_.stalled : tally_.idled);
     return false;
   }
 
   prof::ScopedPhase prof_scope(prof_, prof::Phase::kIssue);
-  const std::size_t pick = schedulers_[sched_id].select(cands_);
-  const std::uint32_t picked_slot = cands_[pick].slot;
-  Warp& w = warps_[picked_slot];
+  sched.commit(pick);
+  Warp& w = warps_[pick];
   const Instruction& ins = *w.next;
-  if (trace_) trace_->warp_issue(id_, picked_slot, now, ins.op);
+  if (trace_) trace_->warp_issue(id_, pick, now, ins.op);
   issue(w, ins, now);
   ++stats_.issued_cycles;
   ++stats_.warp_instructions;
@@ -436,9 +437,13 @@ void StreamingMultiprocessor::check_parked(std::uint32_t sched_id) {
   const ScanSet& set = scan_sets_[sched_id];
   std::array<std::uint32_t, obs::kNumWarpStates> recount{};
   const auto n_sched = static_cast<std::uint32_t>(scan_sets_.size());
-  for (std::uint32_t slot = sched_id, i = 0; slot < warps_.size(); slot += n_sched, ++i) {
+  for (std::uint32_t slot = 0; slot < warps_.size(); ++slot) {
+    const bool mine = ((set.mask[slot / 64] >> (slot % 64)) & 1) != 0;
+    GRS_CHECK_MSG(mine == (slot % n_sched == sched_id) && mine == (sched_of_[slot] == sched_id),
+                  "scheduler mask or slot table out of sync with the slot assignment");
+    if (!mine) continue;
     const Warp& w = warps_[slot];
-    const bool ready = ((set.ready[i / 64] >> (i % 64)) & 1) != 0;
+    const bool ready = ((ready_[slot / 64] >> (slot % 64)) & 1) != 0;
     GRS_CHECK_MSG(ready == (w.live() && w.parked == obs::WarpState::kNone),
                   "ready set out of sync with the live warps");
     if (ready && w.decided) {
@@ -462,13 +467,13 @@ obs::WarpState StreamingMultiprocessor::scan_warp(Warp& w, Cycle now) {
     if (st != WarpState::kEligible) return st;
     w.decided = true;
   }
-  const Instruction& ins = *w.next;
+  const Op op = w.next_op;
 
   // Dynamic warp execution gate (paper §IV-C): suppressed issue, also
   // "not ready" this cycle. With a fractional probability the decision may
   // flip from one cycle to the next; record which way it went so tick()
   // knows how far this scan can be replayed.
-  if (dyn_ != nullptr && dyn_->enabled() && is_global_mem(ins.op) &&
+  if (dyn_ != nullptr && dyn_->enabled() && is_global_mem(op) &&
       classify(w) == WarpClass::kSharedNonOwner) {
     const bool cycle_dependent = dyn_->gate_is_cycle_dependent(id_);
     if (!dyn_->allow(id_, now, w.warp_uid)) {
@@ -479,13 +484,13 @@ obs::WarpState StreamingMultiprocessor::scan_warp(Warp& w, Cycle now) {
   }
 
   // Structural hazards -> stall class.
-  if (is_mem(ins.op)) {
+  if (is_mem(op)) {
     if (lsu_port_ >= cfg_.lsu_issue_per_cycle) return WarpState::kLsuPort;
     if (lsu_inflight_ >= cfg_.lsu_max_inflight) return WarpState::kLsuQueue;
     // Stores bypass the MSHR (no-allocate).
-    if (ins.op == Op::kLdGlobal && l1_.inflight() + w.next_load_lines > cfg_.l1.mshr_entries)
+    if (op == Op::kLdGlobal && l1_.inflight() + w.next_load_lines > cfg_.l1.mshr_entries)
       return WarpState::kMshrFull;
-  } else if (ins.op == Op::kSfu && sfu_port_ >= cfg_.sfu_issue_per_cycle) {
+  } else if (op == Op::kSfu && sfu_port_ >= cfg_.sfu_issue_per_cycle) {
     return WarpState::kSfuPort;
   }
   return WarpState::kEligible;
@@ -496,33 +501,31 @@ obs::WarpState StreamingMultiprocessor::instruction_wait(const Warp& w) const {
   if (w.at_barrier) return WarpState::kBarrier;  // synchronization wait -> idle class
 
   GRS_CHECK_MSG(w.next != nullptr, "live warp with exhausted program");
-  const Instruction& ins = *w.next;
 
   // Scoreboard: RAW/WAW on in-flight results -> dependency wait (idle class).
-  if ((w.pending_writes & hazard_mask(ins)) != 0) return WarpState::kScoreboard;
-  if (ins.op == Op::kExit && w.inflight != 0) return WarpState::kDrainExit;
-
-  const ResidentBlock& b = blocks_[w.block];
+  if ((w.pending_writes & w.next_hazard) != 0) return WarpState::kScoreboard;
+  if (w.next_op == Op::kExit && w.inflight != 0) return WarpState::kDrainExit;
+  if (w.next_lock == LockNeed::kNone) return WarpState::kEligible;
 
   // Sharing locks (paper Fig. 3/4 step (d)-(e)): the warp busy-waits; like
   // a scoreboard dependency it is "not ready", so a cycle with only
   // lock-blocked warps counts as idle, not as a pipeline stall.
-  if (needs_reg_lock(b, ins) &&
-      !pairs_[b.pair_id].locks.reg_can_acquire(b.side, w.pos_in_block))
-    return WarpState::kLockWait;
-  if (needs_smem_lock(b, ins) && !pairs_[b.pair_id].locks.smem_can_acquire(b.side))
-    return WarpState::kLockWait;
-  return WarpState::kEligible;
+  const ResidentBlock& b = blocks_[w.block];
+  const PairLockState& locks = pairs_[b.pair_id].locks;
+  const bool free = w.next_lock == LockNeed::kReg ? locks.reg_can_acquire(b.side, w.pos_in_block)
+                                                  : locks.smem_can_acquire(b.side);
+  return free ? WarpState::kEligible : WarpState::kLockWait;
 }
 
 void StreamingMultiprocessor::issue(Warp& w, const Instruction& ins, Cycle now) {
   ResidentBlock& b = blocks_[w.block];
 
-  // Take sharing locks (legality was established during candidate scan).
-  if (needs_reg_lock(b, ins))
-    acquire_with_ownership(pairs_[b.pair_id], b.side, /*reg=*/true, w.pos_in_block, now);
-  if (needs_smem_lock(b, ins))
-    acquire_with_ownership(pairs_[b.pair_id], b.side, /*reg=*/false, 0, now);
+  // Take the sharing lock `ins` needs (its legality was established by the
+  // scan).
+  if (w.next_lock != LockNeed::kNone) {
+    const bool reg = w.next_lock == LockNeed::kReg;
+    acquire_with_ownership(pairs_[b.pair_id], b.side, reg, reg ? w.pos_in_block : 0, now);
+  }
 
   // Static identity and per-instruction execution index of `ins`, captured
   // before the cursor moves (profile-backed address sampling keys on them).
@@ -531,7 +534,7 @@ void StreamingMultiprocessor::issue(Warp& w, const Instruction& ins, Cycle now) 
   const std::uint64_t instr_seq = w.cursor.iteration();
 
   w.cursor.advance(*program_);
-  w.decode(*program_);
+  w.decode(*program_, b.lock_rule);
   w.decided = false;
 
   switch (ins.op) {

@@ -6,25 +6,30 @@
 // most one instruction from its highest-priority ready warp, classifying the
 // cycle as issued / stall / idle (see common/stats.h for the definitions).
 //
-// A scheduler's scan visits only its ready set: its live warps that are not
-// parked. A warp the scan finds at a barrier, on its scoreboard, draining for
-// exit or waiting on a sharing lock is parked: it leaves the ready set and is
-// only counted, per state, until an event that can change that state wakes
-// it — a writeback drained for the warp, its block's barrier released, or a
-// lock-state change in its sharing pair. The scheduler's next scan then
-// re-decides it. Until the wake its state cannot change, so the counters and
-// the trace are bit-identical to re-scanning it every cycle.
+// A scheduler's scan walks the SM-wide ready bitset through its own slot
+// mask, in ascending slot order, and so visits only its live warps that are
+// not parked. It picks as it goes: it keeps the eligible warp with the
+// lowest priority key (sm/scheduler.h). A warp the scan finds at a barrier,
+// on its scoreboard, draining for exit or waiting on a sharing lock is
+// parked: it leaves the ready set and is only counted, per state, until an
+// event that can change that state wakes it — a writeback drained for the
+// warp, its block's barrier released, or a lock-state change in its sharing
+// pair. The scheduler's next scan then re-decides it. Until the wake its
+// state cannot change, so the counters and the trace are bit-identical to
+// re-scanning it every cycle.
 //
-// The scan of a warp has two parts. The instruction-level part (barrier,
-// scoreboard, exit drain, sharing lock) decides the four states that park;
-// the per-cycle part (Dyn gate, LSU port and queue, MSHR, SFU port) runs
-// after it. A warp whose next instruction passes the first part is marked
-// decided, and later scans run only the second part, until the warp issues
-// or a lock-state change in its pair clears the mark. Nothing else can turn
-// a passed verdict into a wait: only the warp's own issue sets its barrier
-// flag, adds scoreboard bits or raises its in-flight count, and a lock check
-// can start to fail only at a new acquisition or an ownership transfer, both
-// of which clear the marks of the pair's warps.
+// The scan of a warp has two parts, and neither reads the Program: they read
+// what decode() recorded of the next instruction in the warp's first cache
+// line (sm/warp.h). The instruction-level part (barrier, scoreboard, exit
+// drain, sharing lock) decides the four states that park; the per-cycle
+// part (Dyn gate, LSU port and queue, MSHR, SFU port) runs after it. A warp
+// whose next instruction passes the first part is marked decided, and later
+// scans run only the second part, until the warp issues or a lock-state
+// change in its pair clears the mark. Nothing else can turn a passed verdict
+// into a wait: only the warp's own issue sets its barrier flag, adds
+// scoreboard bits or raises its in-flight count, and a lock check can start
+// to fail only at a new acquisition or an ownership transfer, both of which
+// clear the marks of the pair's warps.
 //
 // The GPU loop (gpu/gpu.cc) calls tick() every cycle in both exec modes. In
 // event mode a step that issues nothing opens an idle window up to the SM's
@@ -112,7 +117,10 @@ class StreamingMultiprocessor {
   /// The GPU loop's per-cycle call, in both exec modes (see the file
   /// comment): O(1) inside a known-idle window (`now < idle_until()`),
   /// otherwise step(). Returns what step() returns, or false when idle.
-  bool tick(Cycle now);
+  bool tick(Cycle now) {
+    if (now < idle_until_) return false;  // known idle; accounted on wake or by stats(c)
+    return resume(now);
+  }
 
   /// End of the current known-idle window: this SM's scan cannot change
   /// before this cycle. 0 when the SM must be stepped next cycle (always,
@@ -130,10 +138,11 @@ class StreamingMultiprocessor {
   [[nodiscard]] Cycle next_wakeup() const;
 
   /// True when this SM cannot change on its own: no writeback or L1 fill is
-  /// pending and the last scan left no warp at a Dyn gate, so no gate that
-  /// reopens at a monitoring boundary lets a warp issue. If every SM is
-  /// stuck after a cycle in which none issued, no warp can ever issue again:
-  /// the GPU loop's deadlock rule (gpu/gpu.cc).
+  /// pending, and no warp the last scan left at a Dyn gate could issue if
+  /// its gate reopened at a monitoring boundary (none is gated, or the LSU
+  /// has no issue port or no queue entry). If every SM is stuck after a
+  /// cycle in which none issued, no warp can ever issue again: the GPU
+  /// loop's deadlock rule (gpu/gpu.cc).
   [[nodiscard]] bool stuck() const;
 
   /// The counters as they stand at cycle `c` (default: the last stepped
@@ -217,16 +226,21 @@ class StreamingMultiprocessor {
   };
 
   /// One scheduler's warps: slots s, s + n, s + 2n, ... for scheduler s of
-  /// n. Each live warp is either ready (bit i of `ready` stands for slot
-  /// s + i * n) or parked and counted in `parked` under its state.
+  /// n, set in `mask` (laid out like ready_). Each live one is either ready
+  /// or parked and counted in `parked` under its state.
   struct ScanSet {
-    std::vector<std::uint64_t> ready;
+    std::vector<std::uint64_t> mask;
     std::array<std::uint32_t, obs::kNumWarpStates> parked{};
   };
 
+  /// tick() outside a known-idle window: account the cycles skipped since
+  /// the last step, step, and (event mode) open the next window.
+  bool resume(Cycle now);
   void drain_events(Cycle now);
   /// Apply one due writeback; `mem` frees its LSU queue entry.
   void retire(const Event& e, bool mem);
+  /// Scan scheduler `sched_id`'s ready warps, keeping the lowest-keyed
+  /// eligible one, and issue it. Returns whether it issued.
   bool run_scheduler(std::uint32_t sched_id, Cycle now);
   /// Ready-set membership (see the file comment). make_ready() enters a
   /// launched warp, drop_ready() removes an exiting one, park() moves a
@@ -240,8 +254,8 @@ class StreamingMultiprocessor {
   void wake_lock_waiters(const PairState& p);
 #ifndef NDEBUG
   /// Every parked warp of `sched_id` still scans to its parked state, every
-  /// decided one still passes the instruction-level checks, and the ready
-  /// bits and populations match the warps.
+  /// decided one still passes the instruction-level checks, and its ready
+  /// bits, mask, slot table and populations match the warps.
   void check_parked(std::uint32_t sched_id);
 #endif
   /// Decide a live warp's state for this cycle's candidate scan: the
@@ -251,7 +265,8 @@ class StreamingMultiprocessor {
   /// dyn_blocked_uids_).
   [[nodiscard]] obs::WarpState scan_warp(Warp& w, Cycle now);
   /// The instruction-level part of the scan: the parking state `w.next`
-  /// waits in, or kEligible when it passes all four checks.
+  /// waits in, or kEligible when it passes all four checks. Reads what
+  /// decode() recorded, never the Program.
   [[nodiscard]] obs::WarpState instruction_wait(const Warp& w) const;
   void issue(Warp& w, const Instruction& ins, Cycle now);
   void do_global_access(Warp& w, const Instruction& ins, Cycle now, std::uint64_t instr_seq,
@@ -259,8 +274,6 @@ class StreamingMultiprocessor {
   void handle_exit(Warp& w, Cycle now);
   void finish_block(BlockSlot bs, Cycle now);
   void release_barrier_if_complete(ResidentBlock& b);
-  [[nodiscard]] bool needs_reg_lock(const ResidentBlock& b, const Instruction& ins) const;
-  [[nodiscard]] bool needs_smem_lock(const ResidentBlock& b, const Instruction& ins) const;
   void acquire_with_ownership(PairState& p, int side, bool reg, std::uint32_t pos, Cycle now);
   [[nodiscard]] std::uint32_t pair_id_of(const PairState& p) const {
     return static_cast<std::uint32_t>(&p - pairs_.data());
@@ -287,6 +300,10 @@ class StreamingMultiprocessor {
   std::vector<PairState> pairs_;
   std::vector<WarpScheduler> schedulers_;
   std::vector<ScanSet> scan_sets_;  ///< one per scheduler
+  /// The ready set: bit (slot % 64) of word (slot / 64) is set while the
+  /// warp in `slot` is live and not parked.
+  std::vector<std::uint64_t> ready_;
+  std::vector<std::uint8_t> sched_of_;  ///< slot -> its scheduler
 
   std::array<WritebackRing, kNumWritebackClasses> rings_;
   /// Global loads due later than an L1 hit (they missed or merged in L1).
@@ -320,9 +337,7 @@ class StreamingMultiprocessor {
   obs::SimObserver* trace_ = nullptr;   ///< null unless event tracing is on
   prof::HostProfiler* prof_ = nullptr;  ///< null unless host profiling is on
 
-  // scratch buffers (avoid per-cycle allocation)
-  std::vector<SchedCandidate> cands_;
-  std::vector<Addr> txns_;
+  std::vector<Addr> txns_;  ///< scratch buffer (avoids per-access allocation)
 };
 
 }  // namespace grs

@@ -6,6 +6,7 @@
 #include "common/types.h"
 #include "isa/program.h"
 #include "obs/events.h"
+#include "sm/block.h"
 
 namespace grs {
 
@@ -20,32 +21,29 @@ namespace grs {
   return reg_bit(i.dst) | reg_bit(i.src0) | reg_bit(i.src1);
 }
 
-struct Warp {
-  // --- identity ----------------------------------------------------------
-  bool active = false;           ///< slot holds a live warp
-  std::uint32_t pos_in_block = 0;///< warp index within its block (pairing key)
-  BlockSlot block = kInvalidSlot;
-  std::uint64_t warp_uid = 0;    ///< grid-global unique id
-  std::uint64_t dynamic_id = 0;  ///< SM-local launch order (age for GTO/OWF)
-  std::uint32_t active_lanes = 32;
+/// One warp slot: two cache lines. The first holds every field the scan,
+/// instruction_wait() and retire() read (sm/sm.h), so visiting a warp
+/// touches one line; the second holds what only issue() reads.
+struct alignas(64) Warp {
+  std::uint64_t pending_writes = 0;  ///< scoreboard: bit set => register write in flight
+  std::uint64_t dynamic_id = 0;      ///< SM-local launch order (age for GTO/OWF)
+  std::uint64_t warp_uid = 0;        ///< grid-global unique id
 
-  // --- progress ------------------------------------------------------------
-  ProgramCursor cursor;
-  /// The instruction `cursor` stands at (cursor.peek()), decoded once: set
-  /// at launch and after each advance(), so the per-cycle scan never calls
-  /// peek(). Points into the Program, which outlives the SM and whose
-  /// segments never move; nullptr once the program is exhausted.
+  // --- the decoded next instruction (see decode()) -------------------------
+  /// The instruction `cursor` stands at (cursor.peek()): set at launch and
+  /// after each advance(), so the per-cycle scan never calls peek(). Points
+  /// into the Program, which outlives the SM and whose segments never move;
+  /// nullptr once the program is exhausted.
   const Instruction* next = nullptr;
+  std::uint64_t next_hazard = 0;         ///< hazard_mask(*next)
   /// L1 MSHR entries `next` can need: its max_transactions() when it is a
   /// global load, else 0 (stores bypass the MSHR).
   std::uint32_t next_load_lines = 0;
-  bool exited = false;
-  bool at_barrier = false;
-
-  // --- scoreboard ----------------------------------------------------------
-  std::uint64_t pending_writes = 0;  ///< bit set => register write in flight
-  std::uint32_t inflight = 0;        ///< instructions issued, not yet retired
-  std::uint64_t mem_seq = 0;         ///< global-memory instructions issued
+  std::uint32_t inflight = 0;            ///< instructions issued, not yet retired
+  BlockSlot block = kInvalidSlot;
+  std::uint32_t pos_in_block = 0;        ///< warp index within its block (pairing key)
+  Op next_op = Op::kAlu;
+  LockNeed next_lock = LockNeed::kNone;  ///< the sharing lock `next` takes
 
   // --- scan membership (sm/sm.h) ------------------------------------------
   /// The wait state this warp is parked in, out of its scheduler's ready set
@@ -55,14 +53,27 @@ struct Warp {
   /// exit drain, sharing lock), so later scans run only the per-cycle ones.
   /// Cleared when the warp issues and by a lock-state change in its pair.
   bool decided = false;
+  bool at_barrier = false;
+  bool active = false;  ///< slot holds a live warp
+  bool exited = false;
+
+  // --- read at issue only ----------------------------------------------------
+  ProgramCursor cursor;
+  std::uint64_t mem_seq = 0;  ///< global-memory instructions issued
+  std::uint32_t active_lanes = 32;
 
   void reset() { *this = Warp{}; }
 
-  /// Point `next` at the cursor's instruction (launch, and after advance()).
-  void decode(const Program& p) {
+  /// Point `next` at the cursor's instruction and record what the scan reads
+  /// of it, taking its lock need from `rule`, its block's (launch, and after
+  /// each advance()).
+  void decode(const Program& p, const LockRule& rule) {
     next = cursor.peek(p);
-    next_load_lines =
-        next != nullptr && next->op == Op::kLdGlobal ? next->max_transactions() : 0;
+    if (next == nullptr) return;
+    next_op = next->op;
+    next_hazard = hazard_mask(*next);
+    next_load_lines = next_op == Op::kLdGlobal ? next->max_transactions() : 0;
+    next_lock = rule.need(*next);
   }
 
   [[nodiscard]] bool live() const { return active && !exited; }

@@ -7,7 +7,10 @@
 
 #include <string>
 
+#include "cache/key.h"
 #include "common/config.h"
+#include "common/hash.h"
+#include "gpu/result_codec.h"
 #include "gpu/simulator.h"
 #include "workloads/suites.h"
 
@@ -77,6 +80,57 @@ TEST(Equivalence, KernelsBySchedulersBySharing) {
                           k.name + " / " + to_string(sched) + " / " + kLineNames[line]);
       }
     }
+  }
+}
+
+// Pinned results per scheduler, for the simulator semantics and payload
+// layout named below. The grid above gives no SM two blocks, so GTO and OWF
+// agree there and no Dyn gate fires; at 28 blocks each SM holds two, pairs
+// share, Dyn gates fire and ownership transfers, and the four schedulers
+// differ. Each golden is the sha256 of the 12 encode_result payloads of one
+// scheduler (kernels outer, sharing lines inner), in event mode (the suite
+// above holds cycle mode to it). A change that moves any result must bump
+// kSimSchemaVersion (or kResultCodecVersion, for the layout) and regenerate
+// the goldens from this test's failure output.
+constexpr int kGoldenSimSchemaVersion = 1;
+constexpr int kGoldenResultCodecVersion = 1;
+struct SchedulerGolden {
+  SchedulerKind sched;
+  const char* sha256;
+};
+constexpr SchedulerGolden kSchedulerGoldens[] = {
+    {SchedulerKind::kLrr,
+     "5a2987901ed3bf3944eba91ec3c01002fecbaa19a1e0f17c8913e352de6c4360"},
+    {SchedulerKind::kGto,
+     "7fb4d20d29f2cfe5fcdbfe5ab70a6af3358e9eb9fea7dee21a186c92cb8026ac"},
+    {SchedulerKind::kTwoLevel,
+     "1c1b6ffd63a6e974aa717e373cc532b33a63847704ad9dbe7837b53b5b2833ce"},
+    {SchedulerKind::kOwf,
+     "64073b531290ff0fbd26cc0985d544e42f4f38c3b08f33fa0c9d682fec797042"},
+};
+
+TEST(Equivalence, EachSchedulerMatchesItsGoldenAt28Blocks) {
+  ASSERT_EQ(cache::kSimSchemaVersion, kGoldenSimSchemaVersion) << "regenerate the goldens";
+  ASSERT_EQ(kResultCodecVersion, kGoldenResultCodecVersion) << "regenerate the goldens";
+  const KernelInfo kernels[] = {shrink(workloads::hotspot(), 28),
+                                shrink(workloads::lavamd(), 28),
+                                shrink(workloads::bfs(), 28)};
+  for (const SchedulerGolden& g : kSchedulerGoldens) {
+    std::string payloads;
+    SmStats total;
+    for (const KernelInfo& k : kernels) {
+      for (int line = 0; line < 4; ++line) {
+        GpuConfig cfg = sharing_line(g.sched, line);
+        cfg.exec_mode = ExecMode::kEvent;
+        const SimResult r = simulate(cfg, k);
+        payloads += encode_result(r);
+        total.merge(r.stats.sm_total);
+      }
+    }
+    EXPECT_EQ(sha256_hex(payloads), g.sha256) << to_string(g.sched);
+    // What the grid is for: gates and transfers occur under every scheduler.
+    EXPECT_GT(total.dyn_throttled_issues, 0u) << to_string(g.sched);
+    EXPECT_GT(total.ownership_transfers, 0u) << to_string(g.sched);
   }
 }
 

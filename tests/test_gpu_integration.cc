@@ -188,6 +188,24 @@ TEST(GpuIntegration, DeadlockAbortsAtTheSameCycleInBothModes) {
     EXPECT_EQ(dyn_capped.back().sm_total.blocks_finished, 0u) << to_string(mode);
   }
   EXPECT_TRUE(dyn_capped[0] == dyn_capped[1]);
+
+  // A plan with pairs: non-owner warps stand at a Dyn gate every cycle, but
+  // the global access behind each gate needs the LSU port, so no gate
+  // reopening can let one issue. Both modes still abort at the first
+  // boundary after the deadlock.
+  const KernelInfo paired = workloads::hotspot();
+  std::vector<GpuStats> gated_capped;
+  for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+    dyn.exec_mode = mode;
+    dyn.max_cycles = 0;
+    EXPECT_DEATH((void)simulate(dyn, paired), "deadlock at cycle 1000") << to_string(mode);
+    dyn.max_cycles = 5000;
+    gated_capped.push_back(simulate(dyn, paired).stats);
+    EXPECT_EQ(gated_capped.back().cycles, 5000u) << to_string(mode);
+    EXPECT_EQ(gated_capped.back().sm_total.blocks_finished, 0u) << to_string(mode);
+    EXPECT_EQ(gated_capped.back().sm_total.dyn_throttled_issues, 120000u) << to_string(mode);
+  }
+  EXPECT_TRUE(gated_capped[0] == gated_capped[1]);
 }
 
 TEST(GpuIntegration, SchedulerCycleAccountingIsExhaustive) {
