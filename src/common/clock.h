@@ -1,10 +1,11 @@
 // Monotonic wall-clock helpers for runner-side telemetry: per-cell timing,
 // progress ETAs, and run manifests (src/runner).
 //
-// This is the ONE place host time enters the codebase. Never use it inside
-// simulation state (src/sm, src/gpu, src/memory, src/core): simulate() must
-// remain a pure function of (config, kernel) so the cross-mode equivalence
-// suite, the fuzz oracle, and the content-addressed result cache stay valid.
+// This is the ONE place host time is read (the profiler's sampling timer in
+// src/prof only counts its ticks). Never use it inside simulation state
+// (src/sm, src/gpu, src/memory, src/core): simulate() must remain a pure
+// function of (config, kernel) so the cross-mode equivalence suite, the fuzz
+// oracle, and the content-addressed result cache stay valid.
 #pragma once
 
 namespace grs {

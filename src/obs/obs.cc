@@ -37,11 +37,8 @@ TraceEvent meta_thread(std::uint32_t pid, std::uint32_t tid, const std::string& 
 
 }  // namespace
 
-SimObserver::SimObserver(const ObsOptions& opts, TraceSink* sink) : opts_(opts), sink_(sink) {
-  if (sink_ == nullptr && opts_.trace) {
-    owned_sink_ = std::make_unique<ChromeTraceSink>();
-    sink_ = owned_sink_.get();
-  }
+SimObserver::SimObserver(const ObsOptions& opts) : opts_(opts) {
+  if (opts_.trace) sink_ = std::make_unique<ChromeTraceSink>();
   if (opts_.timeline_interval != 0)
     timeline_ = std::make_unique<TimelineSampler>(opts_.timeline_interval);
   if (opts_.prof) prof_ = std::make_unique<prof::HostProfiler>();
@@ -268,7 +265,7 @@ void SimObserver::finalize(Cycle final_cycle) {
 
 const std::string& SimObserver::trace_json() const {
   static const std::string kEmpty;
-  return owned_sink_ ? owned_sink_->str() : kEmpty;
+  return sink_ ? sink_->str() : kEmpty;
 }
 
 std::string SimObserver::timeline_csv() const {

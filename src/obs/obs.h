@@ -9,13 +9,14 @@
 //
 // Pillars (any subset may be active):
 //  * event tracing  — hooks below render Chrome-trace events into a
-//    TraceSink; warp scan classifications become state-transition slices,
-//    which is the trick that keeps traces byte-identical across cycle and
-//    event exec modes (obs/events.h).
+//    ChromeTraceSink; warp scan classifications become state-transition
+//    slices, which is the trick that keeps traces byte-identical across
+//    cycle and event exec modes (obs/events.h).
 //  * timeline sampling — gpu/gpu.cc drives timeline_sample() at interval
 //    boundaries; obs/timeline.h renders the CSV.
-//  * host-phase profiling — profiler() is the HostProfiler whose scoped
-//    timers the hot phases run under (src/prof).
+//  * host-phase profiling — profiler() is the HostProfiler whose scopes
+//    count the hot phases' calls and tag the thread for its sampler
+//    (src/prof).
 //
 // One SimObserver observes exactly one simulate() call (plus, in the runner,
 // that point's result-cache lookup and store); it is not thread-safe and must
@@ -61,10 +62,9 @@ struct TraceTopology {
 
 class SimObserver {
  public:
-  /// Traces into `sink` (not owned) when one is given, which implies
-  /// opts.trace; otherwise owns a ChromeTraceSink when opts.trace is set.
-  /// Owns a HostProfiler when opts.prof is set.
-  explicit SimObserver(const ObsOptions& opts, TraceSink* sink = nullptr);
+  /// Owns a ChromeTraceSink when opts.trace is set, and a HostProfiler when
+  /// opts.prof is set.
+  explicit SimObserver(const ObsOptions& opts);
 
   SimObserver(const SimObserver&) = delete;
   SimObserver& operator=(const SimObserver&) = delete;
@@ -108,8 +108,7 @@ class SimObserver {
                        const GpuTimelinePoint& gpu);
 
   // --- outputs ------------------------------------------------------------
-  /// Complete trace JSON (after finalize()); empty when tracing is off or
-  /// the sink is external.
+  /// Complete trace JSON (after finalize()); empty when tracing is off.
   [[nodiscard]] const std::string& trace_json() const;
   /// Timeline CSV; empty when the timeline pillar is off.
   [[nodiscard]] std::string timeline_csv() const;
@@ -118,8 +117,7 @@ class SimObserver {
   void close_slice(SmId sm, std::uint32_t slot, Cycle now);
 
   ObsOptions opts_;
-  std::unique_ptr<ChromeTraceSink> owned_sink_;
-  TraceSink* sink_ = nullptr;
+  std::unique_ptr<ChromeTraceSink> sink_;
   std::unique_ptr<TimelineSampler> timeline_;
   std::unique_ptr<prof::HostProfiler> prof_;
 

@@ -1,11 +1,11 @@
-// TraceSink: where instrumentation events go when tracing is on.
+// ChromeTraceSink: where instrumentation events go when tracing is on.
 //
 // The simulator side (obs::SimObserver) produces TraceEvent records already
-// carrying final pid/tid/ts coordinates; sinks only serialize or count them.
-// ChromeTraceSink renders the Chrome trace-event JSON object format that
-// Perfetto and chrome://tracing load directly — one event per line, appended
-// strictly in hook-call order, so a trace is byte-identical whenever the
-// hook stream is (the determinism contract tests/test_obs.cc locks in).
+// carrying final pid/tid/ts coordinates; the sink only serializes them, in
+// the Chrome trace-event JSON object format that Perfetto and
+// chrome://tracing load directly — one event per line, appended strictly in
+// hook-call order, so a trace is byte-identical whenever the hook stream is
+// (the determinism contract tests/test_obs.cc locks in).
 #pragma once
 
 #include <cstdint>
@@ -28,24 +28,15 @@ struct TraceEvent {
   std::string args_json;          ///< optional rendered `{...}` object
 };
 
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void begin() {}
-  virtual void emit(const TraceEvent& e) = 0;
-  /// The argument is a rendered `{...}` object for the file trailer
-  /// (ignored by non-serializing sinks).
-  virtual void end(const std::string& /*other_data_json*/) {}
-};
-
 /// Serializes to the Chrome trace-event JSON object format, buffered in
 /// memory; the runner writes `str()` to disk after the sweep so parallel
 /// sweep points never interleave file writes.
-class ChromeTraceSink final : public TraceSink {
+class ChromeTraceSink {
  public:
-  void begin() override;
-  void emit(const TraceEvent& e) override;
-  void end(const std::string& other_data_json) override;
+  void begin();
+  void emit(const TraceEvent& e);
+  /// `other_data_json` is a rendered `{...}` object for the file trailer.
+  void end(const std::string& other_data_json);
 
   /// The complete JSON document (valid only after end()).
   [[nodiscard]] const std::string& str() const { return buf_; }
@@ -53,17 +44,6 @@ class ChromeTraceSink final : public TraceSink {
  private:
   std::string buf_;
   bool first_ = true;
-};
-
-/// Swallows events, counting them: the zero-serialization baseline for
-/// bench/micro_sim.cc and hook-coverage assertions in tests.
-class NullTraceSink final : public TraceSink {
- public:
-  void emit(const TraceEvent&) override { ++events_; }
-  [[nodiscard]] std::uint64_t events() const { return events_; }
-
- private:
-  std::uint64_t events_ = 0;
 };
 
 }  // namespace grs::obs

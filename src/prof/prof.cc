@@ -1,146 +1,147 @@
 #include "prof/prof.h"
 
-#include <cmath>
-#include <cstdio>
+#include <signal.h>
+#include <time.h>
+#include <unistd.h>
 
-#include "common/check.h"
+#include <cstdio>
+#include <numeric>
+
+#include "common/clock.h"
 #include "common/io.h"
 
 namespace grs::prof {
 
-// Stack paths are encoded as nibbles, root in the high position: pushing
-// phase p onto a stack with path K yields K << 4 | (p + 1). Ten phases fit a
-// nibble and the hook sites never nest deeper than a handful of frames, so a
-// 64-bit key (16 frames) is ample — and map<uint64> keeps the hot begin/end
-// path free of string building.
 namespace {
-constexpr std::size_t kMaxDepth = 16;
 
-void decode_path(std::uint64_t path, std::string& out) {
-  // Collect nibbles low-to-high (leaf first), then emit root-first.
-  std::array<std::uint8_t, kMaxDepth> frames{};
-  std::size_t n = 0;
-  for (; path != 0; path >>= 4) frames[n++] = static_cast<std::uint8_t>(path & 0xF);
-  for (std::size_t i = n; i-- > 0;) {
-    out += to_string(static_cast<Phase>(frames[i] - 1));
-    if (i != 0) out += ';';
-  }
+constexpr long kPeriodNs = 1000000;  ///< one sample per millisecond of wall time
+
+/// The profiler whose root scope is open on this thread, else null.
+thread_local HostProfiler* t_prof = nullptr;
+
+/// Allocates nothing and takes no lock: one increment on the open profiler.
+void on_sample(int) {
+  if (t_prof != nullptr && t_open != kNoPhase) t_prof->add_sample(t_open);
 }
 
-void put_double(std::string& out, const char* key, double v) {
-  char tmp[64];
-  std::snprintf(tmp, sizeof tmp, "\"%s\":%.9f", key, v);
-  out += tmp;
+/// This thread's sampler: a CLOCK_MONOTONIC timer that sends the thread
+/// SIGPROF every kPeriodNs while one of its root scopes is open. Created at
+/// the thread's first root scope, deleted when the thread exits.
+struct Sampler {
+  Sampler() {
+    struct sigaction sa = {};
+    sa.sa_handler = on_sample;
+    sa.sa_flags = SA_RESTART;
+    sigemptyset(&sa.sa_mask);
+    sigevent ev{};
+    ev.sigev_notify = SIGEV_THREAD_ID;
+    ev.sigev_signo = SIGPROF;
+    ev._sigev_un._tid = gettid();
+    ok = sigaction(SIGPROF, &sa, nullptr) == 0 && timer_create(CLOCK_MONOTONIC, &ev, &timer) == 0;
+  }
+  ~Sampler() {
+    if (ok) timer_delete(timer);
+  }
+  Sampler(const Sampler&) = delete;
+  Sampler& operator=(const Sampler&) = delete;
+
+  timer_t timer{};
+  bool ok = false;
+  /// Time left to the next sample when the last root closed. The next root
+  /// resumes it, so roots shorter than the period are sampled pro rata.
+  timespec left{0, kPeriodNs};
+  double start = 0.0;  ///< the open root's clock reading
+};
+
+Sampler& sampler() {
+  thread_local Sampler s;
+  return s;
 }
 
 }  // namespace
 
 const char* to_string(Phase p) {
-  switch (p) {
-    case Phase::kSimulate: return "simulate";
-    case Phase::kExecute: return "execute_writeback";
-    case Phase::kSchedulerScan: return "scheduler_scan";
-    case Phase::kIssue: return "issue";
-    case Phase::kMemsys: return "memsys_l2";
-    case Phase::kDram: return "dram";
-    case Phase::kEventSleep: return "event_sleep";
-    case Phase::kTimeline: return "timeline_sample";
-    case Phase::kCacheLookup: return "cache_lookup";
-    case Phase::kCacheStore: return "cache_store";
-  }
-  return "?";
+  static constexpr const char* kNames[kNumPhases] = {
+      "simulate",    "execute_writeback", "scheduler_scan",  "issue",        "memsys_l2",
+      "dram",        "event_sleep",       "timeline_sample", "cache_lookup", "cache_store"};
+  return static_cast<std::size_t>(p) < kNumPhases ? kNames[static_cast<std::size_t>(p)] : "?";
 }
 
-void HostProfiler::begin(Phase p) {
-  GRS_CHECK_MSG(stack_.size() < kMaxDepth, "profiler phase stack overflow");
-  Frame f;
-  f.p = p;
-  f.start = clock_();
-  f.path = (stack_.empty() ? 0 : stack_.back().path) << 4 |
-           (static_cast<std::uint64_t>(p) + 1);
-  stack_.push_back(f);
+void HostProfiler::open_root() {
+  Sampler& s = sampler();
+  t_prof = this;
+  s.start = monotonic_seconds();
+  if (s.ok) {
+    const itimerspec arm{{0, kPeriodNs}, s.left};
+    timer_settime(s.timer, 0, &arm, nullptr);
+  }
 }
 
-void HostProfiler::end(Phase p) {
-  GRS_CHECK_MSG(!stack_.empty() && stack_.back().p == p,
-                "profiler end() does not match the open phase");
-  const double now = clock_();
-  const Frame top = stack_.back();
-  stack_.pop_back();
-  const double total = now - top.start;
-  const double self = total - top.child;
-  Agg& a = agg(p);
-  a.total += total;
-  a.self += self;
-  ++a.calls;
-  folded_[top.path] += self;
-  if (!stack_.empty()) {
-    stack_.back().child += total;
-  } else {
-    wall_ += total;
+void HostProfiler::close_root() {
+  Sampler& s = sampler();
+  wall_ += monotonic_seconds() - s.start;
+  if (s.ok) {
+    // A sample already due is delivered as this call returns, to the root.
+    const itimerspec stop{};
+    itimerspec old{};
+    timer_settime(s.timer, 0, &stop, &old);
+    const bool due = old.it_value.tv_sec == 0 && old.it_value.tv_nsec == 0;
+    s.left = due ? timespec{0, kPeriodNs} : old.it_value;
   }
+  t_prof = nullptr;
 }
 
 void HostProfiler::merge(const HostProfiler& o) {
-  GRS_CHECK_MSG(stack_.empty() && o.stack_.empty(),
-                "profiler merge with a phase still open");
   for (std::size_t i = 0; i < kNumPhases; ++i) {
-    agg_[i].total += o.agg_[i].total;
-    agg_[i].self += o.agg_[i].self;
-    agg_[i].calls += o.agg_[i].calls;
+    calls_[i] += o.calls_[i];
+    samples_[i] += o.samples_[i];
   }
-  for (const auto& [path, self] : o.folded_) folded_[path] += self;
   wall_ += o.wall_;
   warps_scanned_ += o.warps_scanned_;
   warps_decided_ += o.warps_decided_;
   fingerprints_hashed_ += o.fingerprints_hashed_;
 }
 
+std::uint64_t HostProfiler::samples() const {
+  return std::accumulate(samples_.begin(), samples_.end(), std::uint64_t{0});
+}
+
+double HostProfiler::self_seconds(Phase p) const {
+  const std::uint64_t n = samples();
+  return n == 0 ? 0.0 : wall_ * static_cast<double>(samples(p)) / static_cast<double>(n);
+}
+
 std::string HostProfiler::json() const {
-  std::string out = "{\"schema\":\"grs-prof-v1\",";
-  put_double(out, "wall_seconds", wall_);
-  out += ",\"phases\":[";
-  bool first = true;
+  char tmp[192];
+  std::snprintf(tmp, sizeof tmp,
+                "{\"schema\":\"grs-prof-v2\",\"wall_seconds\":%.9f,\"samples\":%llu,\"phases\":[",
+                wall_, static_cast<unsigned long long>(samples()));
+  std::string out = tmp;
   for (std::size_t i = 0; i < kNumPhases; ++i) {
-    if (agg_[i].calls == 0) continue;
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"";
-    out += to_string(static_cast<Phase>(i));
-    out += "\",";
-    char tmp[48];
-    std::snprintf(tmp, sizeof tmp, "\"calls\":%llu,",
-                  static_cast<unsigned long long>(agg_[i].calls));
+    const auto p = static_cast<Phase>(i);
+    std::snprintf(tmp, sizeof tmp,
+                  "%s{\"name\":\"%s\",\"calls\":%llu,\"samples\":%llu,\"self_s\":%.9f}",
+                  i == 0 ? "" : ",", to_string(p), static_cast<unsigned long long>(calls_[i]),
+                  static_cast<unsigned long long>(samples_[i]), self_seconds(p));
     out += tmp;
-    put_double(out, "total_s", agg_[i].total);
-    out += ',';
-    put_double(out, "self_s", agg_[i].self);
-    if (wall_ > 0.0) {
-      out += ',';
-      std::snprintf(tmp, sizeof tmp, "\"pct_of_wall\":%.2f", agg_[i].total / wall_ * 100.0);
-      out += tmp;
-    }
-    out += '}';
   }
-  char tmp[160];
   std::snprintf(tmp, sizeof tmp,
                 "],\"counts\":{\"warps_scanned\":%llu,\"warps_decided\":%llu,"
                 "\"fingerprints_hashed\":%llu}}\n",
                 static_cast<unsigned long long>(warps_scanned_),
                 static_cast<unsigned long long>(warps_decided_),
                 static_cast<unsigned long long>(fingerprints_hashed_));
-  out += tmp;
-  return out;
+  return out + tmp;
 }
 
 std::string HostProfiler::folded() const {
   std::string out;
-  for (const auto& [path, self] : folded_) {
-    decode_path(path, out);
-    char tmp[32];
-    std::snprintf(tmp, sizeof tmp, " %llu\n",
-                  static_cast<unsigned long long>(std::llround(self * 1e6)));
-    out += tmp;
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    if (samples_[i] == 0) continue;
+    std::string stack = to_string(static_cast<Phase>(i));
+    for (Phase p = parent(static_cast<Phase>(i)); p != kNoPhase; p = parent(p))
+      stack = std::string(to_string(p)) + ';' + stack;
+    out += stack + ' ' + std::to_string(samples_[i]) + '\n';
   }
   return out;
 }

@@ -1,40 +1,28 @@
 // Host-phase profiler: where does the *host* wall clock go inside a
-// simulation? RAII scoped timers over the simulator's hot phases (scheduler
-// scan, issue, execute/writeback, memory system, DRAM, event-mode sleep
-// bookkeeping, result-cache lookup/store), aggregated per simulation and
-// merged per sweep by the runner engine.
+// simulation? Scopes over the hot phases (scheduler scan, issue,
+// execute/writeback, memory system, DRAM, event-mode sleep bookkeeping,
+// result-cache lookup/store) count every call and tag the thread with the
+// innermost open phase; a per-thread timer samples the tag every millisecond
+// while a root scope is open. Calls, work counts and wall_seconds are exact;
+// a phase's self time is an estimate, the wall times its sample share.
 //
-// The profiler is the third pillar of obs::SimObserver (src/obs/obs.h),
-// beside the trace and the timeline: the simulator reaches it only through
-// the one observer pointer, as observer->profiler(). Same contract as the
-// other pillars: zero-cost when off (every hook site guards on a profiler
-// pointer, read from the observer once at construction, that is null unless
-// ObsOptions::prof is set, so the default run pays one untaken branch per
-// site), options stay out of GpuConfig so config fingerprints and
-// result-cache keys are untouched, and nothing here ever feeds back into
-// simulation state — sim stats are bit-identical with profiling on
-// (tests/test_prof.cc).
-//
-// Host time is wall time: profiles from different machines or runs are not
-// comparable sample-for-sample. Cross-run speed comparisons belong to the
-// end-to-end benchmark (perfbench/README.md); this is the drill-down inside
-// one run. Depends only on common/.
+// The third pillar of obs::SimObserver (src/obs/obs.h), with its contract:
+// every hook site guards on a pointer that is null unless ObsOptions::prof is
+// set (one untaken branch when off), nothing enters GpuConfig, and nothing
+// feeds back into simulation state (tests/test_prof.cc). Host time is wall
+// time; cross-run comparisons belong to perfbench/README.md. Depends only on
+// common/.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
-#include "common/clock.h"
+#include "common/check.h"
 
 namespace grs::prof {
 
-/// The instrumented host phases, in report order. Phases nest at runtime
-/// (issue inside scheduler_scan, dram inside memsys_l2, everything inside
-/// simulate); the profiler tracks inclusive (total) and exclusive (self)
-/// time per phase plus per-stack self time for folded output.
+/// The instrumented host phases, in report order.
 enum class Phase : std::uint8_t {
   kSimulate,       ///< one simulate() call, root of every sim stack
   kExecute,        ///< per-cycle retire: writeback event + L1 MSHR drains
@@ -53,31 +41,48 @@ inline constexpr std::size_t kNumPhases = 10;
 /// Stable snake_case spelling used in both the JSON and folded outputs.
 [[nodiscard]] const char* to_string(Phase p);
 
-/// Accumulates phase timings for one thread of execution. Not thread-safe:
-/// the engine keeps one observer, and so one profiler, per sweep point and
-/// merges the profiles post-run in point order, exactly like buffered
-/// observability outputs.
+/// No phase: the parent of a root, and the tag of a thread with no scope open.
+inline constexpr auto kNoPhase = static_cast<Phase>(kNumPhases);
+
+/// The phase open whenever `p` opens. The hook sites nest statically, so one
+/// table gives every phase's stack; roots (simulate and the result-cache
+/// phases) open with no phase open.
+[[nodiscard]] constexpr Phase parent(Phase p) {
+  switch (p) {
+    case Phase::kExecute:
+    case Phase::kSchedulerScan:
+    case Phase::kEventSleep:
+    case Phase::kTimeline: return Phase::kSimulate;
+    case Phase::kIssue: return Phase::kSchedulerScan;
+    case Phase::kMemsys: return Phase::kIssue;
+    case Phase::kDram: return Phase::kMemsys;
+    default: return kNoPhase;
+  }
+}
+
+/// The innermost phase open on this thread; the sampler's signal handler
+/// reads it. Volatile rather than atomic: only this thread and its own
+/// handler touch it, and GCC treats even a relaxed atomic as a barrier.
+inline thread_local volatile Phase t_open = kNoPhase;
+
+/// Counts calls and samples for one thread of execution. Not thread-safe:
+/// the engine keeps one profiler per machine, in its observer, and merges
+/// them post-run in machine order, like buffered observability outputs.
 class HostProfiler {
  public:
-  /// `clock` returns seconds on a monotonic clock; injectable for
-  /// deterministic tests, defaults to the one host-time source.
-  using ClockFn = double (*)();
-  explicit HostProfiler(ClockFn clock = &monotonic_seconds) : clock_(clock) {}
+  /// One sample of phase `p`. The sampler's signal handler calls it for the
+  /// thread's tagged phase; tests inject samples through it.
+  void add_sample(Phase p) { ++samples_[idx(p)]; }
 
-  /// Scoped via ScopedPhase; begin/end must nest (checked).
-  void begin(Phase p);
-  void end(Phase p);
-
-  /// Fold `o`'s aggregates into this profiler (both stacks must be idle).
+  /// Fold `o`'s counts, samples and wall into this profiler.
   void merge(const HostProfiler& o);
 
-  [[nodiscard]] std::uint64_t calls(Phase p) const { return agg(p).calls; }
-  /// Inclusive seconds (phase + everything nested under it).
-  [[nodiscard]] double total_seconds(Phase p) const { return agg(p).total; }
-  /// Exclusive seconds (nested phases subtracted).
-  [[nodiscard]] double self_seconds(Phase p) const { return agg(p).self; }
-  /// Seconds covered by root-level phases — the profiled wall clock that
-  /// "% of sim wall" in the JSON is relative to.
+  [[nodiscard]] std::uint64_t calls(Phase p) const { return calls_[idx(p)]; }
+  [[nodiscard]] std::uint64_t samples(Phase p) const { return samples_[idx(p)]; }
+  [[nodiscard]] std::uint64_t samples() const;
+  /// Estimated exclusive seconds: wall_seconds() × the phase's sample share.
+  [[nodiscard]] double self_seconds(Phase p) const;
+  /// Seconds covered by root scopes, timed exactly: the profiled wall clock.
   [[nodiscard]] double wall_seconds() const { return wall_; }
 
   /// Deterministic work counts, host-independent, so gated exactly like
@@ -93,37 +98,24 @@ class HostProfiler {
   void add_fingerprints_hashed(std::uint64_t n) { fingerprints_hashed_ += n; }
   [[nodiscard]] std::uint64_t fingerprints_hashed() const { return fingerprints_hashed_; }
 
-  /// "grs-prof-v1" JSON document (docs/perf-tracking.md): wall_seconds, one
-  /// entry per observed phase with calls/total_s/self_s/pct_of_wall, and the
-  /// work counts.
+  /// "grs-prof-v2" JSON document (docs/perf-tracking.md): wall_seconds,
+  /// samples, one entry per phase with calls/samples/self_s, and the work
+  /// counts.
   [[nodiscard]] std::string json() const;
 
   /// Folded-stack lines ("simulate;scheduler_scan;issue 1234\n", value =
-  /// self time in integer microseconds) — flamegraph.pl / speedscope input.
+  /// samples) — flamegraph.pl / speedscope input.
   [[nodiscard]] std::string folded() const;
 
  private:
-  struct Agg {
-    double total = 0.0;
-    double self = 0.0;
-    std::uint64_t calls = 0;
-  };
-  struct Frame {
-    Phase p;
-    double start = 0.0;
-    double child = 0.0;     ///< time spent in nested phases
-    std::uint64_t path = 0; ///< nibble-encoded stack (see prof.cc)
-  };
+  friend class ScopedPhase;
+  static std::size_t idx(Phase p) { return static_cast<std::size_t>(p); }
+  /// Only a root scope reads the clock and runs this thread's sampler.
+  void open_root();
+  void close_root();
 
-  [[nodiscard]] const Agg& agg(Phase p) const { return agg_[static_cast<std::size_t>(p)]; }
-  [[nodiscard]] Agg& agg(Phase p) { return agg_[static_cast<std::size_t>(p)]; }
-
-  ClockFn clock_;
-  std::array<Agg, kNumPhases> agg_{};
-  std::vector<Frame> stack_;
-  /// Self seconds per nibble-encoded stack path; std::map keeps folded
-  /// output deterministic.
-  std::map<std::uint64_t, double> folded_;
+  std::array<std::uint64_t, kNumPhases> calls_{};
+  std::array<std::uint64_t, kNumPhases> samples_{};
   double wall_ = 0.0;
   std::uint64_t warps_scanned_ = 0;
   std::uint64_t warps_decided_ = 0;
@@ -131,14 +123,21 @@ class HostProfiler {
 };
 
 /// RAII phase scope, null-safe: `ScopedPhase s(prof_, Phase::kIssue);` is one
-/// untaken branch when `prof_` is null (the default).
+/// untaken branch when `prof_` is null (the default). Otherwise it counts the
+/// call, checks that the phase opens inside its parent, and tags the thread.
 class ScopedPhase {
  public:
   ScopedPhase(HostProfiler* p, Phase ph) : p_(p), ph_(ph) {
-    if (p_ != nullptr) p_->begin(ph_);
+    if (p_ == nullptr) return;
+    GRS_CHECK_MSG(t_open == parent(ph), "profiler phase opened outside its parent phase");
+    ++p_->calls_[HostProfiler::idx(ph)];
+    t_open = ph;
+    if (parent(ph) == kNoPhase) p_->open_root();
   }
   ~ScopedPhase() {
-    if (p_ != nullptr) p_->end(ph_);
+    if (p_ == nullptr) return;
+    if (parent(ph_) == kNoPhase) p_->close_root();
+    t_open = parent(ph_);
   }
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;

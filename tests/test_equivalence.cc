@@ -12,6 +12,8 @@
 #include "common/hash.h"
 #include "gpu/result_codec.h"
 #include "gpu/simulator.h"
+#include "workloads/gen/generator.h"
+#include "workloads/gen/profile.h"
 #include "workloads/suites.h"
 
 namespace grs {
@@ -131,6 +133,37 @@ TEST(Equivalence, EachSchedulerMatchesItsGoldenAt28Blocks) {
     // What the grid is for: gates and transfers occur under every scheduler.
     EXPECT_GT(total.dyn_throttled_issues, 0u) << to_string(g.sched);
     EXPECT_GT(total.ownership_transfers, 0u) << to_string(g.sched);
+  }
+}
+
+// The memory-bound slice of the tripwire above: generated memory_bound seeds
+// 23-25 and b+tree at 56 blocks (kernels outer), each unshared and under
+// Shared-OWF-Unroll-Dyn (configs inner): kernels whose L2 MSHRs fill, so
+// their traffic counts change with any change to the memory system. One
+// sha256 over the eight encode_result payloads, the same in both exec modes,
+// for the versions above.
+constexpr const char* kMemoryBoundGolden =
+    "dce23390b942aee80a44f47715dfb7566e1de47dec9fd8339165ca016899e51c";
+
+TEST(Equivalence, MemoryBoundSliceMatchesItsGoldenInBothModes) {
+  ASSERT_EQ(cache::kSimSchemaVersion, kGoldenSimSchemaVersion) << "regenerate the golden";
+  ASSERT_EQ(kResultCodecVersion, kGoldenResultCodecVersion) << "regenerate the golden";
+  const workloads::gen::GenProfile profile = workloads::gen::memory_bound();
+  const KernelInfo kernels[] = {workloads::gen::generate(profile, 23),
+                                workloads::gen::generate(profile, 24),
+                                workloads::gen::generate(profile, 25),
+                                shrink(workloads::btree(), 56)};
+  const GpuConfig lines[] = {configs::unshared(),
+                             configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1)};
+  for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+    std::string payloads;
+    for (const KernelInfo& k : kernels) {
+      for (GpuConfig cfg : lines) {
+        cfg.exec_mode = mode;
+        payloads += encode_result(simulate(cfg, k));
+      }
+    }
+    EXPECT_EQ(sha256_hex(payloads), kMemoryBoundGolden) << to_string(mode);
   }
 }
 

@@ -243,16 +243,6 @@ TEST(ObsOff, DisabledObserverProducesNoOutput) {
   EXPECT_TRUE(observer.timeline_csv().empty());
 }
 
-TEST(ObsOff, ExternalNullSinkCountsEventsButKeepsJsonEmpty) {
-  obs::ObsOptions opts;
-  obs::NullTraceSink sink;
-  obs::SimObserver observer(opts, &sink);  // external sink implies tracing
-  EXPECT_TRUE(observer.trace_enabled());
-  (void)simulate(configs::unshared(), shrink(workloads::hotspot(), 4), &observer);
-  EXPECT_GT(sink.events(), 0u);
-  EXPECT_TRUE(observer.trace_json().empty());  // the sink is not owned
-}
-
 // --- trace shape ------------------------------------------------------------
 
 /// Extract `"key":<number>` from a one-event JSON line; -1 when absent.
@@ -370,25 +360,27 @@ TEST(ObsTrace, SinkRendersEachPhaseByteForByte) {
             "}\n");
 }
 
-/// Sums the length (E.ts - B.ts) of every warp-state slice, by slice name.
-class SliceCycleSink final : public obs::TraceSink {
- public:
-  void emit(const obs::TraceEvent& e) override {
-    if (e.cat == nullptr || std::string(e.cat) != "warp") return;
-    const auto track = std::make_pair(e.pid, e.tid);
-    if (e.ph == 'B') {
-      open_[track] = e.ts;
-    } else if (e.ph == 'E') {
-      ASSERT_EQ(open_.count(track), 1u) << "E without B on warp track " << e.tid;
-      cycles[e.name] += e.ts - open_[track];
-      open_.erase(track);
+/// Sums the length (E.ts - B.ts) of every warp-state slice of a rendered
+/// trace, by slice name.
+std::map<std::string, std::uint64_t> warp_slice_cycles(const std::string& trace) {
+  std::map<std::string, std::uint64_t> cycles;
+  std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t> open;
+  std::istringstream lines(trace);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"cat\":\"warp\"") == std::string::npos) continue;
+    const auto track = std::make_pair(json_num(line, "pid"), json_num(line, "tid"));
+    if (line.find("\"ph\":\"B\"") != std::string::npos) {
+      open[track] = json_num(line, "ts");
+    } else if (line.find("\"ph\":\"E\"") != std::string::npos) {
+      EXPECT_EQ(open.count(track), 1u) << "E without B on warp track: " << line;
+      const std::size_t name = line.find("\"name\":\"") + 8;
+      cycles[line.substr(name, line.find('"', name) - name)] += json_num(line, "ts") - open[track];
+      open.erase(track);
     }
   }
-  std::map<std::string, std::uint64_t> cycles;
-
- private:
-  std::map<std::pair<std::uint32_t, std::uint32_t>, Cycle> open_;
-};
+  return cycles;
+}
 
 TEST(ObsTrace, WarpSlicesSumToBlockedCounters) {
   using Counter = std::uint64_t SmStats::*;
@@ -420,12 +412,14 @@ TEST(ObsTrace, WarpSlicesSumToBlockedCounters) {
     for (const Case& c : cases) {
       GpuConfig cfg = c.cfg;
       cfg.exec_mode = mode;
-      SliceCycleSink sink;
-      obs::SimObserver observer(obs::ObsOptions{}, &sink);
-      const SmStats s = simulate(cfg, c.kernel, &observer).stats.sm_total;
+      obs::ObsOptions opts;
+      opts.trace = true;
+      const ObsRun run = run_observed(cfg, c.kernel, opts);
+      const SmStats& s = run.result.stats.sm_total;
+      std::map<std::string, std::uint64_t> cycles = warp_slice_cycles(run.trace);
       const std::string label = c.kernel.name + " / " + to_string(mode);
       for (const auto& [slice, counter] : slice_counters)
-        EXPECT_EQ(sink.cycles[slice], s.*counter) << label << " / " << slice;
+        EXPECT_EQ(cycles[slice], s.*counter) << label << " / " << slice;
       for (const Counter counter : c.exercised) EXPECT_GT(s.*counter, 0u) << label;
     }
   }

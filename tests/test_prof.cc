@@ -1,14 +1,18 @@
 // Host-phase profiler contracts (src/prof, docs/perf-tracking.md):
 //  * zero feedback — sim stats are bit-identical with profiling on, in both
 //    exec modes, through the engine, and through the result cache;
-//  * exactness — with an injected fake clock, total/self/wall and the folded
-//    stacks are exact, and merge() is additive; per-phase call counts and
-//    the warps_scanned and warps_decided work counts match the modelled
-//    work exactly (fingerprints_hashed is pinned in tests/test_cache.cc);
-//  * shape — grs-prof-v1 JSON and folded lines parse as documented, phase
-//    self times sum to the profiled wall clock.
+//  * exactness — per-phase call counts and the warps_scanned and
+//    warps_decided work counts match the modelled work exactly
+//    (fingerprints_hashed is pinned in tests/test_cache.cc), and merge() is
+//    additive;
+//  * sampling — injected samples fold along the parent table into
+//    grs-prof-v2 JSON and folded lines, byte for byte; a real run's samples
+//    land only on that table's stacks, on worker threads too, and the phase
+//    self times sum to the profiled wall clock;
+//  * nesting — a phase opened outside its parent dies on its check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -45,11 +49,6 @@ prof::HostProfiler profile_sim(const GpuConfig& cfg, const KernelInfo& kernel,
   return *observer.profiler();
 }
 
-// Injectable deterministic clock (prof::HostProfiler::ClockFn is a plain
-// function pointer, so the knob is a file-static).
-double g_fake_now = 0.0;
-double fake_clock() { return g_fake_now; }
-
 std::string slurp(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   EXPECT_TRUE(f.good()) << path;
@@ -81,60 +80,77 @@ TEST(ProfScope, NullProfilerIsANoop) {
   SUCCEED();
 }
 
-TEST(ProfTiming, FakeClockNestingIsExact) {
-  prof::HostProfiler p(&fake_clock);
-  g_fake_now = 0.0;
-  p.begin(prof::Phase::kSimulate);
-  g_fake_now = 1.0;
-  p.begin(prof::Phase::kSchedulerScan);
-  g_fake_now = 3.0;
-  p.begin(prof::Phase::kIssue);
-  g_fake_now = 6.0;
-  p.end(prof::Phase::kIssue);
-  g_fake_now = 10.0;
-  p.end(prof::Phase::kSchedulerScan);
-  g_fake_now = 15.0;
-  p.end(prof::Phase::kSimulate);
+TEST(ProfScope, PhaseOutsideItsParentDies) {
+  // The hook sites nest statically; a scope opened anywhere else is a bug in
+  // the instrumentation, caught at the scope that opens it.
+  EXPECT_DEATH(
+      {
+        prof::HostProfiler p;
+        prof::ScopedPhase issue(&p, prof::Phase::kIssue);
+      },
+      "outside its parent");
+  EXPECT_DEATH(
+      {
+        prof::HostProfiler p;
+        prof::ScopedPhase sim(&p, prof::Phase::kSimulate);
+        prof::ScopedPhase dram(&p, prof::Phase::kDram);
+      },
+      "outside its parent");
+}
 
-  EXPECT_DOUBLE_EQ(p.wall_seconds(), 15.0);
-  EXPECT_EQ(p.calls(prof::Phase::kSimulate), 1u);
-  EXPECT_DOUBLE_EQ(p.total_seconds(prof::Phase::kSimulate), 15.0);
-  EXPECT_DOUBLE_EQ(p.self_seconds(prof::Phase::kSimulate), 6.0);  // 15 - nested 9
-  EXPECT_DOUBLE_EQ(p.total_seconds(prof::Phase::kSchedulerScan), 9.0);
-  EXPECT_DOUBLE_EQ(p.self_seconds(prof::Phase::kSchedulerScan), 6.0);  // 9 - nested 3
-  EXPECT_DOUBLE_EQ(p.total_seconds(prof::Phase::kIssue), 3.0);
-  EXPECT_DOUBLE_EQ(p.self_seconds(prof::Phase::kIssue), 3.0);
+// The next two tests inject their samples and open no root scope, so the
+// live sampler cannot add to them: every count in them is exact.
+TEST(ProfSamples, InjectedSamplesFoldAlongTheParentTable) {
+  prof::HostProfiler p;
+  p.add_sample(prof::Phase::kSimulate);
+  for (int i = 0; i < 3; ++i) p.add_sample(prof::Phase::kSchedulerScan);
+  p.add_sample(prof::Phase::kIssue);
+  p.add_sample(prof::Phase::kIssue);
+  p.add_sample(prof::Phase::kDram);
+  p.add_sample(prof::Phase::kCacheLookup);
+  p.add_warps_scanned(3);
 
-  // Folded output: root-first stacks, self time in integer microseconds,
-  // deterministic (path-sorted) order.
+  EXPECT_EQ(p.samples(), 8u);
+  EXPECT_EQ(p.samples(prof::Phase::kSchedulerScan), 3u);
+  EXPECT_EQ(p.calls(prof::Phase::kSchedulerScan), 0u);
+  // No root scope ran, so no wall clock was covered and no time is estimated.
+  EXPECT_EQ(p.wall_seconds(), 0.0);
+  EXPECT_EQ(p.self_seconds(prof::Phase::kSchedulerScan), 0.0);
+
+  // Folded output: each sampled phase once, in report order, on its
+  // root-first stack from the parent table, valued in samples.
   EXPECT_EQ(p.folded(),
-            "simulate 6000000\n"
-            "simulate;scheduler_scan 6000000\n"
-            "simulate;scheduler_scan;issue 3000000\n");
+            "simulate 1\n"
+            "simulate;scheduler_scan 3\n"
+            "simulate;scheduler_scan;issue 2\n"
+            "simulate;scheduler_scan;issue;memsys_l2;dram 1\n"
+            "cache_lookup 1\n");
 
-  // grs-prof-v1, byte for byte: observed phases only, in report order.
+  // grs-prof-v2, byte for byte: every phase in report order.
   EXPECT_EQ(p.json(),
-            "{\"schema\":\"grs-prof-v1\",\"wall_seconds\":15.000000000,\"phases\":["
-            "{\"name\":\"simulate\",\"calls\":1,\"total_s\":15.000000000,"
-            "\"self_s\":6.000000000,\"pct_of_wall\":100.00},"
-            "{\"name\":\"scheduler_scan\",\"calls\":1,\"total_s\":9.000000000,"
-            "\"self_s\":6.000000000,\"pct_of_wall\":60.00},"
-            "{\"name\":\"issue\",\"calls\":1,\"total_s\":3.000000000,"
-            "\"self_s\":3.000000000,\"pct_of_wall\":20.00}],"
-            "\"counts\":{\"warps_scanned\":0,\"warps_decided\":0,"
+            "{\"schema\":\"grs-prof-v2\",\"wall_seconds\":0.000000000,\"samples\":8,"
+            "\"phases\":["
+            "{\"name\":\"simulate\",\"calls\":0,\"samples\":1,\"self_s\":0.000000000},"
+            "{\"name\":\"execute_writeback\",\"calls\":0,\"samples\":0,\"self_s\":0.000000000},"
+            "{\"name\":\"scheduler_scan\",\"calls\":0,\"samples\":3,\"self_s\":0.000000000},"
+            "{\"name\":\"issue\",\"calls\":0,\"samples\":2,\"self_s\":0.000000000},"
+            "{\"name\":\"memsys_l2\",\"calls\":0,\"samples\":0,\"self_s\":0.000000000},"
+            "{\"name\":\"dram\",\"calls\":0,\"samples\":1,\"self_s\":0.000000000},"
+            "{\"name\":\"event_sleep\",\"calls\":0,\"samples\":0,\"self_s\":0.000000000},"
+            "{\"name\":\"timeline_sample\",\"calls\":0,\"samples\":0,\"self_s\":0.000000000},"
+            "{\"name\":\"cache_lookup\",\"calls\":0,\"samples\":1,\"self_s\":0.000000000},"
+            "{\"name\":\"cache_store\",\"calls\":0,\"samples\":0,\"self_s\":0.000000000}],"
+            "\"counts\":{\"warps_scanned\":3,\"warps_decided\":0,"
             "\"fingerprints_hashed\":0}}\n");
 }
 
-TEST(ProfTiming, MergeIsAdditive) {
-  prof::HostProfiler a(&fake_clock), b(&fake_clock);
-  g_fake_now = 0.0;
-  a.begin(prof::Phase::kSimulate);
-  g_fake_now = 2.0;
-  a.end(prof::Phase::kSimulate);
-  g_fake_now = 0.0;
-  b.begin(prof::Phase::kSimulate);
-  g_fake_now = 3.0;
-  b.end(prof::Phase::kSimulate);
+TEST(ProfSamples, MergeIsAdditive) {
+  prof::HostProfiler a, b;
+  a.add_sample(prof::Phase::kSimulate);
+  a.add_sample(prof::Phase::kIssue);
+  b.add_sample(prof::Phase::kSimulate);
+  b.add_sample(prof::Phase::kSimulate);
+  b.add_sample(prof::Phase::kCacheStore);
 
   a.add_warps_scanned(7);
   b.add_warps_scanned(5);
@@ -144,13 +160,51 @@ TEST(ProfTiming, MergeIsAdditive) {
   b.add_fingerprints_hashed(4);
 
   a.merge(b);
-  EXPECT_EQ(a.calls(prof::Phase::kSimulate), 2u);
+  EXPECT_EQ(a.samples(), 5u);
+  EXPECT_EQ(a.samples(prof::Phase::kSimulate), 3u);
   EXPECT_EQ(a.warps_scanned(), 12u);
   EXPECT_EQ(a.warps_decided(), 5u);
   EXPECT_EQ(a.fingerprints_hashed(), 41u);
-  EXPECT_DOUBLE_EQ(a.total_seconds(prof::Phase::kSimulate), 5.0);
-  EXPECT_DOUBLE_EQ(a.wall_seconds(), 5.0);
-  EXPECT_EQ(a.folded(), "simulate 5000000\n");
+  EXPECT_EQ(a.folded(),
+            "simulate 3\n"
+            "simulate;scheduler_scan;issue 1\n"
+            "cache_store 1\n");
+}
+
+TEST(ProfSamples, Fig8HotspotFoldsToTheParentTableTree) {
+  // A real fig8 point: hotspot, full grid, Shared-OWF-Unroll-Dyn at t = 0.1.
+  const prof::HostProfiler p = profile_sim(
+      configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1), workloads::hotspot());
+  // Every stack the simulator can sample, root first; the values are samples.
+  const std::vector<std::string> tree = {
+      "simulate",
+      "simulate;execute_writeback",
+      "simulate;scheduler_scan",
+      "simulate;scheduler_scan;issue",
+      "simulate;scheduler_scan;issue;memsys_l2",
+      "simulate;scheduler_scan;issue;memsys_l2;dram",
+      "simulate;event_sleep",
+  };
+  std::istringstream lines(p.folded());
+  std::string line;
+  std::size_t next = 0;  // lines come in tree order, each stack at most once
+  std::uint64_t total = 0;
+  std::vector<std::string> seen;
+  while (std::getline(lines, line)) {
+    const std::size_t space = line.find_last_of(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    const std::string stack = line.substr(0, space);
+    while (next < tree.size() && tree[next] != stack) ++next;
+    ASSERT_LT(next, tree.size()) << "not a parent-table stack, or out of order: " << line;
+    ++next;
+    seen.push_back(stack);
+    const std::uint64_t value = std::stoull(line.substr(space + 1));
+    EXPECT_GT(value, 0u) << line;
+    total += value;
+  }
+  EXPECT_EQ(total, p.samples());
+  // The scan is about half of any fig8 point; it cannot go unsampled.
+  EXPECT_NE(std::find(seen.begin(), seen.end(), "simulate;scheduler_scan"), seen.end());
 }
 
 TEST(ProfZeroFeedback, StatsBitIdenticalBothExecModes) {
@@ -242,42 +296,23 @@ TEST(ProfZeroFeedback, PhaseCallsCountModelledWork) {
 }
 
 TEST(ProfZeroFeedback, PhaseTimesSumToWall) {
-  const KernelInfo kernel = shrink(workloads::hotspot(), 4);
+  // Long enough (tens of milliseconds) for the 1 ms sampler to fire.
+  const KernelInfo kernel = shrink(workloads::hotspot(), 28);
   const prof::HostProfiler p = profile_sim(configs::unshared(), kernel);
+  ASSERT_GT(p.samples(), 0u);
 
   double self_sum = 0.0;
   for (std::size_t i = 0; i < prof::kNumPhases; ++i) {
     const auto ph = static_cast<prof::Phase>(i);
-    EXPECT_GE(p.total_seconds(ph), p.self_seconds(ph));
-    EXPECT_LE(p.total_seconds(ph), p.wall_seconds() + 1e-9);
+    // A sample lands only on an open phase, so only on a counted one.
+    if (p.samples(ph) > 0) {
+      EXPECT_GT(p.calls(ph), 0u) << to_string(ph);
+    }
     self_sum += p.self_seconds(ph);
   }
-  // Exclusive times tile the profiled wall exactly (FP rounding aside).
-  EXPECT_NEAR(self_sum, p.wall_seconds(), 1e-6);
-  EXPECT_DOUBLE_EQ(p.total_seconds(prof::Phase::kSimulate), p.wall_seconds());
-}
-
-TEST(ProfZeroFeedback, FoldedStacksHaveDocumentedShape) {
-  const KernelInfo kernel = shrink(workloads::hotspot(), 4);
-  const prof::HostProfiler p = profile_sim(configs::unshared(), kernel);
-
-  std::istringstream lines(p.folded());
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(lines, line)) {
-    ++n;
-    const std::size_t space = line.find_last_of(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    const std::string stack = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
-    EXPECT_EQ(stack.rfind("simulate", 0), 0u) << "stack not rooted at simulate: " << line;
-    for (const char c : stack)
-      EXPECT_TRUE((c >= 'a' && c <= 'z') || c == '_' || c == ';' || (c >= '0' && c <= '9'))
-          << line;
-    EXPECT_FALSE(value.empty());
-    for (const char c : value) EXPECT_TRUE(c >= '0' && c <= '9') << line;
-  }
-  EXPECT_GE(n, 2u);  // at least simulate + one nested phase
+  // Estimated self times split the exactly timed wall (FP rounding aside).
+  EXPECT_NEAR(self_sum, p.wall_seconds(), 1e-9 * p.wall_seconds());
+  EXPECT_GT(p.wall_seconds(), 0.0);
 }
 
 TEST(ProfEngine, SweepRowsIdenticalAndProfilersMerged) {
@@ -301,8 +336,26 @@ TEST(ProfEngine, SweepRowsIdenticalAndProfilersMerged) {
     EXPECT_EQ(encode_result(plain[i].result), encode_result(profiled[i].result)) << i;
   // Two points merged post-run, in point order.
   EXPECT_EQ(merged.calls(prof::Phase::kSimulate), 2u);
-  // The event point slept through idle windows; its bookkeeping was timed.
+  // The event point slept through idle windows; its bookkeeping was counted.
   EXPECT_GT(merged.calls(prof::Phase::kEventSleep), 0u);
+}
+
+TEST(ProfEngine, ThreadedSweepSamplesOnItsWorkers) {
+  // Two machines, two workers, no cache: every root scope (simulate) opens on
+  // a worker thread, so every sample came from a worker's own sampler.
+  runner::SweepSpec spec;
+  const KernelInfo kernel = shrink(workloads::hotspot(), 28);
+  spec.add("unshared", configs::unshared(), kernel);
+  spec.add("shared", configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1), kernel);
+  prof::HostProfiler merged;
+  runner::RunOptions options;
+  options.threads = 2;
+  options.prof = &merged;
+  (void)runner::run_sweep(spec, options);
+  EXPECT_EQ(merged.calls(prof::Phase::kSimulate), 2u);
+  EXPECT_GT(merged.samples(), 0u);
+  // A sampler ticks once a millisecond, and only while a root is open.
+  EXPECT_LE(static_cast<double>(merged.samples()), merged.wall_seconds() * 1000.0 + 4.0);
 }
 
 TEST(ProfEngine, CacheLookupAndStorePhasesAreTimed) {
@@ -337,11 +390,8 @@ TEST(ProfEngine, CacheLookupAndStorePhasesAreTimed) {
 }
 
 TEST(ProfOutputs, WriteCreatesExactlyTheRequestedFiles) {
-  prof::HostProfiler p(&fake_clock);
-  g_fake_now = 0.0;
-  p.begin(prof::Phase::kSimulate);
-  g_fake_now = 1.0;
-  p.end(prof::Phase::kSimulate);
+  prof::HostProfiler p;
+  p.add_sample(prof::Phase::kSimulate);
 
   const std::filesystem::path dir = testing::TempDir();
   const std::string json_path = (dir / "prof_out.json").string();
@@ -356,7 +406,7 @@ TEST(ProfOutputs, WriteCreatesExactlyTheRequestedFiles) {
 
   prof::write_prof_outputs(p, json_path, folded_path);
   EXPECT_EQ(slurp(json_path), p.json());
-  EXPECT_EQ(slurp(folded_path), p.folded());
+  EXPECT_EQ(slurp(folded_path), "simulate 1\n");
   std::filesystem::remove(json_path);
   std::filesystem::remove(folded_path);
 }
