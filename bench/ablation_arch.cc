@@ -1,6 +1,7 @@
-// Architecture ablations for the design choices DESIGN.md calls out: how the
-// headline result (hotspot + lavaMD at 90% sharing) depends on the
-// micro-architectural knobs that are substitutions for GPGPU-Sim detail.
+// Architecture ablations: how the headline result (hotspot + lavaMD at 90%
+// sharing) depends on the micro-architectural knobs that stand in for
+// GPGPU-Sim detail (L1 MSHRs, the DRAM row window, the LSU queue) and on the
+// Dyn period and step the paper fixes.
 // Not a paper figure — this quantifies the sensitivity of the reproduction.
 #include <string>
 #include <vector>

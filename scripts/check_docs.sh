@@ -9,6 +9,11 @@
 #      documented-but-removed flags).
 #   3. Every bench registered in `grs_bench --list` must be mentioned in the
 #      docs, so the CLI surface and the documentation stay in sync.
+#   4. Every repo path that README.md, docs/*.md or a comment under src/,
+#      bench/ or examples/ names (`src/...`, `docs/...`, `scripts/...`,
+#      `bench/...`, `tests/...`, `examples/...`, `perfbench/...` or a root
+#      `*.md`) must exist. ROADMAP.md and CHANGES.md are history and may name
+#      files that are gone, so they are not read.
 #
 # Usage: scripts/check_docs.sh  (from the repo root, after building ./build)
 # Override the binaries with GRS_BENCH / GRS_CLI / GRS_FUZZ. The two study
@@ -132,9 +137,53 @@ while read -r name _; do
   fi
 done < <("$BENCH" --list)
 
+# --- 4. no dangling file references -------------------------------------------
+python3 - <<'EOF' || { echo "error: a doc or comment names a file that does not exist" >&2; fail=1; }
+import os, re, sys
+
+# A path starts at a top-level directory (a relative link's leading ../ is
+# dropped) or is a root document named in capitals, such as README.md.
+PATH = re.compile(r"(?<![\w./-])(?:\.\./)*((?:src|docs|scripts|bench|tests|examples|perfbench)/"
+                  r"[\w./{},*-]*|[A-Z][A-Z0-9_]*\.md\b)")
+
+def expand(path):  # src/obs/obs.{h,cc} -> src/obs/obs.h, src/obs/obs.cc
+    m = re.search(r"\{([^{}]*)\}", path)
+    if not m:
+        return [path]
+    return [p for alt in m.group(1).split(",")
+            for p in expand(path[:m.start()] + alt + path[m.end():])]
+
+def texts(path):  # (line number, text) of every line a path may appear in
+    marker = None if path.endswith(".md") else "#" if path.endswith(".gkd") else "//"
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if marker is None:
+                yield lineno, line
+            elif marker in line:
+                yield lineno, line[line.index(marker):]
+
+files = ["README.md"] + sorted(os.path.join("docs", f) for f in os.listdir("docs")
+                               if f.endswith(".md"))
+for top in ("src", "bench", "examples"):
+    for root, _, names in os.walk(top):
+        files += sorted(os.path.join(root, n) for n in names)
+ok = True
+for path in files:
+    for lineno, text in texts(path):
+        for ref in PATH.findall(text):
+            ref = ref.rstrip(".,")
+            if "*" in ref:
+                continue  # a glob, not a file
+            for p in expand(ref):
+                if not os.path.exists(p):
+                    print(f"{path}:{lineno}: names {p}, which does not exist", file=sys.stderr)
+                    ok = False
+sys.exit(0 if ok else 1)
+EOF
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "docs are consistent: study pages regenerate byte-identically (cached store"
 echo "at $CACHE_DIR passes verify), no flag drift,"
-echo "all $("$BENCH" --list | wc -l) benches documented"
+echo "all $("$BENCH" --list | wc -l) benches documented, no dangling file references"

@@ -11,7 +11,8 @@ namespace grs {
 /// Counters collected by one SM during a simulation.
 struct SmStats {
   // Scheduler-cycle accounting. Each of the SM's schedulers classifies every
-  // cycle as exactly one of {issued, stall, idle} (see DESIGN.md §5):
+  // cycle as exactly one of {issued, stall, idle}, from the states its scan
+  // found its warps in (kStateAccounting in sm/sm.cc, docs/observability.md):
   //   issued — a warp instruction was issued;
   //   stall  — >=1 warp had a ready instruction but a pipeline/structural
   //            hazard (LSU port/queue, MSHR, SFU port) prevented issue

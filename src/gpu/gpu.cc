@@ -71,7 +71,6 @@ GpuStats Gpu::run() {
     topo.dram_channels = cfg_.dram.num_channels;
     topo.dram_banks_per_channel = cfg_.dram.banks_per_channel;
     topo.kernel = kernel_name_;
-    topo.grid_blocks = grid_blocks_;
     obs_->begin_run(topo);
   }
 

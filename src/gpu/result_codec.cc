@@ -1,6 +1,5 @@
 #include "gpu/result_codec.h"
 
-#include <cinttypes>
 #include <cstdio>
 
 #include "common/format.h"
@@ -32,12 +31,6 @@ namespace {
     name, true, true, true, nullptr, nullptr,                                            \
         [](const SimResult& r) { return static_cast<double>(expr); }, nullptr            \
   }
-
-std::string u64_str(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return buf;
-}
 
 std::string f6_str(double v) {
   char buf[64];
@@ -109,7 +102,10 @@ const std::vector<ResultField>& result_fields() {
 #undef GRS_FIELD_DERIVED
 
 std::string format_result_field(const ResultField& f, const SimResult& r) {
-  return f.fractional ? f6_str(f.get_f64(r)) : u64_str(f.get_u64(r));
+  if (f.fractional) return f6_str(f.get_f64(r));
+  std::string out;
+  append_u64(out, f.get_u64(r));
+  return out;
 }
 
 std::string encode_result(const SimResult& r) {

@@ -42,9 +42,6 @@ struct Instruction {
   /// classifies offset > Rtb*t as a *shared* location (paper Fig. 4 step (c)).
   std::uint32_t smem_offset = 0;
 
-  [[nodiscard]] bool reads(RegNum r) const { return src0 == r || src1 == r; }
-  [[nodiscard]] bool writes(RegNum r) const { return dst == r; }
-
   /// Highest register number touched, or kNoReg if none.
   [[nodiscard]] RegNum max_reg() const;
 

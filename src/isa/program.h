@@ -3,8 +3,10 @@
 // A program is a list of *segments*; each segment is a straight-line
 // instruction vector executed `iterations` times before control falls through
 // to the next segment. This models the prologue / main-loop / epilogue shape
-// of the paper's benchmark kernels without needing a branch unit (the paper's
-// mechanisms are orthogonal to control flow, see DESIGN.md §7).
+// of the paper's benchmark kernels without needing a branch unit: the
+// paper's mechanisms act on registers, scratchpad and scheduling, not on
+// control flow, so divergence is modelled as fewer active lanes per issue
+// (KernelInfo::active_lanes).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
-// Observability vocabulary: the warp-state taxonomy and the pid/tid address
-// scheme shared by the trace emitter and the docs (tests/test_obs.cc pins the
-// rendered trace format).
+// Observability vocabulary: the warp-state taxonomy and the L1 outcomes that
+// the trace observer (obs/obs.cc, which holds the whole trace format) names
+// its events after, and the docs describe.
 //
 // WarpState is the SM's one classification of a live warp: the candidate
 // scan (sm/sm.cc scan_warp()) decides it, and everything else is derived
@@ -19,8 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "common/types.h"
 
 namespace grs::obs {
 
@@ -72,26 +70,6 @@ enum class L1Outcome : std::uint8_t { kHit, kMerge, kMiss, kStore };
     case L1Outcome::kStore: return "L1 store";
   }
   return "?";
-}
-
-// --- trace address scheme (documented in docs/observability.md) ------------
-// Perfetto renders pid as a process group and tid as a track. SMs are
-// processes 1..num_sms; the shared memory system is process num_sms+1.
-// Within an SM process: warps, block slots, pairs, and the L1 get disjoint
-// tid ranges so tracks sort naturally.
-
-[[nodiscard]] constexpr std::uint32_t sm_pid(SmId sm) { return sm + 1; }
-[[nodiscard]] constexpr std::uint32_t mem_pid(std::uint32_t num_sms) { return num_sms + 1; }
-
-[[nodiscard]] constexpr std::uint32_t warp_tid(std::uint32_t slot) { return 1 + slot; }
-[[nodiscard]] constexpr std::uint32_t block_tid(std::uint32_t slot) { return 1001 + slot; }
-[[nodiscard]] constexpr std::uint32_t pair_tid(std::uint32_t pair) { return 2001 + pair; }
-inline constexpr std::uint32_t kL1Tid = 3001;
-
-[[nodiscard]] constexpr std::uint32_t l2_bank_tid(std::uint32_t bank) { return 1 + bank; }
-[[nodiscard]] constexpr std::uint32_t dram_bank_tid(std::uint32_t channel, std::uint32_t bank,
-                                                    std::uint32_t banks_per_channel) {
-  return 1001 + channel * banks_per_channel + bank;
 }
 
 }  // namespace grs::obs

@@ -4,44 +4,82 @@
 #include <cstdio>
 
 #include "common/check.h"
+#include "common/format.h"
 #include "common/json.h"
 
 namespace grs::obs {
 
 namespace {
 
-std::string name_args(const char* fmt, std::uint64_t v) {
-  char tmp[64];
-  std::snprintf(tmp, sizeof tmp, fmt, v);
-  return tmp;
+// --- trace address scheme (documented in docs/observability.md) ------------
+// Perfetto renders pid as a process group and tid as a track. SMs are
+// processes 1..num_sms; the shared memory system is process num_sms+1.
+// Within an SM process: warps, block slots, pairs, and the L1 get disjoint
+// tid ranges so tracks sort naturally.
+
+constexpr std::uint32_t sm_pid(SmId sm) { return sm + 1; }
+constexpr std::uint32_t mem_pid(std::uint32_t num_sms) { return num_sms + 1; }
+
+constexpr std::uint32_t warp_tid(std::uint32_t slot) { return 1 + slot; }
+constexpr std::uint32_t block_tid(std::uint32_t slot) { return 1001 + slot; }
+constexpr std::uint32_t pair_tid(std::uint32_t pair) { return 2001 + pair; }
+constexpr std::uint32_t kL1Tid = 3001;
+
+constexpr std::uint32_t l2_bank_tid(std::uint32_t bank) { return 1 + bank; }
+constexpr std::uint32_t dram_bank_tid(std::uint32_t channel, std::uint32_t bank,
+                                      std::uint32_t banks_per_channel) {
+  return 1001 + channel * banks_per_channel + bank;
 }
 
-TraceEvent meta_process(std::uint32_t pid, const std::string& name) {
-  TraceEvent e;
-  e.ph = 'M';
-  e.name = "process_name";
-  e.pid = pid;
-  e.args_json = "{\"name\":\"" + name + "\"}";
-  return e;
+/// Renders `{"line":"0x<hex>"}`, the args of every memory span, into `buf`.
+const char* line_args(char (&buf)[40], Addr line) {
+  std::snprintf(buf, sizeof buf, "{\"line\":\"0x%" PRIx64 "\"}", static_cast<std::uint64_t>(line));
+  return buf;
 }
 
-TraceEvent meta_thread(std::uint32_t pid, std::uint32_t tid, const std::string& name) {
-  TraceEvent e;
-  e.ph = 'M';
-  e.name = "thread_name";
-  e.pid = pid;
-  e.tid = tid;
-  e.args_json = "{\"name\":\"" + name + "\"}";
-  return e;
-}
+Cycle span(Cycle start, Cycle done) { return done > start ? done - start : 0; }
 
 }  // namespace
 
 SimObserver::SimObserver(const ObsOptions& opts) : opts_(opts) {
-  if (opts_.trace) sink_ = std::make_unique<ChromeTraceSink>();
   if (opts_.timeline_interval != 0)
     timeline_ = std::make_unique<TimelineSampler>(opts_.timeline_interval);
   if (opts_.prof) prof_ = std::make_unique<prof::HostProfiler>();
+}
+
+void SimObserver::event(char ph, std::uint32_t pid, std::uint32_t tid, Cycle ts, const char* name,
+                        const char* cat, const char* args, Cycle dur) {
+  // The header ends in a newline and every event in '}'. Names and
+  // categories are static strings that need no JSON escaping.
+  if (trace_.back() == '}') trace_ += ",\n";
+  trace_ += "{\"name\":\"";
+  trace_ += name;
+  trace_ += "\",\"ph\":\"";
+  trace_ += ph;
+  trace_ += '"';
+  if (cat != nullptr) {
+    trace_ += ",\"cat\":\"";
+    trace_ += cat;
+    trace_ += '"';
+  }
+  trace_ += ",\"pid\":";
+  append_u64(trace_, pid);
+  trace_ += ",\"tid\":";
+  append_u64(trace_, tid);
+  if (ph != 'M') {
+    trace_ += ",\"ts\":";
+    append_u64(trace_, ts);
+  }
+  if (ph == 'X') {
+    trace_ += ",\"dur\":";
+    append_u64(trace_, dur);
+  }
+  if (ph == 'i') trace_ += ",\"s\":\"t\"";  // instant scope: thread
+  if (args != nullptr) {
+    trace_ += ",\"args\":";
+    trace_ += args;
+  }
+  trace_ += '}';
 }
 
 void SimObserver::begin_run(const TraceTopology& topo) {
@@ -49,42 +87,40 @@ void SimObserver::begin_run(const TraceTopology& topo) {
   warp_slots_ = topo.warp_slots;
   dram_banks_per_channel_ = topo.dram_banks_per_channel;
   kernel_ = topo.kernel;
-  if (sink_ == nullptr) return;
+  if (!opts_.trace) return;
 
   open_.assign(static_cast<std::size_t>(topo.num_sms) * topo.warp_slots, WarpState::kNone);
-  sink_->begin();
+  trace_ = "{\"traceEvents\":[\n";
+  // Metadata records name every process and track before any event.
+  const auto meta = [this](const char* record, std::uint32_t pid, std::uint32_t tid,
+                           const std::string& name) {
+    event('M', pid, tid, 0, record, nullptr, ("{\"name\":\"" + name + "\"}").c_str());
+  };
   for (std::uint32_t s = 0; s < topo.num_sms; ++s) {
     const std::uint32_t pid = sm_pid(s);
-    sink_->emit(meta_process(pid, "SM " + std::to_string(s)));
+    meta("process_name", pid, 0, "SM " + std::to_string(s));
     for (std::uint32_t w = 0; w < topo.warp_slots; ++w)
-      sink_->emit(meta_thread(pid, warp_tid(w), "warp " + std::to_string(w)));
+      meta("thread_name", pid, warp_tid(w), "warp " + std::to_string(w));
     for (std::uint32_t b = 0; b < topo.block_slots; ++b)
-      sink_->emit(meta_thread(pid, block_tid(b), "block slot " + std::to_string(b)));
+      meta("thread_name", pid, block_tid(b), "block slot " + std::to_string(b));
     for (std::uint32_t p = 0; p < topo.pairs; ++p)
-      sink_->emit(meta_thread(pid, pair_tid(p), "pair " + std::to_string(p)));
-    sink_->emit(meta_thread(pid, kL1Tid, "L1"));
+      meta("thread_name", pid, pair_tid(p), "pair " + std::to_string(p));
+    meta("thread_name", pid, kL1Tid, "L1");
   }
   const std::uint32_t mpid = mem_pid(topo.num_sms);
-  sink_->emit(meta_process(mpid, "MemSys"));
+  meta("process_name", mpid, 0, "MemSys");
   for (std::uint32_t b = 0; b < topo.l2_banks; ++b)
-    sink_->emit(meta_thread(mpid, l2_bank_tid(b), "L2 bank " + std::to_string(b)));
+    meta("thread_name", mpid, l2_bank_tid(b), "L2 bank " + std::to_string(b));
   for (std::uint32_t c = 0; c < topo.dram_channels; ++c)
     for (std::uint32_t b = 0; b < topo.dram_banks_per_channel; ++b)
-      sink_->emit(meta_thread(mpid, dram_bank_tid(c, b, topo.dram_banks_per_channel),
-                              "DRAM " + std::to_string(c) + "." + std::to_string(b)));
+      meta("thread_name", mpid, dram_bank_tid(c, b, topo.dram_banks_per_channel),
+           "DRAM " + std::to_string(c) + "." + std::to_string(b));
 }
 
 void SimObserver::close_slice(SmId sm, std::uint32_t slot, Cycle now) {
   WarpState& cur = open_[static_cast<std::size_t>(sm) * warp_slots_ + slot];
   if (cur == WarpState::kNone) return;
-  TraceEvent e;
-  e.ph = 'E';
-  e.pid = sm_pid(sm);
-  e.tid = warp_tid(slot);
-  e.ts = now;
-  e.name = to_string(cur);
-  e.cat = "warp";
-  sink_->emit(e);
+  event('E', sm_pid(sm), warp_tid(slot), now, to_string(cur), "warp");
   cur = WarpState::kNone;
 }
 
@@ -92,26 +128,12 @@ void SimObserver::warp_scan(SmId sm, std::uint32_t slot, Cycle now, WarpState st
   WarpState& cur = open_[static_cast<std::size_t>(sm) * warp_slots_ + slot];
   if (cur == st) return;
   close_slice(sm, slot, now);
-  TraceEvent e;
-  e.ph = 'B';
-  e.pid = sm_pid(sm);
-  e.tid = warp_tid(slot);
-  e.ts = now;
-  e.name = to_string(st);
-  e.cat = "warp";
-  sink_->emit(e);
+  event('B', sm_pid(sm), warp_tid(slot), now, to_string(st), "warp");
   cur = st;
 }
 
 void SimObserver::warp_issue(SmId sm, std::uint32_t slot, Cycle now, Op op) {
-  TraceEvent e;
-  e.ph = 'i';
-  e.pid = sm_pid(sm);
-  e.tid = warp_tid(slot);
-  e.ts = now;
-  e.name = to_string(op);
-  e.cat = "issue";
-  sink_->emit(e);
+  event('i', sm_pid(sm), warp_tid(slot), now, to_string(op), "issue");
 }
 
 void SimObserver::warp_exit(SmId sm, std::uint32_t slot, Cycle now) {
@@ -120,131 +142,70 @@ void SimObserver::warp_exit(SmId sm, std::uint32_t slot, Cycle now) {
 
 void SimObserver::block_launch(SmId sm, std::uint32_t slot, std::uint64_t block_uid, Cycle now,
                                int pair_id, int side, bool owner) {
-  TraceEvent e;
-  e.ph = 'B';
-  e.pid = sm_pid(sm);
-  e.tid = block_tid(slot);
-  e.ts = now;
-  e.name = "block";
-  e.cat = "block";
-  char tmp[96];
+  char args[96];
   if (pair_id >= 0) {
-    std::snprintf(tmp, sizeof tmp, "{\"uid\":%" PRIu64 ",\"pair\":%d,\"side\":%d,\"owner\":%s}",
+    std::snprintf(args, sizeof args, "{\"uid\":%" PRIu64 ",\"pair\":%d,\"side\":%d,\"owner\":%s}",
                   block_uid, pair_id, side, owner ? "true" : "false");
   } else {
-    std::snprintf(tmp, sizeof tmp, "{\"uid\":%" PRIu64 "}", block_uid);
+    std::snprintf(args, sizeof args, "{\"uid\":%" PRIu64 "}", block_uid);
   }
-  e.args_json = tmp;
-  sink_->emit(e);
+  event('B', sm_pid(sm), block_tid(slot), now, "block", "block", args);
 }
 
 void SimObserver::block_finish(SmId sm, std::uint32_t slot, std::uint64_t block_uid, Cycle now) {
-  TraceEvent e;
-  e.ph = 'E';
-  e.pid = sm_pid(sm);
-  e.tid = block_tid(slot);
-  e.ts = now;
-  e.name = "block";
-  e.cat = "block";
-  e.args_json = name_args("{\"uid\":%" PRIu64 "}", block_uid);
-  sink_->emit(e);
+  char args[40];
+  std::snprintf(args, sizeof args, "{\"uid\":%" PRIu64 "}", block_uid);
+  event('E', sm_pid(sm), block_tid(slot), now, "block", "block", args);
 }
 
 void SimObserver::lock_acquire(SmId sm, std::uint32_t pair, Cycle now, bool reg, int side,
                                std::uint32_t pos, bool owner_seeded) {
-  TraceEvent e;
-  e.ph = 'i';
-  e.pid = sm_pid(sm);
-  e.tid = pair_tid(pair);
-  e.ts = now;
-  e.name = reg ? "reg-acquire" : "smem-acquire";
-  e.cat = "sharing";
-  char tmp[80];
-  std::snprintf(tmp, sizeof tmp, "{\"side\":%d,\"pos\":%u,\"seeds_owner\":%s}", side, pos,
+  char args[80];
+  std::snprintf(args, sizeof args, "{\"side\":%d,\"pos\":%u,\"seeds_owner\":%s}", side, pos,
                 owner_seeded ? "true" : "false");
-  e.args_json = tmp;
-  sink_->emit(e);
+  event('i', sm_pid(sm), pair_tid(pair), now, reg ? "reg-acquire" : "smem-acquire", "sharing",
+        args);
 }
 
 void SimObserver::lock_release_warp(SmId sm, std::uint32_t pair, Cycle now, int side,
                                     std::uint32_t pos) {
-  TraceEvent e;
-  e.ph = 'i';
-  e.pid = sm_pid(sm);
-  e.tid = pair_tid(pair);
-  e.ts = now;
-  e.name = "reg-release";
-  e.cat = "sharing";
-  char tmp[48];
-  std::snprintf(tmp, sizeof tmp, "{\"side\":%d,\"pos\":%u}", side, pos);
-  e.args_json = tmp;
-  sink_->emit(e);
+  char args[48];
+  std::snprintf(args, sizeof args, "{\"side\":%d,\"pos\":%u}", side, pos);
+  event('i', sm_pid(sm), pair_tid(pair), now, "reg-release", "sharing", args);
 }
 
 void SimObserver::lock_release_block(SmId sm, std::uint32_t pair, Cycle now, int side) {
-  TraceEvent e;
-  e.ph = 'i';
-  e.pid = sm_pid(sm);
-  e.tid = pair_tid(pair);
-  e.ts = now;
-  e.name = "release-on-finish";
-  e.cat = "sharing";
-  e.args_json = name_args("{\"side\":%" PRIu64 "}", static_cast<std::uint64_t>(side));
-  sink_->emit(e);
+  char args[32];
+  std::snprintf(args, sizeof args, "{\"side\":%d}", side);
+  event('i', sm_pid(sm), pair_tid(pair), now, "release-on-finish", "sharing", args);
 }
 
 void SimObserver::ownership_transfer(SmId sm, std::uint32_t pair, Cycle now, int new_side) {
-  TraceEvent e;
-  e.ph = 'i';
-  e.pid = sm_pid(sm);
-  e.tid = pair_tid(pair);
-  e.ts = now;
-  e.name = "ownership-transfer";
-  e.cat = "sharing";
-  e.args_json = name_args("{\"new_side\":%" PRIu64 "}", static_cast<std::uint64_t>(new_side));
-  sink_->emit(e);
+  char args[32];
+  std::snprintf(args, sizeof args, "{\"new_side\":%d}", new_side);
+  event('i', sm_pid(sm), pair_tid(pair), now, "ownership-transfer", "sharing", args);
 }
 
 void SimObserver::l1_transaction(SmId sm, Cycle now, Addr line_addr, L1Outcome outcome,
                                  Cycle done) {
-  TraceEvent e;
-  e.ph = 'X';
-  e.pid = sm_pid(sm);
-  e.tid = kL1Tid;
-  e.ts = now;
-  e.dur = done > now ? done - now : 0;
-  e.name = to_string(outcome);
-  e.cat = "mem";
-  e.args_json = name_args("{\"line\":\"0x%" PRIx64 "\"}", static_cast<std::uint64_t>(line_addr));
-  sink_->emit(e);
+  char args[40];
+  event('X', sm_pid(sm), kL1Tid, now, to_string(outcome), "mem", line_args(args, line_addr),
+        span(now, done));
 }
 
 void SimObserver::l2_transaction(std::uint32_t bank, Cycle start, Addr line_addr, bool hit,
                                  bool merge, Cycle done) {
-  TraceEvent e;
-  e.ph = 'X';
-  e.pid = mem_pid(num_sms_);
-  e.tid = l2_bank_tid(bank);
-  e.ts = start;
-  e.dur = done > start ? done - start : 0;
-  e.name = hit ? "L2 hit" : (merge ? "L2 merge" : "L2 miss");
-  e.cat = "mem";
-  e.args_json = name_args("{\"line\":\"0x%" PRIx64 "\"}", static_cast<std::uint64_t>(line_addr));
-  sink_->emit(e);
+  char args[40];
+  event('X', mem_pid(num_sms_), l2_bank_tid(bank), start,
+        hit ? "L2 hit" : (merge ? "L2 merge" : "L2 miss"), "mem", line_args(args, line_addr),
+        span(start, done));
 }
 
 void SimObserver::dram_transaction(std::uint32_t channel, std::uint32_t bank, Cycle begin,
                                    Addr line_addr, bool row_hit, Cycle done) {
-  TraceEvent e;
-  e.ph = 'X';
-  e.pid = mem_pid(num_sms_);
-  e.tid = dram_bank_tid(channel, bank, dram_banks_per_channel_);
-  e.ts = begin;
-  e.dur = done > begin ? done - begin : 0;
-  e.name = row_hit ? "row hit" : "row miss";
-  e.cat = "mem";
-  e.args_json = name_args("{\"line\":\"0x%" PRIx64 "\"}", static_cast<std::uint64_t>(line_addr));
-  sink_->emit(e);
+  char args[40];
+  event('X', mem_pid(num_sms_), dram_bank_tid(channel, bank, dram_banks_per_channel_), begin,
+        row_hit ? "row hit" : "row miss", "mem", line_args(args, line_addr), span(begin, done));
 }
 
 void SimObserver::timeline_sample(Cycle boundary, const std::vector<SmTimelinePoint>& sms,
@@ -254,18 +215,14 @@ void SimObserver::timeline_sample(Cycle boundary, const std::vector<SmTimelinePo
 }
 
 void SimObserver::finalize(Cycle final_cycle) {
-  if (sink_ == nullptr) return;
+  if (!opts_.trace) return;
   for (std::uint32_t s = 0; s < num_sms_; ++s)
     for (std::uint32_t w = 0; w < warp_slots_; ++w) close_slice(s, w, final_cycle);
-  std::string other_data = "{\"kernel\":";
-  append_json_string(other_data, kernel_);
-  other_data += ",\"cycles\":" + std::to_string(final_cycle) + "}";
-  sink_->end(other_data);
-}
-
-const std::string& SimObserver::trace_json() const {
-  static const std::string kEmpty;
-  return sink_ ? sink_->str() : kEmpty;
+  trace_ += "\n],\n\"displayTimeUnit\":\"ns\",\n\"otherData\":{\"kernel\":";
+  append_json_string(trace_, kernel_);
+  trace_ += ",\"cycles\":";
+  append_u64(trace_, final_cycle);
+  trace_ += "}\n}\n";
 }
 
 std::string SimObserver::timeline_csv() const {

@@ -8,10 +8,12 @@
 // the result-cache key are untouched either way.
 //
 // Pillars (any subset may be active):
-//  * event tracing  — hooks below render Chrome-trace events into a
-//    ChromeTraceSink; warp scan classifications become state-transition
-//    slices, which is the trick that keeps traces byte-identical across
-//    cycle and event exec modes (obs/events.h).
+//  * event tracing  — each hook below renders its Chrome-trace event straight
+//    into the observer's trace string; obs.cc is the one definition of the
+//    format (keys, envelope, metadata records, the pid/tid scheme). Warp
+//    scan classifications become state-transition slices, which is the trick
+//    that keeps traces byte-identical across cycle and event exec modes
+//    (obs/events.h).
 //  * timeline sampling — gpu/gpu.cc drives timeline_sample() at interval
 //    boundaries; obs/timeline.h renders the CSV.
 //  * host-phase profiling — profiler() is the HostProfiler whose scopes
@@ -31,7 +33,6 @@
 #include "isa/opcode.h"
 #include "obs/events.h"
 #include "obs/timeline.h"
-#include "obs/trace.h"
 #include "prof/prof.h"
 
 namespace grs::obs {
@@ -57,19 +58,18 @@ struct TraceTopology {
   std::uint32_t dram_channels = 0;
   std::uint32_t dram_banks_per_channel = 0;
   std::string kernel;
-  std::uint64_t grid_blocks = 0;
 };
 
 class SimObserver {
  public:
-  /// Owns a ChromeTraceSink when opts.trace is set, and a HostProfiler when
-  /// opts.prof is set.
+  /// Owns a TimelineSampler when opts.timeline_interval is set, and a
+  /// HostProfiler when opts.prof is set.
   explicit SimObserver(const ObsOptions& opts);
 
   SimObserver(const SimObserver&) = delete;
   SimObserver& operator=(const SimObserver&) = delete;
 
-  [[nodiscard]] bool trace_enabled() const { return sink_ != nullptr; }
+  [[nodiscard]] bool trace_enabled() const { return opts_.trace; }
   [[nodiscard]] Cycle timeline_interval() const { return opts_.timeline_interval; }
   /// The profiler pillar; null when opts.prof is off.
   [[nodiscard]] prof::HostProfiler* profiler() const { return prof_.get(); }
@@ -109,15 +109,19 @@ class SimObserver {
 
   // --- outputs ------------------------------------------------------------
   /// Complete trace JSON (after finalize()); empty when tracing is off.
-  [[nodiscard]] const std::string& trace_json() const;
+  [[nodiscard]] const std::string& trace_json() const { return trace_; }
   /// Timeline CSV; empty when the timeline pillar is off.
   [[nodiscard]] std::string timeline_csv() const;
 
  private:
+  /// Append one event: `cat` is null only for metadata ('M'), `args` is a
+  /// rendered `{...}` object or null, and `dur` is read only for 'X'.
+  void event(char ph, std::uint32_t pid, std::uint32_t tid, Cycle ts, const char* name,
+             const char* cat, const char* args = nullptr, Cycle dur = 0);
   void close_slice(SmId sm, std::uint32_t slot, Cycle now);
 
   ObsOptions opts_;
-  std::unique_ptr<ChromeTraceSink> sink_;
+  std::string trace_;  ///< the trace document; empty unless opts.trace
   std::unique_ptr<TimelineSampler> timeline_;
   std::unique_ptr<prof::HostProfiler> prof_;
 

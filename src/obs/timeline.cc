@@ -1,7 +1,8 @@
 #include "obs/timeline.h"
 
-#include <cinttypes>
 #include <cstdio>
+
+#include "common/format.h"
 
 namespace grs::obs {
 
@@ -14,10 +15,10 @@ constexpr const char* kHeader =
     "l1_accesses,l1_misses,resident_blocks,resident_warps,mshr_inflight,"
     "l2_accesses,l2_misses,dram_requests,dram_row_hits,l2_busy_banks,dram_busy_banks\n";
 
+/// Append `,v`: one numeric cell after the row's first.
 void put_u64(std::string& out, std::uint64_t v) {
-  char tmp[24];
-  std::snprintf(tmp, sizeof tmp, ",%" PRIu64, v);
-  out += tmp;
+  out += ',';
+  append_u64(out, v);
 }
 
 void put_ipc(std::string& out, std::uint64_t thread_instr, Cycle window) {
@@ -64,12 +65,10 @@ void TimelineSampler::sample(Cycle boundary, const std::vector<SmTimelinePoint>&
   if (prev_sms_.empty()) prev_sms_.resize(sms.size());
   const Cycle window = interval_;
 
-  char head[32];
   SmTimelinePoint total;
   for (std::size_t i = 0; i < sms.size(); ++i) {
-    std::snprintf(head, sizeof head, "%" PRIu64 ",%zu", static_cast<std::uint64_t>(boundary),
-                  i);
-    rows_ += head;
+    append_u64(rows_, boundary);
+    put_u64(rows_, i);
     put_sm_columns(rows_, sms[i], prev_sms_[i], window);
     rows_ += ",,,,,,\n";  // L2/DRAM columns are gpu-row only
 
@@ -83,8 +82,8 @@ void TimelineSampler::sample(Cycle boundary, const std::vector<SmTimelinePoint>&
   SmTimelinePoint prev_total;
   for (const auto& p : prev_sms_) prev_total.stats.merge(p.stats);
 
-  std::snprintf(head, sizeof head, "%" PRIu64 ",gpu", static_cast<std::uint64_t>(boundary));
-  rows_ += head;
+  append_u64(rows_, boundary);
+  rows_ += ",gpu";
   put_sm_columns(rows_, total, prev_total, window);
   put_u64(rows_, gpu.l2_accesses - prev_gpu_.l2_accesses);
   put_u64(rows_, gpu.l2_misses - prev_gpu_.l2_misses);

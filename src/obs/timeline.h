@@ -45,8 +45,6 @@ class TimelineSampler {
  public:
   explicit TimelineSampler(Cycle interval) : interval_(interval) {}
 
-  [[nodiscard]] Cycle interval() const { return interval_; }
-
   void sample(Cycle boundary, const std::vector<SmTimelinePoint>& sms,
               const GpuTimelinePoint& gpu);
 

@@ -1,8 +1,6 @@
 #include "runner/sink.h"
 
-#include <cinttypes>
-#include <cstdio>
-
+#include "common/format.h"
 #include "common/json.h"
 #include "common/table.h"
 #include "gpu/result_codec.h"
@@ -10,12 +8,6 @@
 namespace grs::runner {
 
 namespace {
-
-std::string u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return buf;
-}
 
 /// Cells [0, kNumStringColumns) hold strings; the rest are numeric. The JSON
 /// sink uses this to decide what to quote.
@@ -52,8 +44,9 @@ const std::vector<std::string>& result_columns() {
 
 std::vector<std::string> result_cells(const std::string& bench, const SweepRow& row) {
   std::vector<std::string> cells = {bench, row.point.variant, row.point.kernel.name,
-                                    row.point.kernel.set, u64(row.point.kernel.grid_blocks)};
+                                    row.point.kernel.set};
   cells.reserve(result_columns().size());
+  append_u64(cells.emplace_back(), row.point.kernel.grid_blocks);
   for (const ResultField& f : result_fields())
     if (f.flat) cells.push_back(format_result_field(f, row.result));
   return cells;

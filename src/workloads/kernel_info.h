@@ -15,7 +15,9 @@ struct KernelInfo {
   std::uint32_t grid_blocks = 0;
 
   /// Average active lanes per warp (32 unless the kernel is modelled as
-  /// divergent, e.g. MUM / BFS / b+tree; see DESIGN.md §7).
+  /// divergent, e.g. MUM / BFS / b+tree: programs have no branches, so
+  /// divergence only thins each issue; the `.gkd` `lanes` key,
+  /// docs/gkd-format.md).
   std::uint32_t active_lanes = 32;
 
   Program program;

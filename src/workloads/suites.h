@@ -4,7 +4,7 @@
 // copied verbatim from paper Tables II-IV, so occupancy-derived results
 // (Fig. 1, Fig. 8(a)/(b), Tables VI/VIII) reproduce exactly. Instruction
 // mixes and memory behaviour are synthesized to match each application's
-// published character (see each factory's comment and DESIGN.md §2).
+// published character (see each factory's comment in suites.cc).
 //
 // Register numbering follows PTXPlus declaration order, which is *not*
 // first-use order (paper Fig. 7a); factories scramble register ids above a

@@ -4,10 +4,10 @@
 //    run_sweep worker counts (buffered post-sweep writes);
 //  * zero cost when off — a null/disabled observer leaves GpuStats
 //    bit-identical to a plain simulate() and produces no output;
-//  * format — the trace sink and the timeline sampler render their documented
-//    formats byte for byte; trace events carry name/ph/pid/tid/ts with
-//    timestamps monotone per (pid, tid) track, the format Perfetto requires,
-//    and the footer stays valid JSON whatever the kernel is called;
+//  * format — the trace observer and the timeline sampler render their
+//    documented formats byte for byte; trace events carry name/ph/pid/tid/ts
+//    with timestamps monotone per (pid, tid) track, the format Perfetto
+//    requires, and the footer stays valid JSON whatever the kernel is called;
 //  * decomposition — each warp's state slices add up exactly to the SmStats
 //    counter of that state, in both exec modes;
 //  * telemetry — RunManifest renders the documented v1 schema.
@@ -25,10 +25,10 @@
 
 #include "common/clock.h"
 #include "common/config.h"
+#include "common/hash.h"
 #include "gpu/simulator.h"
 #include "obs/obs.h"
 #include "obs/timeline.h"
-#include "obs/trace.h"
 #include "prof/prof.h"
 #include "runner/engine.h"
 #include "runner/manifest.h"
@@ -66,9 +66,9 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-// The configurations whose hook streams exercise every event family: plain,
-// register sharing (locks + releases), and the unroll+dyn runtime (ownership
-// transfers, dyn gating).
+// Plain, register sharing and the unroll+dyn runtime. At the 6-8 blocks the
+// tests below give 14 SMs, no SM holds both blocks of a pair, so no ownership
+// transfers, lock waits or Dyn gating occur (two_sm_machines() covers those).
 std::vector<std::pair<std::string, GpuConfig>> trace_configs() {
   return {{"unshared", configs::unshared()},
           {"shared-reg", configs::shared_noopt(Resource::kRegisters, 0.1)},
@@ -77,23 +77,130 @@ std::vector<std::pair<std::string, GpuConfig>> trace_configs() {
 
 // --- determinism across execution modes ------------------------------------
 
+struct TracedMachine {
+  std::string label;
+  GpuConfig cfg;
+  KernelInfo kernel;
+};
+
+// Machines of two SMs. At 12 blocks each SM holds both blocks of a pair, so
+// between them these runs fire every trace hook: register and scratchpad
+// lock acquires and releases, ownership transfers, Dyn gating, and every L1,
+// L2 and DRAM outcome.
+std::vector<TracedMachine> two_sm_machines() {
+  const auto two_sms = [](GpuConfig cfg) {
+    cfg.num_sms = 2;
+    return cfg;
+  };
+  const GpuConfig owf_dyn = two_sms(configs::shared_owf_unroll_dyn(Resource::kRegisters));
+  const GpuConfig lrr_dyn = two_sms(configs::shared_unroll_dyn(Resource::kRegisters));
+  return {{"hotspot / owf-unroll-dyn", owf_dyn, shrink(workloads::hotspot(), 12)},
+          {"hotspot / lrr-unroll-dyn", lrr_dyn, shrink(workloads::hotspot(), 12)},
+          {"b+tree / owf-unroll-dyn", owf_dyn, shrink(workloads::btree(), 12)},
+          {"b+tree / lrr-unroll-dyn", lrr_dyn, shrink(workloads::btree(), 12)},
+          {"srad1 / owf-smem", two_sms(configs::shared_owf(Resource::kScratchpad)),
+           shrink(workloads::srad1(), 12)},
+          {"sgemm / unshared", two_sms(configs::unshared()), shrink(workloads::sgemm(), 4)}};
+}
+
+// sha256 over the traces of two_sm_machines(), in order. Any change to the
+// trace bytes (format, event order, hook placement) fails it; regenerate it
+// from this test's failure output only for a change meant to move them.
+constexpr const char* kTwoSmTraceGolden =
+    "aac3e8a600b18fbacb8ec2ff4dc7fd514f5b971ba2a73241140e6129657c41c9";
+
+/// The first event line of `trace` with phase `ph`, without its separator.
+std::string first_event(const std::string& trace, char ph) {
+  const std::string needle = std::string("\"ph\":\"") + ph + '"';
+  std::istringstream lines(trace);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find(needle) == std::string::npos) continue;
+    if (line.back() == ',') line.pop_back();
+    return line;
+  }
+  return {};
+}
+
 TEST(ObsTrace, ByteIdenticalAcrossExecModes) {
-  const KernelInfo kernels[] = {shrink(workloads::hotspot(), 8),
-                                shrink(workloads::btree(), 8)};
+  std::vector<TracedMachine> machines;
+  for (const KernelInfo& k : {shrink(workloads::hotspot(), 8), shrink(workloads::btree(), 8)}) {
+    for (const auto& [name, cfg] : trace_configs())
+      machines.push_back({k.name + " / " + name, cfg, k});
+  }
+  const std::size_t first_two_sm = machines.size();
+  for (TracedMachine& m : two_sm_machines()) machines.push_back(std::move(m));
+
   obs::ObsOptions opts;
   opts.trace = true;
-  for (const KernelInfo& k : kernels) {
-    for (const auto& [name, base] : trace_configs()) {
-      GpuConfig cfg = base;
-      cfg.exec_mode = ExecMode::kCycle;
-      const ObsRun naive = run_observed(cfg, k, opts);
-      cfg.exec_mode = ExecMode::kEvent;
-      const ObsRun event = run_observed(cfg, k, opts);
-      EXPECT_TRUE(naive.result.stats == event.result.stats) << k.name << " / " << name;
-      EXPECT_EQ(naive.trace, event.trace) << k.name << " / " << name;
-      EXPECT_FALSE(naive.trace.empty()) << k.name << " / " << name;
-    }
+  std::string all;      // every two-SM trace, in order
+  std::string hotspot;  // the first of them
+  for (std::size_t i = 0; i < machines.size(); ++i) {
+    const TracedMachine& m = machines[i];
+    GpuConfig cfg = m.cfg;
+    cfg.exec_mode = ExecMode::kCycle;
+    const ObsRun naive = run_observed(cfg, m.kernel, opts);
+    cfg.exec_mode = ExecMode::kEvent;
+    const ObsRun event = run_observed(cfg, m.kernel, opts);
+    EXPECT_TRUE(naive.result.stats == event.result.stats) << m.label;
+    EXPECT_EQ(naive.trace, event.trace) << m.label;
+    EXPECT_FALSE(naive.trace.empty()) << m.label;
+    if (i >= first_two_sm) all += event.trace;
+    if (i == first_two_sm) hotspot = event.trace;
   }
+  EXPECT_EQ(sha256_hex(all), kTwoSmTraceGolden);
+
+  // Each of the twelve hooks renders at least one event in the two-SM traces.
+  const std::pair<const char*, const char*> hook_events[] = {
+      {"warp_scan", "\"name\":\"dyn-gated\",\"ph\":\"B\",\"cat\":\"warp\""},
+      {"warp_scan", "\"name\":\"lock-wait\",\"ph\":\"B\",\"cat\":\"warp\""},
+      {"warp_issue", "\"name\":\"exit\",\"ph\":\"i\",\"cat\":\"issue\""},
+      {"warp_exit", "\"name\":\"exit-drain\",\"ph\":\"E\",\"cat\":\"warp\""},
+      {"block_launch", "\"name\":\"block\",\"ph\":\"B\",\"cat\":\"block\""},
+      {"block_finish", "\"name\":\"block\",\"ph\":\"E\",\"cat\":\"block\""},
+      {"lock_acquire", "\"name\":\"reg-acquire\",\"ph\":\"i\",\"cat\":\"sharing\""},
+      {"lock_acquire", "\"name\":\"smem-acquire\",\"ph\":\"i\",\"cat\":\"sharing\""},
+      {"lock_release_warp", "\"name\":\"reg-release\",\"ph\":\"i\",\"cat\":\"sharing\""},
+      {"lock_release_block", "\"name\":\"release-on-finish\",\"ph\":\"i\",\"cat\":\"sharing\""},
+      {"ownership_transfer", "\"name\":\"ownership-transfer\",\"ph\":\"i\",\"cat\":\"sharing\""},
+      {"l1_transaction", "\"name\":\"L1 hit\",\"ph\":\"X\",\"cat\":\"mem\""},
+      {"l1_transaction", "\"name\":\"L1 merge\",\"ph\":\"X\",\"cat\":\"mem\""},
+      {"l1_transaction", "\"name\":\"L1 miss\",\"ph\":\"X\",\"cat\":\"mem\""},
+      {"l1_transaction", "\"name\":\"L1 store\",\"ph\":\"X\",\"cat\":\"mem\""},
+      {"l2_transaction", "\"name\":\"L2 hit\",\"ph\":\"X\",\"cat\":\"mem\""},
+      {"l2_transaction", "\"name\":\"L2 merge\",\"ph\":\"X\",\"cat\":\"mem\""},
+      {"l2_transaction", "\"name\":\"L2 miss\",\"ph\":\"X\",\"cat\":\"mem\""},
+      {"dram_transaction", "\"name\":\"row hit\",\"ph\":\"X\",\"cat\":\"mem\""},
+      {"dram_transaction", "\"name\":\"row miss\",\"ph\":\"X\",\"cat\":\"mem\""},
+  };
+  for (const auto& [hook, event] : hook_events)
+    EXPECT_NE(all.find(event), std::string::npos) << hook << ": " << event;
+
+  // The format byte for byte, on the first two-SM trace: its envelope, and
+  // the first line of each phase. Keys come in the order name, ph, cat,
+  // pid, tid, ts (all but metadata), dur ('X'), the thread scope of
+  // instants, args.
+  const std::string header = "{\"traceEvents\":[\n";
+  const std::string trailer =
+      "\n],\n\"displayTimeUnit\":\"ns\",\n"
+      "\"otherData\":{\"kernel\":\"hotspot\",\"cycles\":20469}\n}\n";
+  ASSERT_GE(hotspot.size(), header.size() + trailer.size());
+  EXPECT_EQ(hotspot.substr(0, header.size()), header);
+  EXPECT_EQ(hotspot.substr(hotspot.size() - trailer.size()), trailer);
+  EXPECT_EQ(first_event(hotspot, 'M'),
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+            "\"args\":{\"name\":\"SM 0\"}}");
+  EXPECT_EQ(first_event(hotspot, 'B'),
+            "{\"name\":\"block\",\"ph\":\"B\",\"cat\":\"block\",\"pid\":1,\"tid\":1001,\"ts\":0,"
+            "\"args\":{\"uid\":0,\"pair\":0,\"side\":0,\"owner\":true}}");
+  EXPECT_EQ(first_event(hotspot, 'E'),
+            "{\"name\":\"eligible\",\"ph\":\"E\",\"cat\":\"warp\",\"pid\":1,\"tid\":1,\"ts\":2}");
+  EXPECT_EQ(first_event(hotspot, 'i'),
+            "{\"name\":\"ld.global\",\"ph\":\"i\",\"cat\":\"issue\",\"pid\":1,\"tid\":1,\"ts\":1,"
+            "\"s\":\"t\"}");
+  EXPECT_EQ(first_event(hotspot, 'X'),
+            "{\"name\":\"L2 miss\",\"ph\":\"X\",\"cat\":\"mem\",\"pid\":3,\"tid\":5,\"ts\":61,"
+            "\"dur\":214,\"args\":{\"line\":\"0x100000f700\"}}");
 }
 
 /// The cycle column of every "gpu" row of a timeline CSV, in file order.
@@ -312,52 +419,6 @@ TEST(ObsTrace, FooterKeepsQuotedAndLongKernelNamesIntact) {
     ASSERT_GE(run.trace.size(), footer.size());
     EXPECT_EQ(run.trace.substr(run.trace.size() - footer.size()), footer) << name;
   }
-}
-
-obs::TraceEvent trace_event(char ph, std::uint32_t pid, std::uint32_t tid, Cycle ts,
-                            const char* name, const char* cat) {
-  obs::TraceEvent e;
-  e.ph = ph;
-  e.pid = pid;
-  e.tid = tid;
-  e.ts = ts;
-  e.name = name;
-  e.cat = cat;
-  return e;
-}
-
-TEST(ObsTrace, SinkRendersEachPhaseByteForByte) {
-  // The trace format, byte for byte: one event per line in emit order; keys
-  // name, ph, cat (when set), pid, tid, ts (all but metadata), dur ('X'),
-  // the thread scope of instants, and args (when set); then the footer.
-  obs::TraceEvent meta = trace_event('M', 1, 2, 0, "thread_name", nullptr);
-  meta.args_json = "{\"name\":\"warp 1\"}";
-  obs::TraceEvent span = trace_event('X', 15, 3, 20, "L2 miss", "mem");
-  span.dur = 160;
-  span.args_json = "{\"line\":\"0x1000\"}";
-
-  obs::ChromeTraceSink sink;
-  sink.begin();
-  sink.emit(meta);
-  sink.emit(trace_event('B', 1, 2, 10, "barrier", "warp"));
-  sink.emit(trace_event('E', 1, 2, 14, "barrier", "warp"));
-  sink.emit(trace_event('i', 1, 2, 14, "ld", "issue"));
-  sink.emit(span);
-  sink.end("{\"kernel\":\"k\",\"cycles\":180}");
-  EXPECT_EQ(sink.str(),
-            "{\"traceEvents\":[\n"
-            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,"
-            "\"args\":{\"name\":\"warp 1\"}},\n"
-            "{\"name\":\"barrier\",\"ph\":\"B\",\"cat\":\"warp\",\"pid\":1,\"tid\":2,\"ts\":10},\n"
-            "{\"name\":\"barrier\",\"ph\":\"E\",\"cat\":\"warp\",\"pid\":1,\"tid\":2,\"ts\":14},\n"
-            "{\"name\":\"ld\",\"ph\":\"i\",\"cat\":\"issue\",\"pid\":1,\"tid\":2,\"ts\":14,"
-            "\"s\":\"t\"},\n"
-            "{\"name\":\"L2 miss\",\"ph\":\"X\",\"cat\":\"mem\",\"pid\":15,\"tid\":3,\"ts\":20,"
-            "\"dur\":160,\"args\":{\"line\":\"0x1000\"}}\n"
-            "],\n"
-            "\"displayTimeUnit\":\"ns\",\n"
-            "\"otherData\":{\"kernel\":\"k\",\"cycles\":180}\n"
-            "}\n");
 }
 
 /// Sums the length (E.ts - B.ts) of every warp-state slice of a rendered
