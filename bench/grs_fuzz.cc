@@ -5,8 +5,9 @@
 // (profile, seed) pair it generates a kernel (workloads/gen), runs it across
 // scheduler × sharing configuration lines in BOTH execution modes via the
 // parallel experiment engine (src/runner), and diffs the full statistics
-// structs bit for bit. Any divergence dumps the kernel as a .gkd repro file
-// (workloads/format) and fails the process.
+// structs bit for bit. Every simulation must also keep the conservation laws
+// (check_conservation, gpu/simulator.h). Any divergence or broken law dumps
+// the kernel as a .gkd repro file (workloads/format) and fails the process.
 //
 // `grs_fuzz --help` documents every flag (print_help() below is the single
 // source of truth; scripts/check_docs.sh keeps the docs in sync with it).
@@ -18,6 +19,7 @@
 
 #include "common/config.h"
 #include "common/parse.h"
+#include "gpu/simulator.h"
 #include "runner/engine.h"
 #include "workloads/format/gkd.h"
 #include "workloads/gen/generator.h"
@@ -37,7 +39,8 @@ void print_help() {
       "\n"
       "Differential fuzzer: each (profile, seed) pair generates a kernel, runs it\n"
       "under scheduler x sharing configuration lines in both execution modes, and\n"
-      "diffs the statistics bit for bit. A divergence writes a .gkd repro.\n"
+      "diffs the statistics bit for bit; every simulation must also keep the\n"
+      "conservation laws. A divergence or a broken law writes a .gkd repro.\n"
       "\n"
       "  --seeds N        number of (profile, seed) pairs to run (default 20)\n"
       "  --start S        first seed (default 0); pair k uses seed S+k and, with\n"
@@ -51,7 +54,8 @@ void print_help() {
       "  --list-profiles  list the generator profiles and exit\n"
       "  --help           this text\n"
       "\n"
-      "Exit status: 0 = everything bit-identical, 1 = divergence, 2 = usage.\n");
+      "Exit status: 0 = everything bit-identical and conserved, 1 = divergence or\n"
+      "broken law, 2 = usage.\n");
 }
 
 std::uint64_t arg_u64(const std::string& flag, const std::string& value) {
@@ -108,14 +112,15 @@ std::string cli_flags(const GpuConfig& c) {
 }
 
 void write_repro(const std::string& out_dir, const KernelInfo& kernel, std::uint64_t seed,
-                 const std::string& profile, const std::string& line, const GpuConfig& cfg) {
+                 const std::string& profile, const std::string& line, const GpuConfig& cfg,
+                 const std::string& what) {
   const std::string path = out_dir + "/repro-" + kernel.name + ".gkd";
   std::ofstream f(path, std::ios::binary);
   if (!f) {
     std::fprintf(stderr, "[grs_fuzz] cannot write repro %s\n", path.c_str());
     return;
   }
-  f << "# grs_fuzz divergence repro: cycle vs event statistics differ\n"
+  f << "# grs_fuzz repro: " << what << "\n"
     << "# profile " << profile << ", seed " << seed << ", config line " << line << "\n"
     << "# reproduce (diff the two outputs):\n"
     << "#   grs_cli --kernel " << path << " " << cli_flags(cfg) << " --exec-mode cycle\n"
@@ -174,7 +179,7 @@ int main(int argc, char** argv) {
     usage(e.what());
   }
 
-  std::size_t sims = 0, divergences = 0;
+  std::size_t sims = 0, divergences = 0, broken_laws = 0;
   for (std::uint64_t k = 0; k < seeds; ++k) {
     const std::uint64_t seed = start + k;
     const workloads::gen::GenProfile& profile = profiles[seed % profiles.size()];
@@ -213,21 +218,40 @@ int main(int argc, char** argv) {
                      kernel.name.c_str(), profile.name.c_str(),
                      static_cast<unsigned long long>(seed), line.c_str(),
                      rows[j].result.stats.ipc(), rows[j + 1].result.stats.ipc());
-        write_repro(out_dir, kernel, seed, profile.name, line, lines[j / 2].config);
+        write_repro(out_dir, kernel, seed, profile.name, line, lines[j / 2].config,
+                    "cycle vs event statistics differ");
       }
     }
+    for (std::size_t j = 0; j < rows.size(); ++j) {
+      const runner::SweepRow& row = rows[j];
+      const std::string broken = check_conservation(row.result.config, kernel, row.result.stats);
+      if (broken.empty()) continue;
+      ++broken_laws;
+      std::fprintf(stderr, "[grs_fuzz] BROKEN LAW: %s (profile %s, seed %llu) on %s: %s\n",
+                   kernel.name.c_str(), profile.name.c_str(),
+                   static_cast<unsigned long long>(seed), row.point.variant.c_str(),
+                   broken.c_str());
+      write_repro(out_dir, kernel, seed, profile.name, lines[j / 2].label, lines[j / 2].config,
+                  "conservation law broken: " + broken);
+    }
     if ((k + 1) % 10 == 0 || k + 1 == seeds) {
-      std::fprintf(stderr, "[grs_fuzz] %llu/%llu seeds, %zu sims, %zu divergences\n",
+      std::fprintf(stderr,
+                   "[grs_fuzz] %llu/%llu seeds, %zu sims, %zu divergences, %zu broken laws\n",
                    static_cast<unsigned long long>(k + 1),
-                   static_cast<unsigned long long>(seeds), sims, divergences);
+                   static_cast<unsigned long long>(seeds), sims, divergences, broken_laws);
     }
   }
 
-  if (divergences != 0) {
-    std::fprintf(stderr, "[grs_fuzz] FAIL: %zu divergent configuration lines\n", divergences);
+  if (divergences != 0 || broken_laws != 0) {
+    std::fprintf(stderr,
+                 "[grs_fuzz] FAIL: %zu divergent configuration lines, %zu simulations broke a "
+                 "conservation law\n",
+                 divergences, broken_laws);
     return 1;
   }
-  std::printf("[grs_fuzz] OK: %llu seeds, %zu simulations, all cycle/event stats bit-identical\n",
-              static_cast<unsigned long long>(seeds), sims);
+  std::printf(
+      "[grs_fuzz] OK: %llu seeds, %zu simulations, all cycle/event stats bit-identical and "
+      "conserved\n",
+      static_cast<unsigned long long>(seeds), sims);
   return 0;
 }

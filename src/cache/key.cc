@@ -1,5 +1,7 @@
 #include "cache/key.h"
 
+#include <type_traits>
+
 #include "common/format.h"
 #include "common/hash.h"
 #include "core/occupancy.h"
@@ -34,25 +36,42 @@ const std::string& Fingerprints::memo() {
 }
 
 const std::string& Fingerprints::kernel_fingerprint(const KernelInfo& kernel) {
+  const Program::Storage& storage = kernel.program.storage();
+  const void* const at = storage.get();
+  id_.assign(reinterpret_cast<const char*>(&at), sizeof at);
+  workloads::gkd::serialize_header(kernel, id_);
+  const auto it = kernel_of_.find(id_);
+  if (it != kernel_of_.end()) return *it->second.fingerprint;
   text_.clear();
   workloads::gkd::serialize(kernel, text_);
-  return memo();
+  const std::string& fingerprint = memo();
+  kernel_of_.emplace(id_, KernelMemo{storage, &fingerprint});
+  return fingerprint;
 }
 
 const std::string& Fingerprints::config_fingerprint(const GpuConfig& cfg) {
+  static_assert(std::is_trivially_copyable_v<GpuConfig>,
+                "config_fingerprint keys on GpuConfig's bytes");
+  id_.assign(reinterpret_cast<const char*>(&cfg), sizeof cfg);
+  const auto it = config_of_.find(id_);
+  if (it != config_of_.end()) return *it->second;
   text_.clear();
   cfg.canonical_kv(text_);
-  return memo();
+  const std::string& fingerprint = memo();
+  config_of_.emplace(id_, &fingerprint);
+  return fingerprint;
 }
 
-std::string Fingerprints::result_cache_key(const GpuConfig& cfg, const KernelInfo& kernel) {
+const std::string& Fingerprints::result_cache_key(const GpuConfig& cfg,
+                                                  const KernelInfo& kernel) {
   const Occupancy o = compute_occupancy(cfg, kernel.resources);
-  std::string material;
-  material.reserve(256);
-  material += "grs-result-cache ";
+  const std::string& config = config_fingerprint(machine_config(cfg));
+  const std::string& kernel_fp = kernel_fingerprint(kernel);
+  std::string& material = id_;
+  material = "grs-result-cache ";
   material += schema_tag();
   material += "\nconfig ";
-  material += config_fingerprint(machine_config(cfg));
+  material += config;
   material += "\nplan";
   const auto plan_field = [&material](std::uint64_t v) {
     material += ' ';
@@ -69,9 +88,11 @@ std::string Fingerprints::result_cache_key(const GpuConfig& cfg, const KernelInf
   material += ' ';
   append_exact(material, o.baseline_waste_percent);
   material += "\nkernel ";
-  material += kernel_fingerprint(kernel);
+  material += kernel_fp;
   material += '\n';
-  return sha256_hex(material);
+  const auto it = key_of_.find(material);
+  if (it != key_of_.end()) return it->second;
+  return key_of_.emplace(material, sha256_hex(material)).first->second;
 }
 
 }  // namespace grs::cache

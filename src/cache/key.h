@@ -20,16 +20,31 @@
 // written under different semantics — stale versions simply live under a
 // different subdirectory until deleted.
 //
-// Hash each text once. A sweep has far fewer distinct kernels and configs
-// than points (the full sharing study: 1152 points, 117 kernel texts, 2
-// machine config texts), so runner::run_sweep keys its points through one
-// Fingerprints memo. The memo maps each canonical text (gkd::serialize(),
-// canonical_kv()) to its sha256: the text is still built per point, into one
-// reused buffer, but hashed only the first time those bytes appear. Keying
-// the memo by the exact bytes it hashes makes a hit correct by construction:
-// no equality on KernelInfo or GpuConfig has to be kept in sync with their
-// fields. The free functions below run the same code through a fresh memo,
-// so there is one key path.
+// Pay per machine, not per point. A sweep has far fewer distinct kernels
+// and configs than points (the full sharing study: 1152 points, 117 kernel
+// texts, 2 machine config texts), so runner::run_sweep keys its points
+// through one Fingerprints memo. Each of its maps is keyed on something that
+// proves the equality it relies on, so every hit is exact by construction
+// and no equality on KernelInfo or GpuConfig has to track their fields:
+//
+//   - kernel: the program storage's identity (isa/program.h; copies of a
+//     KernelInfo share it) plus gkd::serialize_header(), which renders every
+//     other field. Equal storage means equal segments, so equal keys mean
+//     equal .gkd text. The memo holds a reference to each storage it keys,
+//     so that address cannot be reused by another program while it lives;
+//   - config: machine_config(cfg)'s object representation. GpuConfig is
+//     trivially copyable and holds no pointers, so equal bytes mean equal
+//     fields and equal canonical_kv(). Padding can make equal configs
+//     differ in bytes, which costs a miss, never a wrong hit;
+//   - key: the key material below, hashed once per distinct material.
+//
+// A miss builds the canonical text (gkd::serialize(), canonical_kv()) and
+// hashes it only if those bytes are new, so hashed() still counts each
+// distinct text once. The free functions below run the same code through a
+// fresh memo, so there is one key path. On perfbench's warm 216-point study
+// slice (Release, gcc 12, a shared 4-vCPU Xeon VM) keying fell from about
+// 1.0 ms to 0.42 ms per regeneration; what is left is sha256 over its 27
+// texts and 100 key materials (docs/result-cache.md).
 #pragma once
 
 #include <cstdint>
@@ -56,17 +71,17 @@ inline constexpr int kSimSchemaVersion = 1;
 /// builds for (cfg, kernel); see the file comment.
 [[nodiscard]] std::string result_cache_key(const GpuConfig& cfg, const KernelInfo& kernel);
 
-/// The memo behind every key above: each distinct canonical text is hashed
-/// once per Fingerprints object. Not thread-safe; run_sweep keeps one per
-/// call, on the calling thread.
+/// The memo behind every key above; see the file comment. Not thread-safe;
+/// run_sweep keeps one per call, on the calling thread.
 class Fingerprints {
  public:
   /// Each returns what the free function of its name (config_fingerprint:
-  /// cfg.fingerprint()) returns, hashing only the texts this memo has not
-  /// seen.
+  /// cfg.fingerprint()) returns, building and hashing only what this memo
+  /// has not seen.
   [[nodiscard]] const std::string& kernel_fingerprint(const KernelInfo& kernel);
   [[nodiscard]] const std::string& config_fingerprint(const GpuConfig& cfg);
-  [[nodiscard]] std::string result_cache_key(const GpuConfig& cfg, const KernelInfo& kernel);
+  [[nodiscard]] const std::string& result_cache_key(const GpuConfig& cfg,
+                                                    const KernelInfo& kernel);
 
   /// Canonical texts hashed so far: one per distinct text.
   [[nodiscard]] std::uint64_t hashed() const { return sha_of_.size(); }
@@ -75,10 +90,24 @@ class Fingerprints {
   /// The sha256 hex of text_, hashed only if these bytes are new.
   const std::string& memo();
 
+  /// A kernel's fingerprint in sha_of_, and the storage its key names.
+  struct KernelMemo {
+    Program::Storage storage;
+    const std::string* fingerprint;
+  };
+
   /// The canonical text being keyed; one buffer reused across calls.
   std::string text_;
+  /// The identity or key material being looked up; one reused buffer.
+  std::string id_;
   /// Each canonical text seen, mapped to its sha256 hex.
   std::unordered_map<std::string, std::string> sha_of_;
+  /// Storage address + header text -> the kernel's fingerprint.
+  std::unordered_map<std::string, KernelMemo> kernel_of_;
+  /// GpuConfig object bytes -> the config's fingerprint in sha_of_.
+  std::unordered_map<std::string, const std::string*> config_of_;
+  /// Key material -> its sha256 hex, the result-cache key.
+  std::unordered_map<std::string, std::string> key_of_;
 };
 
 }  // namespace grs::cache

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 namespace grs {
@@ -20,14 +19,18 @@ namespace grs {
   return buf.str();
 }
 
-/// Replace the contents of `path` with `body`. Throws std::runtime_error
-/// naming the path when the file cannot be opened or fully written.
-inline void write_file(const std::string& path, const std::string& body) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open '" + path + "' for writing");
-  f.write(body.data(), static_cast<std::streamsize>(body.size()));
-  f.close();
-  if (!f) throw std::runtime_error("failed writing '" + path + "'");
-}
+/// Replace the contents of `path` with `body`: open it (creating it when
+/// missing), overwrite it from offset 0, then cut a regular file to
+/// body.size(); a device or pipe is only written. An existing file is never
+/// truncated to zero first: ext4 answers a truncate-then-rewrite by starting
+/// writeback at close() (its auto_da_alloc heuristic), which made rewriting
+/// a 3.4 KB study report cost 56-117 us against 4-5 us in place (a shared
+/// 4-vCPU VM). The trade-off: a crash mid-write leaves the new bytes
+/// followed by the tail of the old contents, where a truncating writer
+/// would leave a short file. Writers that must never be seen half done
+/// (cache entries) write a temporary file and rename it instead.
+/// Throws std::runtime_error naming the path when the file cannot be opened
+/// or fully written.
+void write_file(const std::string& path, const std::string& body);
 
 }  // namespace grs

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/format.h"
 #include "gpu/gpu.h"
 #include "isa/reorder.h"
 #include "obs/obs.h"
@@ -42,6 +43,27 @@ SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel, obs::SimObser
   Gpu gpu(machine_config(cfg), r.occupancy, kernel, program, obs);
   r.stats = gpu.run();
   return r;
+}
+
+std::string check_conservation(const GpuConfig& cfg, const KernelInfo& kernel,
+                               const GpuStats& stats) {
+  std::string broken;
+  const auto law = [&broken](const char* what, std::uint64_t lhs, std::uint64_t rhs) {
+    if (lhs == rhs) return;
+    if (!broken.empty()) broken += "; ";
+    broken += what;
+    broken += ": ";
+    append_u64(broken, lhs);
+    broken += " != ";
+    append_u64(broken, rhs);
+  };
+  law("issued + stall + idle != cycles x SMs x schedulers", stats.sm_total.scheduler_cycles(),
+      stats.cycles * cfg.num_sms * cfg.num_schedulers);
+  const bool cut = cfg.max_cycles != 0 && stats.cycles >= cfg.max_cycles;
+  if (!cut) {
+    law("blocks finished != grid blocks", stats.sm_total.blocks_finished, kernel.grid_blocks);
+  }
+  return broken;
 }
 
 }  // namespace grs

@@ -10,6 +10,8 @@
 // threshold t reaches the machine only through the resolved Occupancy.
 #pragma once
 
+#include <string>
+
 #include "common/config.h"
 #include "common/stats.h"
 #include "core/occupancy.h"
@@ -48,5 +50,18 @@ struct SimResult {
 /// instrumentation never feeds back into the machine.
 [[nodiscard]] SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel,
                                  obs::SimObserver* obs = nullptr);
+
+/// The conservation laws every result of simulate(cfg, kernel) must keep:
+///   - each scheduler classifies each cycle exactly once: issued + stall +
+///     idle == cycles x num_sms x num_schedulers;
+///   - a run that cfg.max_cycles did not cut finishes every block of its
+///     grid.
+/// Returns "" when both hold, else each broken law with its two sides.
+/// grs_fuzz fails a simulation that breaks one like a divergence, and
+/// tests/test_equivalence.cc checks every line. The L1/L2/DRAM traffic
+/// laws do not hold yet (ROADMAP "Counts that balance") and join with the
+/// fix that makes them hold.
+[[nodiscard]] std::string check_conservation(const GpuConfig& cfg, const KernelInfo& kernel,
+                                             const GpuStats& stats);
 
 }  // namespace grs

@@ -7,9 +7,15 @@
 // paper's mechanisms act on registers, scratchpad and scheduling, not on
 // control flow, so divergence is modelled as fewer active lanes per issue
 // (KernelInfo::active_lanes).
+//
+// A Program is an immutable value over shared storage: copying one (and so
+// every KernelInfo, sweep point and row that holds it) only bumps a
+// reference count, and the storage's address identifies its segments
+// (cache::Fingerprints keys on it).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,11 +31,22 @@ struct Segment {
 
 class Program {
  public:
+  using Storage = std::shared_ptr<const std::vector<Segment>>;
+
   Program() = default;
   explicit Program(std::vector<Segment> segments, RegNum num_regs);
+  Program(const Program&) = default;
+  Program& operator=(const Program&) = default;
+  /// A moved-from Program is empty, like a default-constructed one.
+  Program(Program&& other) noexcept { *this = std::move(other); }
+  Program& operator=(Program&& other) noexcept;
 
-  [[nodiscard]] const std::vector<Segment>& segments() const { return segments_; }
+  [[nodiscard]] const std::vector<Segment>& segments() const;
   [[nodiscard]] RegNum num_regs() const { return num_regs_; }
+
+  /// The segments every copy of this Program shares; null in a default-
+  /// constructed (or moved-from) Program, which has no segments.
+  [[nodiscard]] const Storage& storage() const { return storage_; }
 
   /// Dynamic warp-instruction count for one full execution.
   [[nodiscard]] std::uint64_t dynamic_length() const;
@@ -55,7 +72,13 @@ class Program {
   [[nodiscard]] std::string to_text() const;
 
  private:
-  std::vector<Segment> segments_;
+  friend class ProgramCursor;
+
+  Storage storage_;
+  /// storage_'s segment array and size, cached so the cursor reads them
+  /// with no more indirection than a plain vector member would need.
+  const Segment* segs_ = nullptr;
+  std::size_t num_segs_ = 0;
   RegNum num_regs_ = 0;
 };
 
@@ -72,7 +95,7 @@ class ProgramCursor {
   /// Advance past the instruction last returned by peek().
   void advance(const Program& p);
 
-  [[nodiscard]] bool done(const Program& p) const { return seg_ >= p.segments().size(); }
+  [[nodiscard]] bool done(const Program& p) const { return seg_ >= p.num_segs_; }
 
   /// Number of dynamic instructions already consumed.
   [[nodiscard]] std::uint64_t consumed() const { return consumed_; }

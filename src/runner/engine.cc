@@ -128,7 +128,8 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec, const RunOptions& options
   };
 
   // Planning runs on this thread, so the one key memo needs no lock; it
-  // hashes each distinct kernel and config text once (cache/key.h).
+  // builds and hashes each distinct kernel and config text once, and each
+  // distinct key once (cache/key.h).
   cache::Fingerprints fingerprints;
   std::exception_ptr failure;
   try {

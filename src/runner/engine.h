@@ -102,10 +102,10 @@ struct RunOptions {
 /// own config and compute_occupancy(); the rows equal per-point simulate()
 /// results byte for byte.
 /// Planning keys through one cache::Fingerprints memo, which lives only for
-/// this call and hashes each distinct kernel and config text once; being
-/// serial, it needs no lock. A warm all-hit sweep starts no thread. With
-/// options.prof set, the memo's count of hashed texts is added to it
-/// (prof::HostProfiler::fingerprints_hashed).
+/// this call: it builds and hashes each distinct kernel and config text
+/// once, and each distinct key once; being serial, it needs no lock. A warm
+/// all-hit sweep starts no thread. With options.prof set, the memo's count
+/// of hashed texts is added to it (prof::HostProfiler::fingerprints_hashed).
 /// An empty spec returns an empty vector.
 /// A throw while planning (from the progress callback on a hit, say)
 /// propagates at once, before anything is simulated. If a simulation (or the

@@ -89,6 +89,10 @@ class ParseError : public std::runtime_error {
 /// Appends the same text to `out`, so a caller keying many kernels can reuse
 /// one buffer (cache::Fingerprints).
 void serialize(const KernelInfo& k, std::string& out);
+/// Appends the header part of that text: every line before the first
+/// segment, which renders every KernelInfo field except the program.
+/// serialize() writes its header through this, so the two cannot disagree.
+void serialize_header(const KernelInfo& k, std::string& out);
 
 /// Parse a .gkd document. `filename` only labels error messages.
 [[nodiscard]] KernelInfo parse(const std::string& text, const std::string& filename = "<gkd>");

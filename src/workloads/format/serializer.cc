@@ -114,7 +114,7 @@ std::string serialize(const KernelInfo& k) {
   return out;
 }
 
-void serialize(const KernelInfo& k, std::string& out) {
+void serialize_header(const KernelInfo& k, std::string& out) {
   out += "gkd 1\nkernel ";
   append_quoted(out, k.name);
   out += "\nsuite ";
@@ -132,6 +132,10 @@ void serialize(const KernelInfo& k, std::string& out) {
   out += "\nlanes ";
   append_u64(out, k.active_lanes);
   out += '\n';
+}
+
+void serialize(const KernelInfo& k, std::string& out) {
+  serialize_header(k, out);
   for (const Segment& s : k.program.segments()) {
     out += "\nsegment x";
     append_u64(out, s.iterations);

@@ -291,6 +291,55 @@ TEST(Fingerprint, MemoMatchesTheFreeFunctions) {
   EXPECT_EQ(memo.hashed(), 2u + 3u + 3u);
 }
 
+TEST(Fingerprint, MemoKeysEachHeaderFieldOverOneSharedProgram) {
+  // One program storage under three headers: the memo's kernel identity
+  // (storage address + header text) must tell them apart.
+  const KernelInfo base = small_kernel(0);
+  KernelInfo grid = base;
+  grid.grid_blocks += 1;
+  KernelInfo renamed = grid;
+  renamed.name += "-renamed";
+  ASSERT_EQ(grid.program.storage(), base.program.storage());
+  ASSERT_EQ(renamed.program.storage(), base.program.storage());
+
+  const GpuConfig cfg = configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1);
+  cache::Fingerprints memo;
+  const std::string k_base = memo.result_cache_key(cfg, base);
+  const std::string k_grid = memo.result_cache_key(cfg, grid);
+  const std::string k_renamed = memo.result_cache_key(cfg, renamed);
+  EXPECT_EQ(k_base, cache::result_cache_key(cfg, base));
+  EXPECT_EQ(k_grid, cache::result_cache_key(cfg, grid));
+  EXPECT_EQ(k_renamed, cache::result_cache_key(cfg, renamed));
+  EXPECT_NE(k_base, k_grid);
+  EXPECT_NE(k_grid, k_renamed);
+  EXPECT_EQ(memo.result_cache_key(cfg, base), k_base);  // a hit stays exact
+}
+
+TEST(Fingerprint, MemoKeysConfigsThatDifferOnlyInDynStep) {
+  const KernelInfo kernel = small_kernel(0);
+  const GpuConfig a = configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1);
+  GpuConfig b = a;
+  b.sharing.dyn_step = 0.2;
+  cache::Fingerprints memo;
+  const std::string k_a = memo.result_cache_key(a, kernel);
+  const std::string k_b = memo.result_cache_key(b, kernel);
+  EXPECT_NE(k_a, k_b);
+  EXPECT_EQ(k_a, cache::result_cache_key(a, kernel));
+  EXPECT_EQ(k_b, cache::result_cache_key(b, kernel));
+}
+
+TEST(Fingerprint, CopiedKernelSharesItsProgramStorage) {
+  const KernelInfo k = small_kernel(0);
+  const KernelInfo copy = k;
+  ASSERT_NE(k.program.storage(), nullptr);
+  EXPECT_EQ(copy.program.storage(), k.program.storage());
+  EXPECT_EQ(&copy.program.segments(), &k.program.segments());
+  // An equal kernel built on its own has its own storage and the same key.
+  const KernelInfo rebuilt = small_kernel(0);
+  EXPECT_NE(rebuilt.program.storage(), k.program.storage());
+  EXPECT_EQ(cache::kernel_fingerprint(rebuilt), cache::kernel_fingerprint(k));
+}
+
 // --- result codec ---------------------------------------------------------------
 
 TEST(ResultCodec, EncodeDecodeRoundTripsByteIdentically) {

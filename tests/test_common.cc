@@ -1,11 +1,14 @@
 // Common substrate: config factories & validation, stats, PRNG, table writer,
-// JSON string escaping, strict number parsing, and the §V hardware-cost
-// formulas.
+// JSON string escaping, strict number parsing, file rewrites, and the §V
+// hardware-cost formulas.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 
 #include "common/config.h"
+#include "common/io.h"
 #include "common/json.h"
 #include "common/parse.h"
 #include "common/prng.h"
@@ -252,6 +255,48 @@ TEST(Parse, FiniteDoubleIsAWholeStringParse) {
   EXPECT_TRUE(rejected("nan"));
   EXPECT_TRUE(rejected("inf"));
   EXPECT_TRUE(rejected("1e999"));
+}
+
+// --- file rewrites ----------------------------------------------------------------
+
+/// write_file's target, holding `old` first (nothing when empty).
+std::string rewrite_target(const std::string& name, const std::string& old) {
+  const std::string path = testing::TempDir() + "/grs_write_file_" + name;
+  std::filesystem::remove(path);
+  if (!old.empty()) write_file(path, old);
+  return path;
+}
+
+TEST(WriteFile, ShorterBodyOverALongerFileLeavesExactlyTheNewBytes) {
+  const std::string path = rewrite_target("shorter", std::string(4096, 'x'));
+  write_file(path, "new\n");
+  EXPECT_EQ(read_file(path).value(), "new\n");
+  write_file(path, "");
+  EXPECT_EQ(read_file(path).value(), "");
+}
+
+TEST(WriteFile, LongerBodyOverAShorterFileLeavesExactlyTheNewBytes) {
+  const std::string path = rewrite_target("longer", "old");
+  const std::string body = std::string(5000, 'y') + "\n";
+  write_file(path, body);
+  EXPECT_EQ(read_file(path).value(), body);
+}
+
+TEST(WriteFile, DevNullIsWritable) {
+  // Not a regular file, so there is no length to cut.
+  EXPECT_NO_THROW(write_file("/dev/null", "discarded\n"));
+}
+
+TEST(WriteFile, MissingDirectoryThrowsNamingThePath) {
+  const std::string dir = testing::TempDir() + "/grs_write_file_missing";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/out.txt";
+  try {
+    write_file(path, "x");
+    FAIL() << "no error for " << path;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
 }
 
 // --- hardware cost (paper §V) -----------------------------------------------------

@@ -3,6 +3,8 @@
 // per-class scheduler accounting, same per-warp blocked counters, same
 // L1/L2/DRAM traffic — across kernels, schedulers, and sharing runtimes.
 // This is the contract that lets every bench default to the fast loop.
+// Every simulated line also keeps the conservation laws (check_conservation
+// in gpu/simulator.h).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -33,6 +35,8 @@ void expect_equivalent(GpuConfig cfg, const KernelInfo& kernel,
   const SimResult event = simulate(cfg, kernel);
 
   EXPECT_TRUE(naive.stats == event.stats) << what;
+  EXPECT_EQ(check_conservation(cfg, kernel, naive.stats), "") << what << " (cycle)";
+  EXPECT_EQ(check_conservation(cfg, kernel, event.stats), "") << what << " (event)";
   // On mismatch, name the first diverging headline counters for diagnosis.
   EXPECT_EQ(naive.stats.cycles, event.stats.cycles) << what;
   EXPECT_EQ(naive.stats.sm_total.issued_cycles, event.stats.sm_total.issued_cycles)
@@ -125,6 +129,7 @@ TEST(Equivalence, EachSchedulerMatchesItsGoldenAt28Blocks) {
         GpuConfig cfg = sharing_line(g.sched, line);
         cfg.exec_mode = ExecMode::kEvent;
         const SimResult r = simulate(cfg, k);
+        EXPECT_EQ(check_conservation(cfg, k, r.stats), "") << k.name << " line " << line;
         payloads += encode_result(r);
         total.merge(r.stats.sm_total);
       }
@@ -160,11 +165,37 @@ TEST(Equivalence, MemoryBoundSliceMatchesItsGoldenInBothModes) {
     for (const KernelInfo& k : kernels) {
       for (GpuConfig cfg : lines) {
         cfg.exec_mode = mode;
-        payloads += encode_result(simulate(cfg, k));
+        const SimResult r = simulate(cfg, k);
+        EXPECT_EQ(check_conservation(cfg, k, r.stats), "") << k.name << " " << to_string(mode);
+        payloads += encode_result(r);
       }
     }
     EXPECT_EQ(sha256_hex(payloads), kMemoryBoundGolden) << to_string(mode);
   }
+}
+
+// The check is not vacuous: a result off by one in either law is named, and
+// a run the cap cut may leave blocks unfinished.
+TEST(Conservation, BrokenLawsAreNamed) {
+  const GpuConfig cfg = configs::unshared();
+  const KernelInfo k = shrink(workloads::hotspot(), 8);
+  const GpuStats good = simulate(cfg, k).stats;
+  ASSERT_EQ(check_conservation(cfg, k, good), "");
+
+  GpuStats extra_idle = good;
+  ++extra_idle.sm_total.idle_cycles;
+  EXPECT_NE(check_conservation(cfg, k, extra_idle).find("issued + stall + idle"),
+            std::string::npos);
+  GpuStats unfinished = good;
+  --unfinished.sm_total.blocks_finished;
+  EXPECT_NE(check_conservation(cfg, k, unfinished).find("blocks finished != grid blocks: 7 != 8"),
+            std::string::npos);
+
+  GpuConfig capped = cfg;
+  capped.max_cycles = 100;
+  const GpuStats cut = simulate(capped, k).stats;
+  ASSERT_LT(cut.sm_total.blocks_finished, k.grid_blocks);
+  EXPECT_EQ(check_conservation(capped, k, cut), "");
 }
 
 // Full-size memory-bound kernel: long idle windows, deep sleep/jump paths.

@@ -2,6 +2,8 @@
 // unroll/reorder pass (paper §IV-B).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "isa/analysis.h"
 #include "isa/builder.h"
 #include "isa/program.h"
@@ -69,6 +71,23 @@ TEST(ProgramDeath, RegisterOutOfRangeRejected) {
   ProgramBuilder b(4);
   b.alu(5);  // register 5 with num_regs 4
   EXPECT_DEATH((void)b.build(), "register number out of range");
+}
+
+TEST(Program, CopiesShareStorageAndAMovedFromProgramIsEmpty) {
+  Program p = small_program();
+  const Program copy = p;  // shares the segments; nothing is copied
+  EXPECT_EQ(copy.storage(), p.storage());
+  EXPECT_EQ(&copy.segments(), &p.segments());
+
+  const Program moved = std::move(p);
+  EXPECT_EQ(moved.storage(), copy.storage());
+  EXPECT_EQ(moved.dynamic_length(), 10u);
+  // The moved-from Program keeps no view of storage it no longer owns.
+  EXPECT_EQ(p.storage(), nullptr);
+  EXPECT_TRUE(p.segments().empty());
+  const ProgramCursor c(p);
+  EXPECT_TRUE(c.done(p));
+  EXPECT_EQ(c.peek(p), nullptr);
 }
 
 TEST(Instruction, MaxRegConsidersAllOperands) {
