@@ -19,12 +19,52 @@ std::string schema_tag() {
   return tag;
 }
 
+namespace {
+
+/// Writes into `material` the key material of the file comment for (cfg,
+/// kernel), given the config half (`config`, machine_config(cfg)'s
+/// fingerprint) and the kernel half (`kernel_fp`). The one field list of
+/// every key.
+void key_material(const GpuConfig& cfg, const KernelInfo& kernel, const std::string& config,
+                  const std::string& kernel_fp, std::string& material) {
+  const Occupancy o = compute_occupancy(cfg, kernel.resources);
+  material = "grs-result-cache ";
+  material += schema_tag();
+  material += "\nconfig ";
+  material += config;
+  material += "\nplan";
+  const auto plan_field = [&material](std::uint64_t v) {
+    material += ' ';
+    append_u64(material, v);
+  };
+  plan_field(o.baseline_blocks);
+  plan_field(static_cast<unsigned>(o.limiter));
+  plan_field(o.sharing_active);
+  plan_field(o.total_blocks);
+  plan_field(o.unshared_blocks);
+  plan_field(o.shared_pairs);
+  plan_field(o.unshared_regs_per_thread);
+  plan_field(o.unshared_smem_bytes);
+  material += ' ';
+  append_exact(material, o.baseline_waste_percent);
+  material += "\nkernel ";
+  material += kernel_fp;
+  material += '\n';
+}
+
+}  // namespace
+
 std::string kernel_fingerprint(const KernelInfo& kernel) {
-  return Fingerprints().kernel_fingerprint(kernel);
+  std::string text;
+  workloads::gkd::serialize(kernel, text);
+  return sha256_hex(text);
 }
 
 std::string result_cache_key(const GpuConfig& cfg, const KernelInfo& kernel) {
-  return Fingerprints().result_cache_key(cfg, kernel);
+  std::string material;
+  key_material(cfg, kernel, machine_config(cfg).fingerprint(), kernel_fingerprint(kernel),
+               material);
+  return sha256_hex(material);
 }
 
 const std::string& Fingerprints::memo() {
@@ -64,35 +104,12 @@ const std::string& Fingerprints::config_fingerprint(const GpuConfig& cfg) {
 
 const std::string& Fingerprints::result_cache_key(const GpuConfig& cfg,
                                                   const KernelInfo& kernel) {
-  const Occupancy o = compute_occupancy(cfg, kernel.resources);
   const std::string& config = config_fingerprint(machine_config(cfg));
   const std::string& kernel_fp = kernel_fingerprint(kernel);
-  std::string& material = id_;
-  material = "grs-result-cache ";
-  material += schema_tag();
-  material += "\nconfig ";
-  material += config;
-  material += "\nplan";
-  const auto plan_field = [&material](std::uint64_t v) {
-    material += ' ';
-    append_u64(material, v);
-  };
-  plan_field(o.baseline_blocks);
-  plan_field(static_cast<unsigned>(o.limiter));
-  plan_field(o.sharing_active);
-  plan_field(o.total_blocks);
-  plan_field(o.unshared_blocks);
-  plan_field(o.shared_pairs);
-  plan_field(o.unshared_regs_per_thread);
-  plan_field(o.unshared_smem_bytes);
-  material += ' ';
-  append_exact(material, o.baseline_waste_percent);
-  material += "\nkernel ";
-  material += kernel_fp;
-  material += '\n';
-  const auto it = key_of_.find(material);
+  key_material(cfg, kernel, config, kernel_fp, id_);
+  const auto it = key_of_.find(id_);
   if (it != key_of_.end()) return it->second;
-  return key_of_.emplace(material, sha256_hex(material)).first->second;
+  return key_of_.emplace(id_, sha256_hex(id_)).first->second;
 }
 
 }  // namespace grs::cache

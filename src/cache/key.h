@@ -40,11 +40,12 @@
 //
 // A miss builds the canonical text (gkd::serialize(), canonical_kv()) and
 // hashes it only if those bytes are new, so hashed() still counts each
-// distinct text once. The free functions below run the same code through a
-// fresh memo, so there is one key path. On perfbench's warm 216-point study
-// slice (Release, gcc 12, a shared 4-vCPU Xeon VM) keying fell from about
-// 1.0 ms to 0.42 ms per regeneration; what is left is sha256 over its 27
-// texts and 100 key materials (docs/result-cache.md).
+// distinct text once. The free functions below keep no memo: they hash the
+// canonical text and the key material directly, and build the material with
+// the function the memo uses, so there is one field list. On perfbench's
+// warm 216-point study slice (Release, gcc 12, a shared 4-vCPU Xeon VM)
+// keying fell from about 1.0 ms to 0.42 ms per regeneration; what is left is
+// sha256 over its 27 texts and 100 key materials (docs/result-cache.md).
 #pragma once
 
 #include <cstdint>

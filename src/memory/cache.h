@@ -6,8 +6,12 @@
 // later access observes that the ready cycle has passed ("fill on ready").
 // Accesses to a line already in flight merge into the existing MSHR entry and
 // complete at its ready cycle without generating lower-level traffic. The MSHR
-// is kept in (ready, line) order: a drain pops the prefix that has arrived and
-// next_ready() reads the front.
+// is kept in (ready, line) order: a drain advances a head index past the
+// prefix that has arrived, next_ready() reads the entry at the head, and the
+// delivered prefix is erased only when a fill would outgrow the vector's
+// reservation (twice the MSHR entries). The set index comes from values fixed
+// at construction: a shift and a mask when the line size and the set count
+// are powers of two, as in every shipped geometry, else a division.
 #pragma once
 
 #include <cstdint>
@@ -49,14 +53,16 @@ class Cache {
   void drain(Cycle now);
 
   /// Number of MSHR entries currently in flight. The SM's MSHR pre-check
-  /// reads it on every scan, and the timeline samples it as a gauge.
-  [[nodiscard]] std::size_t inflight() const { return mshr_.size(); }
+  /// reads it when it scans a decided global load (a load it finds at a full
+  /// MSHR parks until a drain or an LSU issue), the SM's drain reads it to
+  /// wake such loads, and the timeline samples it as a gauge.
+  [[nodiscard]] std::size_t inflight() const { return mshr_.size() - head_; }
 
   /// Earliest ready cycle over the in-flight misses, kNeverCycle when none.
   /// The event-driven loop uses this as a wakeup: a warp blocked on MSHR
   /// capacity can become issuable as soon as any entry drains.
   [[nodiscard]] Cycle next_ready() const {
-    return mshr_.empty() ? kNeverCycle : mshr_.front().first;
+    return head_ == mshr_.size() ? kNeverCycle : mshr_[head_].first;
   }
 
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
@@ -75,11 +81,21 @@ class Cache {
   };
 
   void install(Addr line_addr);
-  [[nodiscard]] std::size_t set_index(Addr line_addr) const;
+  /// First way of `line_addr`'s set in ways_.
+  [[nodiscard]] std::size_t set_base(Addr line_addr) const {
+    const std::size_t set = pow2_ ? (line_addr >> line_shift_) & (num_sets_ - 1)
+                                  : line_addr / cfg_.line_bytes % num_sets_;
+    return set * cfg_.ways;
+  }
 
   CacheConfig cfg_;
-  std::vector<Way> ways_;               ///< num_sets * ways, row-major
-  std::vector<std::pair<Cycle, Addr>> mshr_;  ///< (ready, line), sorted
+  std::size_t num_sets_;
+  bool pow2_;                  ///< line size and set count are powers of two
+  unsigned line_shift_ = 0;    ///< log2(line size) when pow2_
+  std::vector<Way> ways_;      ///< num_sets * ways, row-major
+  /// (ready, line), sorted; entries before head_ are delivered.
+  std::vector<std::pair<Cycle, Addr>> mshr_;
+  std::size_t head_ = 0;
   std::uint64_t stamp_ = 0;
 };
 

@@ -5,10 +5,11 @@
 // WarpState is the SM's one classification of a live warp: the candidate
 // scan (sm/sm.cc scan_warp()) decides it, and everything else is derived
 // from that decision. A warp the scan finds at a barrier, on its
-// scoreboard, draining for exit or waiting on a sharing lock is parked: its
-// state cannot change before its wake event, so the scan skips it and
-// counts it in that state until then. Every other live warp is decided once
-// per scanned cycle. A table in sm/sm.cc maps each state to its SmStats
+// scoreboard, draining for exit, waiting on a sharing lock or, as a load no
+// Dyn gate stands in front of, at a full L1 MSHR is parked: its state cannot
+// change before its wake event (sm/sm.h), so the scan skips it and counts it
+// in that state until then. Every other live warp is decided once per
+// scanned cycle. A table in sm/sm.cc maps each state to its SmStats
 // counter and to the stall-or-idle split of common/stats.h; event mode
 // replays a skipped cycle by re-adding the last step's per-state tally; the
 // trace observer only renders changes of state as slices. So a warp's slice

@@ -15,8 +15,11 @@ namespace {
 /// to, and whether it is a structural hazard, which makes a scheduler that
 /// issues nothing count a stall cycle rather than an idle one. A state that
 /// `parks` can end only at a wake event (sm.h), so a warp the scan finds in
-/// it leaves the ready set; every such state is decided before the Dyn gate
-/// and the per-cycle port and MSHR checks.
+/// it leaves the ready set. The four instruction-level states are decided
+/// before the Dyn gate; kMshrFull is decided after it and parks only a warp
+/// no gate stands in front of. A parked warp still counts in its state every
+/// cycle, so a parked stall-class warp makes its scheduler stall, as the
+/// per-warp scan did when it found the warp at the full MSHR.
 struct StateAccounting {
   std::uint64_t SmStats::*counter;  ///< nullptr: the state has no counter
   bool stall;
@@ -34,7 +37,7 @@ constexpr StateAccounting kStateAccounting[] = {
     {&SmStats::dyn_throttled_issues, false, false},  // kDynGated
     {&SmStats::blocked_lsu_port, true, false},       // kLsuPort
     {&SmStats::blocked_lsu_inflight, true, false},   // kLsuQueue
-    {&SmStats::blocked_mshr, true, false},           // kMshrFull
+    {&SmStats::blocked_mshr, true, true},            // kMshrFull
     {&SmStats::blocked_sfu_port, true, false},       // kSfuPort
 };
 static_assert(std::size(kStateAccounting) == obs::kNumWarpStates,
@@ -82,6 +85,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
                              cfg.two_level_group_size);
   const std::size_t words = (warps_.size() + 63) / 64;
   ready_.assign(words, 0);
+  mshr_waiters_.assign(words, 0);
   scan_sets_.resize(cfg.num_schedulers);
   for (ScanSet& set : scan_sets_) set.mask.assign(words, 0);
   sched_of_.resize(warps_.size());
@@ -211,11 +215,16 @@ void StreamingMultiprocessor::park(Warp& w, obs::WarpState st) {
   drop_ready(slot);
   ++scan_sets_[sched_of_[slot]].parked[static_cast<std::size_t>(st)];
   w.parked = st;
+  if (st == obs::WarpState::kMshrFull) {
+    mshr_waiters_[slot / 64] |= 1ull << (slot % 64);
+    mshr_need_ = std::min(mshr_need_, w.next_load_lines);
+  }
 }
 
 void StreamingMultiprocessor::wake(Warp& w) {
   const std::uint32_t slot = warp_slot_of(w);
   --scan_sets_[sched_of_[slot]].parked[static_cast<std::size_t>(w.parked)];
+  if (w.parked == obs::WarpState::kMshrFull) mshr_waiters_[slot / 64] &= ~(1ull << (slot % 64));
   w.parked = obs::WarpState::kNone;
   make_ready(slot);
 }
@@ -225,10 +234,19 @@ void StreamingMultiprocessor::wake_lock_waiters(const PairState& p) {
   const std::uint32_t first = first_block * warps_per_block_;
   for (std::uint32_t slot = first; slot < first + 2 * warps_per_block_; ++slot) {
     Warp& w = warps_[slot];
-    // A lock check that passed may fail now: re-decide at the next scan.
+    // A lock check that passed may fail now: re-decide at the next scan. An
+    // ownership change can also put a Dyn gate in front of an MSHR waiter.
     w.decided = false;
-    if (w.parked == obs::WarpState::kLockWait) wake(w);
+    if (w.parked == obs::WarpState::kLockWait || w.parked == obs::WarpState::kMshrFull) wake(w);
   }
+}
+
+void StreamingMultiprocessor::wake_mshr_waiters() {
+  for (std::size_t word = 0; word < mshr_waiters_.size(); ++word) {
+    for (std::uint64_t bits = mshr_waiters_[word]; bits != 0; bits &= bits - 1)
+      wake(warps_[word * 64 + __builtin_ctzll(bits)]);
+  }
+  mshr_need_ = kNoMshrWaiter;
 }
 
 void StreamingMultiprocessor::acquire_with_ownership(PairState& p, int side, bool reg,
@@ -264,6 +282,8 @@ bool StreamingMultiprocessor::step(Cycle now) {
     prof::ScopedPhase prof_scope(prof_, prof::Phase::kExecute);
     drain_events(now);
     l1_.drain(now);
+    if (mshr_need_ != kNoMshrWaiter && l1_.inflight() + mshr_need_ <= cfg_.l1.mshr_entries)
+      wake_mshr_waiters();
   }
   lsu_port_ = 0;
   sfu_port_ = 0;
@@ -315,7 +335,8 @@ bool StreamingMultiprocessor::stuck() const {
   // Exact after a step that issued nothing: when it holds, no warp can ever
   // issue again. A warp not at a Dyn gate is either parked, and only an
   // event wakes it, or structurally blocked. With nothing pending the LSU
-  // queue and the L1 MSHR are empty, so a structural block means a zero
+  // queue and the L1 MSHR are empty (and the drain that emptied the MSHR
+  // woke every warp parked at it), so a structural block means a zero
   // issue port (or LSU queue), and no gate change lifts that. A gated warp
   // waits to issue a global access, which needs an LSU port and a queue
   // entry but cannot fail the pre-check on an empty MSHR (simulate() rejects
@@ -380,12 +401,15 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   // Parked warps count as they stand when this scan starts, which is when a
   // per-warp scan would have decided them: one that a later scheduler's
   // issue wakes still counts in its parked state this cycle.
-  for (std::size_t i = 0; i < obs::kNumWarpStates; ++i) tally_.warps[i] += set.parked[i];
+  bool saw_stall = false;
+  for (std::size_t i = 0; i < obs::kNumWarpStates; ++i) {
+    tally_.warps[i] += set.parked[i];
+    saw_stall |= kStateAccounting[i].stall && set.parked[i] != 0;
+  }
 #ifndef NDEBUG
   check_parked(sched_id);
 #endif
   const bool owf = sched.kind() == SchedulerKind::kOwf;
-  bool saw_stall = false;
   std::uint32_t pick = kInvalidSlot;
   std::uint64_t pick_key = 0;
   for (std::size_t word = 0; word < ready_.size(); ++word) {
@@ -409,7 +433,7 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
           pick = slot;
           pick_key = key;
         }
-      } else if (acct.parks) {
+      } else if (acct.parks && !(st == obs::WarpState::kMshrFull && dyn_exposed(w))) {
         park(w, st);
       }
     }
@@ -450,9 +474,20 @@ void StreamingMultiprocessor::check_parked(std::uint32_t sched_id) {
       GRS_CHECK_MSG(instruction_wait(w) == obs::WarpState::kEligible,
                     "decided warp missed its invalidation");
     }
+    const bool mshr_waiter = ((mshr_waiters_[slot / 64] >> (slot % 64)) & 1) != 0;
+    GRS_CHECK_MSG(mshr_waiter == (w.parked == obs::WarpState::kMshrFull),
+                  "MSHR waiter set out of sync with the parked warps");
     if (w.parked == obs::WarpState::kNone) continue;
-    GRS_CHECK_MSG(w.live() && instruction_wait(w) == w.parked,
-                  "parked warp missed its wake event");
+    if (mshr_waiter) {
+      // The full per-cycle check, as a scan at this point would run it.
+      GRS_CHECK_MSG(w.live() && w.decided && instruction_wait(w) == obs::WarpState::kEligible &&
+                        !dyn_exposed(w) && structural_wait(w) == obs::WarpState::kMshrFull &&
+                        w.next_load_lines >= mshr_need_,
+                    "MSHR-parked warp missed its wake event");
+    } else {
+      GRS_CHECK_MSG(w.live() && instruction_wait(w) == w.parked,
+                    "parked warp missed its wake event");
+    }
     ++recount[static_cast<std::size_t>(w.parked)];
   }
   GRS_CHECK_MSG(recount == set.parked, "parked populations out of sync with the warps");
@@ -467,14 +502,12 @@ obs::WarpState StreamingMultiprocessor::scan_warp(Warp& w, Cycle now) {
     if (st != WarpState::kEligible) return st;
     w.decided = true;
   }
-  const Op op = w.next_op;
 
   // Dynamic warp execution gate (paper §IV-C): suppressed issue, also
   // "not ready" this cycle. With a fractional probability the decision may
   // flip from one cycle to the next; record which way it went so tick()
   // knows how far this scan can be replayed.
-  if (dyn_ != nullptr && dyn_->enabled() && is_global_mem(op) &&
-      classify(w) == WarpClass::kSharedNonOwner) {
+  if (is_global_mem(w.next_op) && dyn_exposed(w)) {
     const bool cycle_dependent = dyn_->gate_is_cycle_dependent(id_);
     if (!dyn_->allow(id_, now, w.warp_uid)) {
       if (cycle_dependent) dyn_blocked_uids_.push_back(w.warp_uid);
@@ -482,8 +515,16 @@ obs::WarpState StreamingMultiprocessor::scan_warp(Warp& w, Cycle now) {
     }
     scan_gate_passed_ |= cycle_dependent;
   }
+  return structural_wait(w);
+}
 
-  // Structural hazards -> stall class.
+bool StreamingMultiprocessor::dyn_exposed(const Warp& w) const {
+  return dyn_ != nullptr && dyn_->enabled() && classify(w) == WarpClass::kSharedNonOwner;
+}
+
+obs::WarpState StreamingMultiprocessor::structural_wait(const Warp& w) const {
+  using obs::WarpState;
+  const Op op = w.next_op;
   if (is_mem(op)) {
     if (lsu_port_ >= cfg_.lsu_issue_per_cycle) return WarpState::kLsuPort;
     if (lsu_inflight_ >= cfg_.lsu_max_inflight) return WarpState::kLsuQueue;
@@ -577,6 +618,8 @@ void StreamingMultiprocessor::issue(Warp& w, const Instruction& ins, Cycle now) 
       break;
     }
   }
+  // The LSU issue moved the port, the queue and (a global access) the MSHR.
+  if (is_mem(ins.op) && mshr_need_ != kNoMshrWaiter) wake_mshr_waiters();
 }
 
 void StreamingMultiprocessor::do_global_access(Warp& w, const Instruction& ins, Cycle now,

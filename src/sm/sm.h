@@ -9,19 +9,28 @@
 // A scheduler's scan walks the SM-wide ready bitset through its own slot
 // mask, in ascending slot order, and so visits only its live warps that are
 // not parked. It picks as it goes: it keeps the eligible warp with the
-// lowest priority key (sm/scheduler.h). A warp the scan finds at a barrier,
-// on its scoreboard, draining for exit or waiting on a sharing lock is
-// parked: it leaves the ready set and is only counted, per state, until an
-// event that can change that state wakes it — a writeback drained for the
-// warp, its block's barrier released, or a lock-state change in its sharing
-// pair. The scheduler's next scan then re-decides it. Until the wake its
-// state cannot change, so the counters and the trace are bit-identical to
-// re-scanning it every cycle.
+// lowest priority key (sm/scheduler.h). A warp the scan finds in one of five
+// states is parked: it leaves the ready set and is only counted, per state,
+// until an event that can change that state wakes it. The scheduler's next
+// scan then re-decides it. Until the wake its state cannot change, so the
+// counters and the trace are bit-identical to re-scanning it every cycle.
+// The states and their wake events:
+//  * at a barrier: its block's barrier released;
+//  * on its scoreboard, or draining for exit: a writeback drained for it;
+//  * waiting on a sharing lock: a lock-state change in its sharing pair;
+//  * a global load at a full L1 MSHR (kMshrFull), unless a Dyn gate stands
+//    in front of it (Dyn on and a shared non-owner warp), whose verdict
+//    flips with the gate's draws: the step's L1 drain, once the free entries
+//    cover the smallest parked need; any LSU issue on the SM, which moves
+//    the port, the queue and the MSHR; and a lock-state change in its pair,
+//    which can make it a non-owner. The state is a structural hazard, so a
+//    scheduler that issues nothing while holding such a warp counts a stall
+//    cycle, as it did when its scan found the warp at the full MSHR.
 //
 // The scan of a warp has two parts, and neither reads the Program: they read
 // what decode() recorded of the next instruction in the warp's first cache
 // line (sm/warp.h). The instruction-level part (barrier, scoreboard, exit
-// drain, sharing lock) decides the four states that park; the per-cycle
+// drain, sharing lock) decides four of the states that park; the per-cycle
 // part (Dyn gate, LSU port and queue, MSHR, SFU port) runs after it. A warp
 // whose next instruction passes the first part is marked decided, and later
 // scans run only the second part, until the warp issues or a lock-state
@@ -249,12 +258,15 @@ class StreamingMultiprocessor {
   void drop_ready(std::uint32_t slot);
   void park(Warp& w, obs::WarpState st);
   void wake(Warp& w);
-  /// Lock-state change in `p`: wake both blocks' lock-waiting warps and
-  /// clear their decided marks.
+  /// Lock-state change in `p`: wake both blocks' lock-waiting and
+  /// MSHR-waiting warps and clear their decided marks.
   void wake_lock_waiters(const PairState& p);
+  /// Wake every warp parked at a full L1 MSHR (see the file comment).
+  void wake_mshr_waiters();
 #ifndef NDEBUG
-  /// Every parked warp of `sched_id` still scans to its parked state, every
-  /// decided one still passes the instruction-level checks, and its ready
+  /// Every parked warp of `sched_id` still scans to its parked state (an
+  /// MSHR waiter through the full per-cycle check), every decided one still
+  /// passes the instruction-level checks, and its ready bits, MSHR waiter
   /// bits, mask, slot table and populations match the warps.
   void check_parked(std::uint32_t sched_id);
 #endif
@@ -268,6 +280,13 @@ class StreamingMultiprocessor {
   /// waits in, or kEligible when it passes all four checks. Reads what
   /// decode() recorded, never the Program.
   [[nodiscard]] obs::WarpState instruction_wait(const Warp& w) const;
+  /// A Dyn gate stands in front of `w`'s global accesses: Dyn is on and `w`
+  /// is a shared non-owner warp.
+  [[nodiscard]] bool dyn_exposed(const Warp& w) const;
+  /// The structural part of the scan, after the Dyn gate: the stall state
+  /// an LSU or SFU port, the LSU queue or the L1 MSHR holds `w.next` in, or
+  /// kEligible.
+  [[nodiscard]] obs::WarpState structural_wait(const Warp& w) const;
   void issue(Warp& w, const Instruction& ins, Cycle now);
   void do_global_access(Warp& w, const Instruction& ins, Cycle now, std::uint64_t instr_seq,
                         std::uint64_t instr_uid);
@@ -304,6 +323,14 @@ class StreamingMultiprocessor {
   /// warp in `slot` is live and not parked.
   std::vector<std::uint64_t> ready_;
   std::vector<std::uint8_t> sched_of_;  ///< slot -> its scheduler
+  /// Warps parked at a full L1 MSHR, laid out like ready_, and the fewest
+  /// MSHR entries one of them needs: a step's drain that frees that many
+  /// wakes them all. kNoMshrWaiter once they are woken; a lock wake that
+  /// takes some of them out early leaves it low, which only wakes the rest
+  /// sooner.
+  std::vector<std::uint64_t> mshr_waiters_;
+  static constexpr std::uint32_t kNoMshrWaiter = ~0u;
+  std::uint32_t mshr_need_ = kNoMshrWaiter;
 
   std::array<WritebackRing, kNumWritebackClasses> rings_;
   /// Global loads due later than an L1 hit (they missed or merged in L1).

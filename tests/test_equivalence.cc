@@ -174,6 +174,34 @@ TEST(Equivalence, MemoryBoundSliceMatchesItsGoldenInBothModes) {
   }
 }
 
+// A Dyn-gated line whose L1 MSHR fills: register_limited seed 2 at 28 blocks
+// under Shared-OWF-Unroll-Dyn with 32 L1 MSHR entries. Shared non-owner
+// warps wait at the Dyn gate and at a full MSHR by turns, so a scan that
+// skipped a Dyn-exposed warp at a full MSHR would move its gated and
+// MSHR-blocked counts in both modes alike. The sha256 of its encode_result
+// payload, the same in both exec modes, for the versions above.
+constexpr const char* kDynMshrGolden =
+    "8581cf27d206ff838ad1b56eebbacad092ea1d1e2aab3bef52c4060babe9ca2a";
+
+TEST(Equivalence, DynGatedMshrBoundLineMatchesItsGoldenInBothModes) {
+  ASSERT_EQ(cache::kSimSchemaVersion, kGoldenSimSchemaVersion) << "regenerate the golden";
+  ASSERT_EQ(kResultCodecVersion, kGoldenResultCodecVersion) << "regenerate the golden";
+  const KernelInfo k =
+      shrink(workloads::gen::generate(workloads::gen::register_limited(), 2), 28);
+  GpuConfig cfg = configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1);
+  cfg.l1.mshr_entries = 32;
+  for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+    cfg.exec_mode = mode;
+    const SimResult r = simulate(cfg, k);
+    EXPECT_EQ(check_conservation(cfg, k, r.stats), "") << to_string(mode);
+    EXPECT_EQ(sha256_hex(encode_result(r)), kDynMshrGolden) << to_string(mode);
+    // What the line is for: both waits occur, on the same warps.
+    EXPECT_EQ(r.stats.cycles, 22943u) << to_string(mode);
+    EXPECT_EQ(r.stats.sm_total.dyn_throttled_issues, 118031u) << to_string(mode);
+    EXPECT_EQ(r.stats.sm_total.blocked_mshr, 53483u) << to_string(mode);
+  }
+}
+
 // The check is not vacuous: a result off by one in either law is named, and
 // a run the cap cut may leave blocks unfinished.
 TEST(Conservation, BrokenLawsAreNamed) {

@@ -154,6 +154,76 @@ TEST(Cache, SameReadyBatchInstallsInLineOrder) {
   EXPECT_FALSE(c.lookup(0, 31).hit) << "equal-ready lines installed out of line order";
 }
 
+TEST(Cache, MshrKeepsItsOrderAcrossHeadCompaction) {
+  // Twelve fills, three times the 4-entry MSHR and past its 8-entry
+  // reservation, so the delivered prefix is compacted away mid-run. The MSHR
+  // never empties, odd rounds' lines are ready before the line filled just
+  // before them, and each round merges into the previous round's line.
+  CacheConfig cfg;
+  cfg.size_bytes = 4 * 128;  // one set, four ways
+  cfg.ways = 4;
+  cfg.line_bytes = 128;
+  cfg.mshr_entries = 4;
+  Cache c(cfg);
+  const auto line = [](int r) { return static_cast<Addr>(r + 1) * 128; };
+  const auto ready = [](int r) { return static_cast<Cycle>(10 * r + (r % 2 == 0 ? 25 : 13)); };
+  struct After {
+    std::size_t inflight;
+    Cycle next_ready;
+  };
+  const After after[] = {{1, 25}, {2, 23},  {3, 23},  {2, 43},  {3, 43},  {2, 63},
+                         {3, 63}, {2, 83},  {3, 83},  {2, 103}, {3, 103}, {2, 123}};
+  for (int r = 0; r < 12; ++r) {
+    const Cycle now = static_cast<Cycle>(10 * r);
+    const Cache::LookupResult miss = c.lookup(line(r), now);
+    ASSERT_FALSE(miss.hit || miss.mshr_merge || miss.mshr_full) << r;
+    c.fill_inflight(line(r), ready(r));
+    EXPECT_EQ(c.inflight(), after[r].inflight) << r;
+    EXPECT_EQ(c.next_ready(), after[r].next_ready) << r;
+    if (r == 0) continue;
+    const Cache::LookupResult merge = c.lookup(line(r - 1), now);
+    EXPECT_TRUE(merge.mshr_merge) << r;
+    EXPECT_EQ(merge.ready, ready(r - 1)) << r;
+  }
+  EXPECT_EQ(c.misses, 12u);
+  EXPECT_EQ(c.merges, 11u);
+  c.drain(200);
+  EXPECT_EQ(c.inflight(), 0u);
+  EXPECT_EQ(c.next_ready(), kNeverCycle);
+  // Lines install in (ready, line) order, so the last four in are rounds 9,
+  // 8, 11 and 10, and fresh lines evict them in that order.
+  const int victims[] = {9, 8, 11, 10};
+  for (int i = 0; i < 4; ++i) {
+    const Addr fresh = 0x100000 + static_cast<Addr>(i) * 128;
+    const Cycle t = 300 + static_cast<Cycle>(10 * i);
+    (void)c.lookup(fresh, t);
+    c.fill_inflight(fresh, t);
+    c.drain(t);
+    EXPECT_FALSE(c.lookup(line(victims[i]), t + 1).hit) << "victim " << i;
+  }
+}
+
+TEST(Cache, ThreeSetsIndexByDivision) {
+  // Three sets: no shift and mask can index them. Lines 0-5 fill each set's
+  // two ways; line 6 maps to set 0 and evicts only that set's LRU line.
+  CacheConfig cfg;
+  cfg.size_bytes = 3 * 2 * 128;
+  cfg.ways = 2;
+  cfg.line_bytes = 128;
+  ASSERT_EQ(cfg.num_sets(), 3u);
+  Cache c(cfg);
+  auto install = [&](Addr a, Cycle t) {
+    (void)c.lookup(a, t);
+    c.fill_inflight(a, t);
+    c.drain(t);
+  };
+  for (Addr i = 0; i < 6; ++i) install(i * 128, i);
+  for (Addr i = 0; i < 6; ++i) EXPECT_TRUE(c.lookup(i * 128, 10 + i).hit) << i;
+  install(6 * 128, 20);
+  EXPECT_FALSE(c.lookup(0, 21).hit) << "set 0's LRU line";
+  for (Addr i = 1; i < 7; ++i) EXPECT_TRUE(c.lookup(i * 128, 22 + i).hit) << i;
+}
+
 TEST(Cache, SeededTracePinsMshrBehaviour) {
   // A golden over a random access trace on a tiny cache whose MSHR is often
   // full: every lookup outcome, merge ready cycle, next_ready() and

@@ -320,6 +320,33 @@ TEST(ObsTimeline, DynThrottledLineAcrossExecModes) {
   EXPECT_EQ(naive.timeline, event.timeline);
 }
 
+// l2_thrash at 8 blocks, unshared: its loads wait at a full L1 MSHR, so its
+// trace has mshr-full slices. The sha256 of its trace and of its timeline,
+// the same in both exec modes; any change to when such a warp is decided
+// (or woken) that moves a slice or a sample fails them.
+constexpr const char* kL2ThrashTraceGolden =
+    "a34e8e3245f52633d8da83ee237e07a6cabfc025619eacf57823e3df47797fc5";
+constexpr const char* kL2ThrashTimelineGolden =
+    "26106535ee56ee1d5df55acc3beb6a3bf004dd11462bf3988cd5b739e3c09efe";
+
+TEST(ObsTrace, MshrBoundRunMatchesItsGoldensInBothModes) {
+  const KernelInfo k = shrink(
+      workloads::gkd::load_file(std::string(GRS_SOURCE_DIR) + "/examples/kernels/l2_thrash.gkd"),
+      8);
+  obs::ObsOptions opts;
+  opts.trace = true;
+  opts.timeline_interval = 100;
+  for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+    GpuConfig cfg = configs::unshared();
+    cfg.exec_mode = mode;
+    const ObsRun run = run_observed(cfg, k, opts);
+    EXPECT_NE(run.trace.find("\"name\":\"mshr-full\",\"ph\":\"B\""), std::string::npos)
+        << to_string(mode);
+    EXPECT_EQ(sha256_hex(run.trace), kL2ThrashTraceGolden) << to_string(mode);
+    EXPECT_EQ(sha256_hex(run.timeline), kL2ThrashTimelineGolden) << to_string(mode);
+  }
+}
+
 // --- zero cost when off -----------------------------------------------------
 
 TEST(ObsOff, StatsIdenticalWithTracingOnOrOff) {

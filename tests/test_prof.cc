@@ -27,6 +27,9 @@
 #include "prof/prof.h"
 #include "runner/engine.h"
 #include "runner/manifest.h"
+#include "workloads/format/gkd.h"
+#include "workloads/gen/generator.h"
+#include "workloads/gen/profile.h"
 #include "workloads/suites.h"
 
 namespace grs {
@@ -268,23 +271,32 @@ TEST(ProfZeroFeedback, PhaseCallsCountModelledWork) {
     EXPECT_EQ(p.warps_decided(), 25864u) << label;
   }
 
-  // Sharing lines: lock-waiting warps park too, and wake on every lock-state
-  // change of their pair, which also makes the pair's decided warps decide
-  // again.
-  struct SharingGolden {
+  struct LineGolden {
     const char* name;
     KernelInfo kernel;
     GpuConfig cfg;
     std::uint64_t warps_scanned;
     std::uint64_t warps_decided;
   };
-  const SharingGolden sharing[] = {
+  const std::string dir = std::string(GRS_SOURCE_DIR) + "/examples/kernels/";
+  const LineGolden lines[] = {
+      // Sharing lines: lock-waiting warps park too, and wake on every
+      // lock-state change of their pair, which also makes the pair's decided
+      // warps decide again.
       {"registers", shrink(workloads::hotspot(), 8),
        configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1), 71304, 52264},
       {"scratchpad", shrink(workloads::lavamd(), 8),
        configs::shared_owf(Resource::kScratchpad, 0.1), 32032, 27512},
+      // MSHR-bound lines, unshared: a global load at a full L1 MSHR parks
+      // until a drain frees its entries or an LSU issue, so cycle mode's
+      // extra steps find it parked, as event mode's skipped cycles would.
+      {"l2_thrash", shrink(workloads::gkd::load_file(dir + "l2_thrash.gkd"), 8),
+       configs::unshared(), 19950, 12272},
+      {"memory_bound:23",
+       shrink(workloads::gen::generate(workloads::gen::memory_bound(), 23), 28),
+       configs::unshared(), 29149, 15791},
   };
-  for (const SharingGolden& g : sharing) {
+  for (const LineGolden& g : lines) {
     for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
       GpuConfig cfg = g.cfg;
       cfg.exec_mode = mode;
