@@ -154,7 +154,10 @@ GpuStats Gpu::run() {
     if (next > cycle + 1) cycle = next - 1;
   }
 
-  if (obs_ != nullptr) obs_->finalize(cycle);
+  if (obs_ != nullptr) {
+    for (const auto& sm : sms_) sm.end_trace(cycle);
+    obs_->finalize(cycle);
+  }
 
   GpuStats g;
   g.cycles = cycle;

@@ -59,6 +59,8 @@ std::string check_conservation(const GpuConfig& cfg, const KernelInfo& kernel,
   };
   law("issued + stall + idle != cycles x SMs x schedulers", stats.sm_total.scheduler_cycles(),
       stats.cycles * cfg.num_sms * cfg.num_schedulers);
+  law("issued cycles != warp instructions", stats.sm_total.issued_cycles,
+      stats.sm_total.warp_instructions);
   const bool cut = cfg.max_cycles != 0 && stats.cycles >= cfg.max_cycles;
   if (!cut) {
     law("blocks finished != grid blocks", stats.sm_total.blocks_finished, kernel.grid_blocks);

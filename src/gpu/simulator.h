@@ -54,9 +54,11 @@ struct SimResult {
 /// The conservation laws every result of simulate(cfg, kernel) must keep:
 ///   - each scheduler classifies each cycle exactly once: issued + stall +
 ///     idle == cycles x num_sms x num_schedulers;
+///   - each issue is one issued scheduler-cycle: issued == warp
+///     instructions;
 ///   - a run that cfg.max_cycles did not cut finishes every block of its
 ///     grid.
-/// Returns "" when both hold, else each broken law with its two sides.
+/// Returns "" when all hold, else each broken law with its two sides.
 /// grs_fuzz fails a simulation that breaks one like a divergence, and
 /// tests/test_equivalence.cc checks every line. The L1/L2/DRAM traffic
 /// laws do not hold yet (ROADMAP "Counts that balance") and join with the

@@ -7,15 +7,16 @@
 // from that decision. A warp the scan finds at a barrier, on its
 // scoreboard, draining for exit, waiting on a sharing lock or, as a load no
 // Dyn gate stands in front of, at a full L1 MSHR is parked: its state cannot
-// change before its wake event (sm/sm.h), so the scan skips it and counts it
+// change before its wake event (sm/sm.h), so the scan skips it and it stays
 // in that state until then. Every other live warp is decided once per
-// scanned cycle. A table in sm/sm.cc maps each state to its SmStats
-// counter and to the stall-or-idle split of common/stats.h; event mode
-// replays a skipped cycle by re-adding the last step's per-state tally; the
-// trace observer only renders changes of state as slices. So a warp's slice
-// durations sum exactly to the per-state counters, and the trace bytes are
-// identical across cycle and event exec modes (event mode only skips cycles
-// whose scan is provably unchanged).
+// scanned cycle. Each warp holds its state and the cycle it entered it; a
+// change closes that interval into the state's SmStats counter (a table in
+// sm/sm.cc, which also gives the stall-or-idle split of common/stats.h) and
+// is the one thing the trace observer renders, as the end of one slice and
+// the begin of the next. So a warp's slice durations sum exactly to the
+// per-state counters, and the trace bytes are identical across cycle and
+// event exec modes (event mode only skips cycles whose scan is provably
+// unchanged, in which no state changes).
 #pragma once
 
 #include <cstddef>

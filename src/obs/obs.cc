@@ -84,12 +84,10 @@ void SimObserver::event(char ph, std::uint32_t pid, std::uint32_t tid, Cycle ts,
 
 void SimObserver::begin_run(const TraceTopology& topo) {
   num_sms_ = topo.num_sms;
-  warp_slots_ = topo.warp_slots;
   dram_banks_per_channel_ = topo.dram_banks_per_channel;
   kernel_ = topo.kernel;
   if (!opts_.trace) return;
 
-  open_.assign(static_cast<std::size_t>(topo.num_sms) * topo.warp_slots, WarpState::kNone);
   trace_ = "{\"traceEvents\":[\n";
   // Metadata records name every process and track before any event.
   const auto meta = [this](const char* record, std::uint32_t pid, std::uint32_t tid,
@@ -117,27 +115,15 @@ void SimObserver::begin_run(const TraceTopology& topo) {
            "DRAM " + std::to_string(c) + "." + std::to_string(b));
 }
 
-void SimObserver::close_slice(SmId sm, std::uint32_t slot, Cycle now) {
-  WarpState& cur = open_[static_cast<std::size_t>(sm) * warp_slots_ + slot];
-  if (cur == WarpState::kNone) return;
-  event('E', sm_pid(sm), warp_tid(slot), now, to_string(cur), "warp");
-  cur = WarpState::kNone;
-}
-
-void SimObserver::warp_scan(SmId sm, std::uint32_t slot, Cycle now, WarpState st) {
-  WarpState& cur = open_[static_cast<std::size_t>(sm) * warp_slots_ + slot];
-  if (cur == st) return;
-  close_slice(sm, slot, now);
-  event('B', sm_pid(sm), warp_tid(slot), now, to_string(st), "warp");
-  cur = st;
+void SimObserver::warp_state(SmId sm, std::uint32_t slot, Cycle now, WarpState from,
+                             WarpState to) {
+  const std::uint32_t pid = sm_pid(sm);
+  if (from != WarpState::kNone) event('E', pid, warp_tid(slot), now, to_string(from), "warp");
+  if (to != WarpState::kNone) event('B', pid, warp_tid(slot), now, to_string(to), "warp");
 }
 
 void SimObserver::warp_issue(SmId sm, std::uint32_t slot, Cycle now, Op op) {
   event('i', sm_pid(sm), warp_tid(slot), now, to_string(op), "issue");
-}
-
-void SimObserver::warp_exit(SmId sm, std::uint32_t slot, Cycle now) {
-  close_slice(sm, slot, now);
 }
 
 void SimObserver::block_launch(SmId sm, std::uint32_t slot, std::uint64_t block_uid, Cycle now,
@@ -216,8 +202,6 @@ void SimObserver::timeline_sample(Cycle boundary, const std::vector<SmTimelinePo
 
 void SimObserver::finalize(Cycle final_cycle) {
   if (!opts_.trace) return;
-  for (std::uint32_t s = 0; s < num_sms_; ++s)
-    for (std::uint32_t w = 0; w < warp_slots_; ++w) close_slice(s, w, final_cycle);
   trace_ += "\n],\n\"displayTimeUnit\":\"ns\",\n\"otherData\":{\"kernel\":";
   append_json_string(trace_, kernel_);
   trace_ += ",\"cycles\":";

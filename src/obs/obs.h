@@ -10,10 +10,10 @@
 // Pillars (any subset may be active):
 //  * event tracing  — each hook below renders its Chrome-trace event straight
 //    into the observer's trace string; obs.cc is the one definition of the
-//    format (keys, envelope, metadata records, the pid/tid scheme). Warp
-//    scan classifications become state-transition slices, which is the trick
-//    that keeps traces byte-identical across cycle and event exec modes
-//    (obs/events.h).
+//    format (keys, envelope, metadata records, the pid/tid scheme). The SM
+//    reports each change of a warp's state, so its slices are the intervals
+//    the counters close, which keeps traces byte-identical across cycle and
+//    event exec modes (obs/events.h).
 //  * timeline sampling — gpu/gpu.cc drives timeline_sample() at interval
 //    boundaries; obs/timeline.h renders the CSV.
 //  * host-phase profiling — profiler() is the HostProfiler whose scopes
@@ -76,13 +76,14 @@ class SimObserver {
 
   // --- lifecycle (gpu/gpu.cc) --------------------------------------------
   void begin_run(const TraceTopology& topo);
-  /// Close still-open warp slices and seal the trace document.
+  /// Seal the trace document (after each SM's end_trace()).
   void finalize(Cycle final_cycle);
 
-  // --- warp/scheduler hooks (sm/sm.cc; call only when trace_enabled()) ---
-  void warp_scan(SmId sm, std::uint32_t slot, Cycle now, WarpState st);
+  // --- warp hooks (sm/sm.cc; call only when trace_enabled()) -------------
+  /// Warp `slot` left state `from` and entered `to` at `now`: ends the
+  /// slice of `from` and begins one of `to` (kNone: no slice).
+  void warp_state(SmId sm, std::uint32_t slot, Cycle now, WarpState from, WarpState to);
   void warp_issue(SmId sm, std::uint32_t slot, Cycle now, Op op);
-  void warp_exit(SmId sm, std::uint32_t slot, Cycle now);
 
   // --- block lifecycle ----------------------------------------------------
   void block_launch(SmId sm, std::uint32_t slot, std::uint64_t block_uid, Cycle now,
@@ -118,7 +119,6 @@ class SimObserver {
   /// rendered `{...}` object or null, and `dur` is read only for 'X'.
   void event(char ph, std::uint32_t pid, std::uint32_t tid, Cycle ts, const char* name,
              const char* cat, const char* args = nullptr, Cycle dur = 0);
-  void close_slice(SmId sm, std::uint32_t slot, Cycle now);
 
   ObsOptions opts_;
   std::string trace_;  ///< the trace document; empty unless opts.trace
@@ -126,11 +126,8 @@ class SimObserver {
   std::unique_ptr<prof::HostProfiler> prof_;
 
   std::uint32_t num_sms_ = 0;
-  std::uint32_t warp_slots_ = 0;
   std::uint32_t dram_banks_per_channel_ = 0;
   std::string kernel_;
-  /// Current open slice per (sm, warp slot); kNone = no slice open.
-  std::vector<WarpState> open_;
 };
 
 /// `o` when it traces, else null: the pointer trace hook sites guard on.

@@ -3,12 +3,12 @@
 //
 // The GPU loop (gpu/gpu.cc) calls sample() at every multiple of the
 // configured interval with counter values *as they stand at that boundary*,
-// read through StreamingMultiprocessor::stats(boundary): for an SM that
-// sleeps through the boundary it adds the SM's last scan tally once per
-// skipped cycle (the accounting that makes end-of-run stats bit-identical
-// across modes). Boundaries inside a skipped window are emitted as catch-up
-// samples — so the CSV is byte-identical across cycle/event exec modes and
-// across --threads.
+// read through StreamingMultiprocessor::stats(boundary), which counts each
+// open warp-state and scheduler interval through the boundary: an SM that
+// sleeps through it holds the states of its last scan (the accounting that
+// makes end-of-run stats bit-identical across modes). Boundaries inside a
+// skipped window are emitted as catch-up samples — so the CSV is
+// byte-identical across cycle/event exec modes and across --threads.
 #pragma once
 
 #include <cstdint>

@@ -30,8 +30,7 @@ enum class Phase : std::uint8_t {
   kIssue,          ///< issuing the picked instruction (incl. coalescing)
   kMemsys,         ///< shared L2 access path (bank queue + tags)
   kDram,           ///< DRAM request service (inside memsys_l2)
-  kEventSleep,     ///< event-mode sleep bookkeeping (wakeup computation,
-                   ///< idle-window replay accounting)
+  kEventSleep,     ///< event-mode sleep bookkeeping (wakeup computation)
   kTimeline,       ///< observability timeline sampling (obs pillar)
   kCacheLookup,    ///< result-cache lookup (runner, outside simulate)
   kCacheStore,     ///< result-cache store (runner, outside simulate)

@@ -11,15 +11,16 @@ namespace grs {
 
 namespace {
 
-/// How one warp-cycle in each state is counted: the SmStats counter it adds
-/// to, and whether it is a structural hazard, which makes a scheduler that
-/// issues nothing count a stall cycle rather than an idle one. A state that
-/// `parks` can end only at a wake event (sm.h), so a warp the scan finds in
-/// it leaves the ready set. The four instruction-level states are decided
-/// before the Dyn gate; kMshrFull is decided after it and parks only a warp
-/// no gate stands in front of. A parked warp still counts in its state every
-/// cycle, so a parked stall-class warp makes its scheduler stall, as the
-/// per-warp scan did when it found the warp at the full MSHR.
+/// How one warp-cycle in each state is counted: the SmStats counter a warp's
+/// interval in it closes into (sm.h), and whether it is a structural hazard,
+/// which makes a scheduler that issues nothing count a stall cycle rather
+/// than an idle one. A state that `parks` can end only at a wake event
+/// (sm.h), so a warp the scan finds in it leaves the ready set. The four
+/// instruction-level states are decided before the Dyn gate; kMshrFull is
+/// decided after it and parks only a warp no gate stands in front of. A
+/// parked warp stays in its state, and kMshrFull is the only parking stall
+/// state, so a scheduler stalls on a parked warp exactly when it holds an
+/// MSHR waiter, as the per-warp scan did when it found the warp there.
 struct StateAccounting {
   std::uint64_t SmStats::*counter;  ///< nullptr: the state has no counter
   bool stall;
@@ -42,6 +43,16 @@ constexpr StateAccounting kStateAccounting[] = {
 };
 static_assert(std::size(kStateAccounting) == obs::kNumWarpStates,
               "one accounting entry per obs::WarpState");
+
+const StateAccounting& accounting(obs::WarpState st) {
+  return kStateAccounting[static_cast<std::size_t>(st)];
+}
+
+/// Close the interval held in `counter` of `s` since `since` (nullptr: an
+/// uncounted one) at `end`, the first cycle after it.
+void add_interval(SmStats& s, std::uint64_t SmStats::*counter, Cycle since, Cycle end) {
+  if (counter != nullptr) s.*counter += end - since;
+}
 
 }  // namespace
 
@@ -72,7 +83,6 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
       trace_(obs::tracer(obs)),
       prof_(obs::profiler(obs)) {
   GRS_CHECK_MSG(program.num_regs() <= 64, "scoreboard supports at most 64 registers/thread");
-  GRS_CHECK_MSG(cfg.num_schedulers <= 256, "at most 256 warp schedulers per SM");
   GRS_CHECK(occ.total_blocks >= 1);
   GRS_CHECK(occ.total_blocks * warps_per_block_ <= cfg.max_warps_per_sm());
   warps_.resize(static_cast<std::size_t>(occ.total_blocks) * warps_per_block_);
@@ -88,12 +98,8 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
   mshr_waiters_.assign(words, 0);
   scan_sets_.resize(cfg.num_schedulers);
   for (ScanSet& set : scan_sets_) set.mask.assign(words, 0);
-  sched_of_.resize(warps_.size());
-  for (std::uint32_t slot = 0; slot < warps_.size(); ++slot) {
-    const std::uint32_t s = slot % cfg.num_schedulers;
-    sched_of_[slot] = static_cast<std::uint8_t>(s);
-    scan_sets_[s].mask[slot / 64] |= 1ull << (slot % 64);
-  }
+  for (std::uint32_t slot = 0; slot < warps_.size(); ++slot)
+    scan_sets_[slot % cfg.num_schedulers].mask[slot / 64] |= 1ull << (slot % 64);
   txns_.reserve(32);
 }
 
@@ -199,7 +205,7 @@ void StreamingMultiprocessor::retire(const Event& e, bool mem) {
     GRS_CHECK(lsu_inflight_ > 0);
     --lsu_inflight_;
   }
-  if (w.parked == obs::WarpState::kScoreboard || w.parked == obs::WarpState::kDrainExit) wake(w);
+  if (w.state == obs::WarpState::kScoreboard || w.state == obs::WarpState::kDrainExit) wake(w);
 }
 
 void StreamingMultiprocessor::make_ready(std::uint32_t slot) {
@@ -210,12 +216,10 @@ void StreamingMultiprocessor::drop_ready(std::uint32_t slot) {
   ready_[slot / 64] &= ~(1ull << (slot % 64));
 }
 
-void StreamingMultiprocessor::park(Warp& w, obs::WarpState st) {
+void StreamingMultiprocessor::park(Warp& w) {
   const std::uint32_t slot = warp_slot_of(w);
   drop_ready(slot);
-  ++scan_sets_[sched_of_[slot]].parked[static_cast<std::size_t>(st)];
-  w.parked = st;
-  if (st == obs::WarpState::kMshrFull) {
+  if (w.state == obs::WarpState::kMshrFull) {
     mshr_waiters_[slot / 64] |= 1ull << (slot % 64);
     mshr_need_ = std::min(mshr_need_, w.next_load_lines);
   }
@@ -223,10 +227,15 @@ void StreamingMultiprocessor::park(Warp& w, obs::WarpState st) {
 
 void StreamingMultiprocessor::wake(Warp& w) {
   const std::uint32_t slot = warp_slot_of(w);
-  --scan_sets_[sched_of_[slot]].parked[static_cast<std::size_t>(w.parked)];
-  if (w.parked == obs::WarpState::kMshrFull) mshr_waiters_[slot / 64] &= ~(1ull << (slot % 64));
-  w.parked = obs::WarpState::kNone;
+  mshr_waiters_[slot / 64] &= ~(1ull << (slot % 64));
   make_ready(slot);
+}
+
+void StreamingMultiprocessor::set_state(Warp& w, obs::WarpState st, Cycle now) {
+  add_interval(stats_, accounting(w.state).counter, w.since, now);
+  if (trace_) trace_->warp_state(id_, warp_slot_of(w), now, w.state, st);
+  w.state = st;
+  w.since = now;
 }
 
 void StreamingMultiprocessor::wake_lock_waiters(const PairState& p) {
@@ -237,7 +246,7 @@ void StreamingMultiprocessor::wake_lock_waiters(const PairState& p) {
     // A lock check that passed may fail now: re-decide at the next scan. An
     // ownership change can also put a Dyn gate in front of an MSHR waiter.
     w.decided = false;
-    if (w.parked == obs::WarpState::kLockWait || w.parked == obs::WarpState::kMshrFull) wake(w);
+    if (w.state == obs::WarpState::kLockWait || w.state == obs::WarpState::kMshrFull) wake(w);
   }
 }
 
@@ -287,16 +296,12 @@ bool StreamingMultiprocessor::step(Cycle now) {
   }
   lsu_port_ = 0;
   sfu_port_ = 0;
-  scan_gate_passed_ = false;
-  dyn_blocked_uids_.clear();
-  tally_ = ScanTally{};
   scanned_ = 0;
   decisions_ = 0;
   bool issued = false;
   {
     prof::ScopedPhase prof_scope(prof_, prof::Phase::kSchedulerScan);
     for (std::uint32_t s = 0; s < schedulers_.size(); ++s) issued |= run_scheduler(s, now);
-    tally_.add_to(stats_, 1);
   }
   if (prof_) {
     prof_->add_warps_scanned(scanned_);
@@ -307,20 +312,19 @@ bool StreamingMultiprocessor::step(Cycle now) {
 
 SmStats StreamingMultiprocessor::stats(Cycle c) const {
   SmStats s = stats_;
-  if (c > now_) tally_.add_to(s, c - now_);
+  const Cycle end = std::max(c, now_) + 1;
+  for (const Warp& w : warps_) add_interval(s, accounting(w.state).counter, w.since, end);
+  for (const ScanSet& set : scan_sets_) add_interval(s, set.cycle_class, set.since, end);
   s.l1_accesses = l1_.accesses;
   s.l1_misses = l1_.misses;
   s.l1_mshr_merges = l1_.merges;
   return s;
 }
 
-void StreamingMultiprocessor::ScanTally::add_to(SmStats& s, std::uint64_t cycles) const {
-  for (std::size_t i = 0; i < warps.size(); ++i) {
-    if (kStateAccounting[i].counter != nullptr)
-      s.*kStateAccounting[i].counter += warps[i] * cycles;
-  }
-  s.stall_cycles += stalled * cycles;
-  s.idle_cycles += idled * cycles;
+void StreamingMultiprocessor::end_trace(Cycle final_cycle) const {
+  if (trace_ == nullptr) return;
+  for (std::uint32_t slot = 0; slot < warps_.size(); ++slot)
+    trace_->warp_state(id_, slot, final_cycle, warps_[slot].state, obs::WarpState::kNone);
 }
 
 Cycle StreamingMultiprocessor::next_wakeup() const {
@@ -341,91 +345,89 @@ bool StreamingMultiprocessor::stuck() const {
   // waits to issue a global access, which needs an LSU port and a queue
   // entry but cannot fail the pre-check on an empty MSHR (simulate() rejects
   // wider loads): once its gate reopens it can issue iff both are nonzero.
-  const bool gated = tally_.warps[static_cast<std::size_t>(obs::WarpState::kDynGated)] != 0;
+  // The step issued nothing, so it scanned every ready warp.
+  bool gated = false;
+  for (std::size_t word = 0; word < ready_.size(); ++word) {
+    for (std::uint64_t bits = ready_[word]; bits != 0; bits &= bits - 1)
+      gated |= warps_[word * 64 + __builtin_ctzll(bits)].state == obs::WarpState::kDynGated;
+  }
   const bool lsu_open = cfg_.lsu_issue_per_cycle != 0 && cfg_.lsu_max_inflight != 0;
   return next_wakeup() == kNeverCycle && !(gated && lsu_open);
 }
 
 bool StreamingMultiprocessor::resume(Cycle now) {
-  if (now > now_ + 1) {
-    prof::ScopedPhase prof_scope(prof_, prof::Phase::kEventSleep);
-    tally_.add_to(stats_, now - now_ - 1);
-  }
-  const bool issued = step(now);
-  if (issued) {
+  if (step(now)) {
     idle_until_ = 0;  // machine state moved; re-scan next cycle
     return true;
   }
   if (!event_mode_) return false;  // cycle mode opens no window
   // Nothing issued: until a timed wakeup fires, every future scan repeats
   // this one — locks, barriers, ownership, and dispatch only move when a
-  // warp on this SM issues. Dyn caveats: a scan taken on a monitoring
-  // boundary used probabilities that on_period_end is about to replace, and
-  // a warp that PASSED a fractional gate (then stalled structurally) may be
-  // gated next cycle, so both pin us to the next cycle. Warps BLOCKED at a
-  // fractional gate are handled exactly: their per-cycle hash draws are the
-  // only cycle-dependent input, so replay the gate sequence (two
-  // hash_combines per warp-cycle, far cheaper than a scan) and stop at the
-  // first cycle any of them would be let through. Never sleep across a
-  // monitoring boundary, where probabilities (and with them the scan) move.
+  // warp on this SM issues — and this one scanned every ready warp. Dyn
+  // caveats: a scan taken on a monitoring boundary used probabilities that
+  // on_period_end is about to replace, and a warp that PASSED a fractional
+  // gate (then stalled structurally) may be gated next cycle, so both pin us
+  // to the next cycle. Warps BLOCKED at a fractional gate are handled
+  // exactly: their per-cycle hash draws are the only cycle-dependent input,
+  // so replay the gate sequence (two hash_combines per warp-cycle, far
+  // cheaper than a scan) and stop at the first cycle any of them would be
+  // let through. Never sleep across a monitoring boundary, where
+  // probabilities (and with them the scan) move.
   prof::ScopedPhase prof_scope(prof_, prof::Phase::kEventSleep);
-  Cycle w = next_wakeup();
+  Cycle wake = next_wakeup();
   if (dyn_ != nullptr && dyn_->enabled()) {
-    if (scan_gate_passed_ || now % dyn_->period() == 0) {
-      w = now + 1;
-    } else {
-      w = std::min(w, dyn_->next_period_boundary(now));
-      if (!dyn_blocked_uids_.empty()) {
-        Cycle t = now + 1;
-        for (; t < w; ++t) {
-          bool any_allowed = false;
-          for (const std::uint64_t uid : dyn_blocked_uids_) {
-            if (dyn_->allow(id_, t, uid)) {
-              any_allowed = true;
-              break;
-            }
-          }
-          if (any_allowed) break;
+    wake = now % dyn_->period() == 0 ? now + 1 : std::min(wake, dyn_->next_period_boundary(now));
+  }
+  const bool replay = wake > now + 1 && dyn_ != nullptr && dyn_->gate_is_cycle_dependent(id_);
+  for (std::size_t word = 0; replay && word < ready_.size(); ++word) {
+    std::uint64_t gated = 0;
+    for (std::uint64_t bits = ready_[word]; bits != 0; bits &= bits - 1) {
+      const Warp& w = warps_[word * 64 + __builtin_ctzll(bits)];
+      if (w.state == obs::WarpState::kDynGated) {
+        gated |= bits & -bits;
+      } else if (is_global_mem(w.next_op) && dyn_exposed(w)) {
+        wake = now + 1;  // it passed its gate
+      }
+    }
+    // A word at a time, cycle-major: the first cycle any gate lets through.
+    for (Cycle t = now + 1; gated != 0 && t < wake; ++t) {
+      for (std::uint64_t g = gated; g != 0; g &= g - 1) {
+        if (dyn_->allow(id_, t, warps_[word * 64 + __builtin_ctzll(g)].warp_uid)) {
+          wake = t;
+          break;
         }
-        w = t;
       }
     }
   }
-  idle_until_ = w;
+  idle_until_ = wake;
   return false;
 }
 
 bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
-  const ScanSet& set = scan_sets_[sched_id];
+  ScanSet& set = scan_sets_[sched_id];
   WarpScheduler& sched = schedulers_[sched_id];
-  // Parked warps count as they stand when this scan starts, which is when a
-  // per-warp scan would have decided them: one that a later scheduler's
-  // issue wakes still counts in its parked state this cycle.
-  bool saw_stall = false;
-  for (std::size_t i = 0; i < obs::kNumWarpStates; ++i) {
-    tally_.warps[i] += set.parked[i];
-    saw_stall |= kStateAccounting[i].stall && set.parked[i] != 0;
-  }
 #ifndef NDEBUG
   check_parked(sched_id);
 #endif
   const bool owf = sched.kind() == SchedulerKind::kOwf;
+  bool saw_stall = false;
   std::uint32_t pick = kInvalidSlot;
   std::uint64_t pick_key = 0;
   for (std::size_t word = 0; word < ready_.size(); ++word) {
-    // Ascending bits are ascending slots, the order of the counters and the
-    // trace; the pick is the lowest key whatever the order.
+    // A warp parked at a full MSHR when the scan starts stalls the scheduler
+    // (kStateAccounting): one that a later scheduler's issue wakes still
+    // holds its parked state this cycle.
+    saw_stall |= (mshr_waiters_[word] & set.mask[word]) != 0;
+    // Ascending bits are ascending slots, the order of the trace; the pick
+    // is the lowest key whatever the order.
     for (std::uint64_t bits = ready_[word] & set.mask[word]; bits != 0; bits &= bits - 1) {
       const auto slot = static_cast<std::uint32_t>(word * 64 + __builtin_ctzll(bits));
       Warp& w = warps_[slot];
       const obs::WarpState st = scan_warp(w, now);
       ++scanned_;
-      const StateAccounting& acct = kStateAccounting[static_cast<std::size_t>(st)];
-      ++tally_.warps[static_cast<std::size_t>(st)];
+      if (st != w.state) set_state(w, st, now);
+      const StateAccounting& acct = accounting(st);
       saw_stall |= acct.stall;
-      // The observer renders this stream as state-transition slices
-      // (obs/events.h explains why that stays byte-identical across modes).
-      if (trace_) trace_->warp_scan(id_, slot, now, st);
       if (st == obs::WarpState::kEligible) {
         const std::uint64_t key =
             sched.key(slot, w.dynamic_id, owf ? classify(w) : WarpClass::kUnshared);
@@ -434,15 +436,20 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
           pick_key = key;
         }
       } else if (acct.parks && !(st == obs::WarpState::kMshrFull && dyn_exposed(w))) {
-        park(w, st);
+        park(w);
       }
     }
   }
 
-  if (pick == kInvalidSlot) {
-    ++(saw_stall ? tally_.stalled : tally_.idled);
-    return false;
+  std::uint64_t SmStats::*const cycle_class = pick != kInvalidSlot ? &SmStats::issued_cycles
+                                              : saw_stall          ? &SmStats::stall_cycles
+                                                                   : &SmStats::idle_cycles;
+  if (cycle_class != set.cycle_class) {
+    add_interval(stats_, set.cycle_class, set.since, now);
+    set.cycle_class = cycle_class;
+    set.since = now;
   }
+  if (pick == kInvalidSlot) return false;
 
   prof::ScopedPhase prof_scope(prof_, prof::Phase::kIssue);
   sched.commit(pick);
@@ -450,47 +457,43 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   const Instruction& ins = *w.next;
   if (trace_) trace_->warp_issue(id_, pick, now, ins.op);
   issue(w, ins, now);
-  ++stats_.issued_cycles;
   ++stats_.warp_instructions;
   stats_.thread_instructions += w.active_lanes;
   return true;
 }
 
 #ifndef NDEBUG
-void StreamingMultiprocessor::check_parked(std::uint32_t sched_id) {
+void StreamingMultiprocessor::check_parked(std::uint32_t sched_id) const {
   const ScanSet& set = scan_sets_[sched_id];
-  std::array<std::uint32_t, obs::kNumWarpStates> recount{};
   const auto n_sched = static_cast<std::uint32_t>(scan_sets_.size());
   for (std::uint32_t slot = 0; slot < warps_.size(); ++slot) {
     const bool mine = ((set.mask[slot / 64] >> (slot % 64)) & 1) != 0;
-    GRS_CHECK_MSG(mine == (slot % n_sched == sched_id) && mine == (sched_of_[slot] == sched_id),
-                  "scheduler mask or slot table out of sync with the slot assignment");
+    GRS_CHECK_MSG(mine == (slot % n_sched == sched_id),
+                  "scheduler mask out of sync with the slot assignment");
     if (!mine) continue;
     const Warp& w = warps_[slot];
     const bool ready = ((ready_[slot / 64] >> (slot % 64)) & 1) != 0;
-    GRS_CHECK_MSG(ready == (w.live() && w.parked == obs::WarpState::kNone),
-                  "ready set out of sync with the live warps");
+    const bool parked = w.live() && !ready;
+    GRS_CHECK_MSG(!ready || w.live(), "ready set holds a warp that is not live");
     if (ready && w.decided) {
       GRS_CHECK_MSG(instruction_wait(w) == obs::WarpState::kEligible,
                     "decided warp missed its invalidation");
     }
     const bool mshr_waiter = ((mshr_waiters_[slot / 64] >> (slot % 64)) & 1) != 0;
-    GRS_CHECK_MSG(mshr_waiter == (w.parked == obs::WarpState::kMshrFull),
+    GRS_CHECK_MSG(mshr_waiter == (parked && w.state == obs::WarpState::kMshrFull),
                   "MSHR waiter set out of sync with the parked warps");
-    if (w.parked == obs::WarpState::kNone) continue;
+    if (!parked) continue;
     if (mshr_waiter) {
       // The full per-cycle check, as a scan at this point would run it.
-      GRS_CHECK_MSG(w.live() && w.decided && instruction_wait(w) == obs::WarpState::kEligible &&
+      GRS_CHECK_MSG(w.decided && instruction_wait(w) == obs::WarpState::kEligible &&
                         !dyn_exposed(w) && structural_wait(w) == obs::WarpState::kMshrFull &&
                         w.next_load_lines >= mshr_need_,
                     "MSHR-parked warp missed its wake event");
     } else {
-      GRS_CHECK_MSG(w.live() && instruction_wait(w) == w.parked,
+      GRS_CHECK_MSG(accounting(w.state).parks && instruction_wait(w) == w.state,
                     "parked warp missed its wake event");
     }
-    ++recount[static_cast<std::size_t>(w.parked)];
   }
-  GRS_CHECK_MSG(recount == set.parked, "parked populations out of sync with the warps");
 }
 #endif
 
@@ -505,16 +508,10 @@ obs::WarpState StreamingMultiprocessor::scan_warp(Warp& w, Cycle now) {
 
   // Dynamic warp execution gate (paper §IV-C): suppressed issue, also
   // "not ready" this cycle. With a fractional probability the decision may
-  // flip from one cycle to the next; record which way it went so tick()
-  // knows how far this scan can be replayed.
-  if (is_global_mem(w.next_op) && dyn_exposed(w)) {
-    const bool cycle_dependent = dyn_->gate_is_cycle_dependent(id_);
-    if (!dyn_->allow(id_, now, w.warp_uid)) {
-      if (cycle_dependent) dyn_blocked_uids_.push_back(w.warp_uid);
-      return WarpState::kDynGated;
-    }
-    scan_gate_passed_ |= cycle_dependent;
-  }
+  // flip from one cycle to the next; resume() reads which way it went off
+  // the warp's state.
+  if (is_global_mem(w.next_op) && dyn_exposed(w) && !dyn_->allow(id_, now, w.warp_uid))
+    return WarpState::kDynGated;
   return structural_wait(w);
 }
 
@@ -681,7 +678,7 @@ void StreamingMultiprocessor::release_barrier_if_complete(ResidentBlock& b) {
   for (std::uint32_t i = 0; i < b.num_warps; ++i) {
     Warp& w = warps_[b.first_warp_slot + i];
     w.at_barrier = false;
-    if (w.parked == obs::WarpState::kBarrier) wake(w);
+    if (w.state == obs::WarpState::kBarrier) wake(w);
   }
   b.barrier_arrived = 0;
 }
@@ -694,8 +691,7 @@ void StreamingMultiprocessor::handle_exit(Warp& w, Cycle now) {
   ++b.warps_exited;
   GRS_CHECK(resident_warps_ > 0);
   --resident_warps_;
-
-  if (trace_) trace_->warp_exit(id_, warp_slot_of(w), now);
+  set_state(w, obs::WarpState::kNone, now);
 
   if (b.is_shared() && cfg_.sharing.resource == Resource::kRegisters) {
     // Shared registers release when their holder warp finishes (paper §III-A).

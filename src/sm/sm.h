@@ -10,10 +10,11 @@
 // mask, in ascending slot order, and so visits only its live warps that are
 // not parked. It picks as it goes: it keeps the eligible warp with the
 // lowest priority key (sm/scheduler.h). A warp the scan finds in one of five
-// states is parked: it leaves the ready set and is only counted, per state,
-// until an event that can change that state wakes it. The scheduler's next
-// scan then re-decides it. Until the wake its state cannot change, so the
-// counters and the trace are bit-identical to re-scanning it every cycle.
+// states is parked: it leaves the ready set and stays in that state until an
+// event that can change the state wakes it. The scheduler's next scan then
+// re-decides it. Until the wake its state cannot change, so the counters and
+// the trace are bit-identical to re-scanning it every cycle. A live warp out
+// of the ready set is parked exactly, in the state it holds (sm/warp.h).
 // The states and their wake events:
 //  * at a barrier: its block's barrier released;
 //  * on its scoreboard, or draining for exit: a writeback drained for it;
@@ -26,6 +27,14 @@
 //    which can make it a non-owner. The state is a structural hazard, so a
 //    scheduler that issues nothing while holding such a warp counts a stall
 //    cycle, as it did when its scan found the warp at the full MSHR.
+//
+// Counters are kept as intervals. Each warp records the state its last scan
+// found and the cycle it entered it, and each scheduler the class of its
+// last cycle (issued, stall or idle) the same way. A change closes the old
+// interval into its counter (kStateAccounting in sm.cc), an exit closes the
+// warp's, and stats(c) adds every open interval through cycle c. A parked
+// warp and a sleeping SM change no state, so counting them costs nothing,
+// and the observer's warp slices are the same intervals (obs/events.h).
 //
 // The scan of a warp has two parts, and neither reads the Program: they read
 // what decode() recorded of the next instruction in the warp's first cache
@@ -43,9 +52,9 @@
 // The GPU loop (gpu/gpu.cc) calls tick() every cycle in both exec modes. In
 // event mode a step that issues nothing opens an idle window up to the SM's
 // next timed wakeup, whose cycles tick() skips: each would repeat that step,
-// so its tally is added once per skipped cycle, when the SM wakes or when
-// stats(c) reads the counters as of a later cycle. An SM built for cycle
-// mode opens no window and steps every cycle.
+// so every warp and scheduler stays in its open interval and the skip needs
+// no accounting. An SM built for cycle mode opens no window and steps every
+// cycle.
 //
 // Writebacks retire at the cycle their latency makes them due. ALU, SFU,
 // scratchpad and L1-hit (load or store) writebacks have a latency fixed at
@@ -127,7 +136,7 @@ class StreamingMultiprocessor {
   /// comment): O(1) inside a known-idle window (`now < idle_until()`),
   /// otherwise step(). Returns what step() returns, or false when idle.
   bool tick(Cycle now) {
-    if (now < idle_until_) return false;  // known idle; accounted on wake or by stats(c)
+    if (now < idle_until_) return false;  // known idle: every interval stays open
     return resume(now);
   }
 
@@ -155,10 +164,13 @@ class StreamingMultiprocessor {
   [[nodiscard]] bool stuck() const;
 
   /// The counters as they stand at cycle `c` (default: the last stepped
-  /// cycle), L1 counters included. Past the last step the SM sleeps, so the
-  /// last step's tally is added once per skipped cycle, the accounting tick()
-  /// applies when the SM wakes; live state is not touched.
+  /// cycle), L1 counters included: the closed intervals, plus every open one
+  /// through `c` (past the last step the SM sleeps in them).
   [[nodiscard]] SmStats stats(Cycle c = 0) const;
+  /// Close the trace slice of each warp still in a state at `final_cycle`,
+  /// the run's last cycle (gpu/gpu.cc, before the observer's finalize()).
+  /// Counters are untouched: stats(c) still counts the open intervals.
+  void end_trace(Cycle final_cycle) const;
   [[nodiscard]] SmId id() const { return id_; }
   [[nodiscard]] const Occupancy& occupancy() const { return occ_; }
   [[nodiscard]] std::uint32_t resident_blocks() const { return resident_blocks_; }
@@ -219,31 +231,18 @@ class StreamingMultiprocessor {
   /// The fixed-latency classes, in rings_ order.
   enum WritebackClass : std::size_t { kAluWb, kSfuWb, kSmemWb, kL1HitWb, kNumWritebackClasses };
 
-  /// What one step decided: live warps per state (the warps each scheduler
-  /// scanned, plus the populations it found parked when its scan started),
-  /// and schedulers that issued nothing, split by whether a structural
-  /// hazard blocked one of their warps. step() adds it to the counters once;
-  /// event mode adds it once more per skipped cycle, whose step repeats the
-  /// last one (only steps that issued nothing are ever repeated).
-  struct ScanTally {
-    std::array<std::uint32_t, obs::kNumWarpStates> warps{};
-    std::uint32_t stalled = 0;
-    std::uint32_t idled = 0;
-
-    /// Add this tally, `cycles` times over, to the counters in `s`.
-    void add_to(SmStats& s, std::uint64_t cycles) const;
-  };
-
   /// One scheduler's warps: slots s, s + n, s + 2n, ... for scheduler s of
-  /// n, set in `mask` (laid out like ready_). Each live one is either ready
-  /// or parked and counted in `parked` under its state.
+  /// n, set in `mask` (laid out like ready_), and the class of its last
+  /// cycle: the counter it adds to (issued, stall or idle cycles), held since
+  /// `since`; null before the first step.
   struct ScanSet {
     std::vector<std::uint64_t> mask;
-    std::array<std::uint32_t, obs::kNumWarpStates> parked{};
+    std::uint64_t SmStats::*cycle_class = nullptr;
+    Cycle since = 0;
   };
 
-  /// tick() outside a known-idle window: account the cycles skipped since
-  /// the last step, step, and (event mode) open the next window.
+  /// tick() outside a known-idle window: step, and (event mode) open the
+  /// next window.
   bool resume(Cycle now);
   void drain_events(Cycle now);
   /// Apply one due writeback; `mem` frees its LSU queue entry.
@@ -253,28 +252,31 @@ class StreamingMultiprocessor {
   bool run_scheduler(std::uint32_t sched_id, Cycle now);
   /// Ready-set membership (see the file comment). make_ready() enters a
   /// launched warp, drop_ready() removes an exiting one, park() moves a
-  /// scanned warp out under `st`, and wake() returns a parked one.
+  /// scanned warp out in the state it holds, and wake() returns a parked
+  /// one (on a ready warp it does nothing).
   void make_ready(std::uint32_t slot);
   void drop_ready(std::uint32_t slot);
-  void park(Warp& w, obs::WarpState st);
+  void park(Warp& w);
   void wake(Warp& w);
+  /// Close `w`'s open interval into its counter and open one in `st` at
+  /// `now` (kNone: none), telling the observer.
+  void set_state(Warp& w, obs::WarpState st, Cycle now);
   /// Lock-state change in `p`: wake both blocks' lock-waiting and
   /// MSHR-waiting warps and clear their decided marks.
   void wake_lock_waiters(const PairState& p);
   /// Wake every warp parked at a full L1 MSHR (see the file comment).
   void wake_mshr_waiters();
 #ifndef NDEBUG
-  /// Every parked warp of `sched_id` still scans to its parked state (an
-  /// MSHR waiter through the full per-cycle check), every decided one still
-  /// passes the instruction-level checks, and its ready bits, MSHR waiter
-  /// bits, mask, slot table and populations match the warps.
-  void check_parked(std::uint32_t sched_id);
+  /// Each live warp of `sched_id` out of the ready set is parked: it still
+  /// scans to the parking state it holds (an MSHR waiter through the full
+  /// per-cycle check), and only MSHR-full ones are MSHR waiters. Every
+  /// decided ready one still passes the instruction-level checks, and the
+  /// mask matches the slot assignment.
+  void check_parked(std::uint32_t sched_id) const;
 #endif
   /// Decide a live warp's state for this cycle's candidate scan: the
   /// instruction-level checks unless the warp is decided, then the
-  /// per-cycle ones. Besides the decided mark and decisions_, the only state
-  /// it writes is the Dyn bookkeeping tick() reads (scan_gate_passed_,
-  /// dyn_blocked_uids_).
+  /// per-cycle ones. It writes only the decided mark (and decisions_).
   [[nodiscard]] obs::WarpState scan_warp(Warp& w, Cycle now);
   /// The instruction-level part of the scan: the parking state `w.next`
   /// waits in, or kEligible when it passes all four checks. Reads what
@@ -322,7 +324,6 @@ class StreamingMultiprocessor {
   /// The ready set: bit (slot % 64) of word (slot / 64) is set while the
   /// warp in `slot` is live and not parked.
   std::vector<std::uint64_t> ready_;
-  std::vector<std::uint8_t> sched_of_;  ///< slot -> its scheduler
   /// Warps parked at a full L1 MSHR, laid out like ready_, and the fewest
   /// MSHR entries one of them needs: a step's drain that frees that many
   /// wakes them all. kNoMshrWaiter once they are woken; a lock wake that
@@ -342,22 +343,14 @@ class StreamingMultiprocessor {
   std::uint32_t resident_blocks_ = 0;
   std::uint32_t resident_warps_ = 0;
 
-  SmStats stats_;
-  ScanTally tally_;                     ///< the last step's scan
+  SmStats stats_;                       ///< the closed intervals and event counts
   std::uint32_t scanned_ = 0;           ///< scan_warp() calls this step
   std::uint32_t decisions_ = 0;         ///< instruction_wait() runs this step
-  /// Last scan let a warp through a fractional Dyn gate (without issuing):
-  /// the same warp may be gated next cycle, reshuffling blocked counters.
-  bool scan_gate_passed_ = false;
-  /// Warps the last scan blocked at a fractional Dyn gate; their per-cycle
-  /// hash draws are the only cycle-dependent part of an issue-free scan, so
-  /// tick() can fast-forward to the first cycle any of them is allowed.
-  std::vector<std::uint64_t> dyn_blocked_uids_;
   /// Built for event mode: tick() opens idle windows.
   bool event_mode_;
   Cycle idle_until_ = 0;                ///< end of the current known-idle window
-  /// The cycle step() last ran, 0 before the first. tick() and stats(c)
-  /// account the skipped cycles after it, and launch_block() stamps trace
+  /// The cycle step() last ran, 0 before the first. stats() counts open
+  /// intervals through it by default, and launch_block() stamps trace
   /// events with it (a refill runs inside the step that finished a block).
   Cycle now_ = 0;
   BlockFinishFn on_block_finish_;

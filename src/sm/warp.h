@@ -23,7 +23,8 @@ namespace grs {
 
 /// One warp slot: two cache lines. The first holds every field the scan,
 /// instruction_wait() and retire() read (sm/sm.h), so visiting a warp
-/// touches one line; the second holds what only issue() reads.
+/// touches one line; the second holds what only issue() and a change of
+/// state read.
 struct alignas(64) Warp {
   std::uint64_t pending_writes = 0;  ///< scoreboard: bit set => register write in flight
   std::uint64_t dynamic_id = 0;      ///< SM-local launch order (age for GTO/OWF)
@@ -45,10 +46,11 @@ struct alignas(64) Warp {
   Op next_op = Op::kAlu;
   LockNeed next_lock = LockNeed::kNone;  ///< the sharing lock `next` takes
 
-  // --- scan membership (sm/sm.h) ------------------------------------------
-  /// The wait state this warp is parked in, out of its scheduler's ready set
-  /// until a wake event; kNone while the scan visits it (or it is not live).
-  obs::WarpState parked = obs::WarpState::kNone;
+  // --- scan state (sm/sm.h) -----------------------------------------------
+  /// The state the warp's last scan found, held since `since`: kNone before
+  /// its first scan and after its exit. A live warp out of the ready set is
+  /// parked in it until a wake event.
+  obs::WarpState state = obs::WarpState::kNone;
   /// `next` passed the scan's instruction-level checks (barrier, scoreboard,
   /// exit drain, sharing lock), so later scans run only the per-cycle ones.
   /// Cleared when the warp issues and by a lock-state change in its pair.
@@ -57,9 +59,10 @@ struct alignas(64) Warp {
   bool active = false;  ///< slot holds a live warp
   bool exited = false;
 
-  // --- read at issue only ----------------------------------------------------
+  // --- read at issue and at a change of state ---------------------------------
   ProgramCursor cursor;
   std::uint64_t mem_seq = 0;  ///< global-memory instructions issued
+  Cycle since = 0;            ///< first cycle a scan found `state`
   std::uint32_t active_lanes = 32;
 
   void reset() { *this = Warp{}; }

@@ -202,7 +202,7 @@ TEST(Equivalence, DynGatedMshrBoundLineMatchesItsGoldenInBothModes) {
   }
 }
 
-// The check is not vacuous: a result off by one in either law is named, and
+// The check is not vacuous: a result off by one in any law is named, and
 // a run the cap cut may leave blocks unfinished.
 TEST(Conservation, BrokenLawsAreNamed) {
   const GpuConfig cfg = configs::unshared();
@@ -213,6 +213,10 @@ TEST(Conservation, BrokenLawsAreNamed) {
   GpuStats extra_idle = good;
   ++extra_idle.sm_total.idle_cycles;
   EXPECT_NE(check_conservation(cfg, k, extra_idle).find("issued + stall + idle"),
+            std::string::npos);
+  GpuStats extra_issue = good;
+  ++extra_issue.sm_total.warp_instructions;
+  EXPECT_NE(check_conservation(cfg, k, extra_issue).find("issued cycles != warp instructions"),
             std::string::npos);
   GpuStats unfinished = good;
   --unfinished.sm_total.blocks_finished;

@@ -33,6 +33,8 @@
 #include "runner/engine.h"
 #include "runner/manifest.h"
 #include "workloads/format/gkd.h"
+#include "workloads/gen/generator.h"
+#include "workloads/gen/profile.h"
 #include "workloads/suites.h"
 
 namespace grs {
@@ -103,6 +105,17 @@ std::vector<TracedMachine> two_sm_machines() {
           {"sgemm / unshared", two_sms(configs::unshared()), shrink(workloads::sgemm(), 4)}};
 }
 
+// The 14-SM line kDynMshrGolden pins (tests/test_equivalence.cc):
+// register_limited seed 2 at 28 blocks, Shared-OWF-Unroll-Dyn, 32 L1 MSHR
+// entries. Its Dyn-exposed warps switch between dyn-gated and mshr-full
+// without parking, so they open and close the most warp-state intervals.
+TracedMachine dyn_mshr_machine() {
+  GpuConfig cfg = configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1);
+  cfg.l1.mshr_entries = 32;
+  return {"register_limited seed 2 / owf-unroll-dyn, 32 MSHRs", cfg,
+          shrink(workloads::gen::generate(workloads::gen::register_limited(), 2), 28)};
+}
+
 // sha256 over the traces of two_sm_machines(), in order. Any change to the
 // trace bytes (format, event order, hook placement) fails it; regenerate it
 // from this test's failure output only for a change meant to move them.
@@ -128,6 +141,7 @@ TEST(ObsTrace, ByteIdenticalAcrossExecModes) {
     for (const auto& [name, cfg] : trace_configs())
       machines.push_back({k.name + " / " + name, cfg, k});
   }
+  machines.push_back(dyn_mshr_machine());
   const std::size_t first_two_sm = machines.size();
   for (TracedMachine& m : two_sm_machines()) machines.push_back(std::move(m));
 
@@ -150,12 +164,12 @@ TEST(ObsTrace, ByteIdenticalAcrossExecModes) {
   }
   EXPECT_EQ(sha256_hex(all), kTwoSmTraceGolden);
 
-  // Each of the twelve hooks renders at least one event in the two-SM traces.
+  // Each of the eleven hooks renders at least one event in the two-SM traces.
   const std::pair<const char*, const char*> hook_events[] = {
-      {"warp_scan", "\"name\":\"dyn-gated\",\"ph\":\"B\",\"cat\":\"warp\""},
-      {"warp_scan", "\"name\":\"lock-wait\",\"ph\":\"B\",\"cat\":\"warp\""},
+      {"warp_state", "\"name\":\"dyn-gated\",\"ph\":\"B\",\"cat\":\"warp\""},
+      {"warp_state", "\"name\":\"lock-wait\",\"ph\":\"B\",\"cat\":\"warp\""},
       {"warp_issue", "\"name\":\"exit\",\"ph\":\"i\",\"cat\":\"issue\""},
-      {"warp_exit", "\"name\":\"exit-drain\",\"ph\":\"E\",\"cat\":\"warp\""},
+      {"warp_state", "\"name\":\"exit-drain\",\"ph\":\"E\",\"cat\":\"warp\""},
       {"block_launch", "\"name\":\"block\",\"ph\":\"B\",\"cat\":\"block\""},
       {"block_finish", "\"name\":\"block\",\"ph\":\"E\",\"cat\":\"block\""},
       {"lock_acquire", "\"name\":\"reg-acquire\",\"ph\":\"i\",\"cat\":\"sharing\""},
@@ -488,6 +502,7 @@ TEST(ObsTrace, WarpSlicesSumToBlockedCounters) {
     std::vector<Counter> exercised;  ///< counters this run must drive above zero
   };
   const std::string dir = std::string(GRS_SOURCE_DIR) + "/examples/kernels/";
+  const TracedMachine dyn_mshr = dyn_mshr_machine();
   const Case cases[] = {
       {configs::shared_owf_unroll_dyn(Resource::kRegisters), shrink(workloads::hotspot(), 28),
        {&SmStats::lock_wait_cycles, &SmStats::dyn_throttled_issues, &SmStats::blocked_lsu_port}},
@@ -495,6 +510,8 @@ TEST(ObsTrace, WarpSlicesSumToBlockedCounters) {
        {&SmStats::blocked_barrier, &SmStats::blocked_scoreboard}},
       {configs::unshared(), shrink(workloads::gkd::load_file(dir + "l2_thrash.gkd"), 8),
        {&SmStats::blocked_mshr}},
+      {dyn_mshr.cfg, dyn_mshr.kernel,
+       {&SmStats::dyn_throttled_issues, &SmStats::blocked_mshr}},
   };
   for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
     for (const Case& c : cases) {
