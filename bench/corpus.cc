@@ -3,11 +3,12 @@
 // stay permanent regression points.
 //
 // The directory defaults to examples/kernels/ (relative to the working
-// directory, which is the repo root in CI); override with GRS_CORPUS_DIR.
-// Unreadable or malformed files are reported on stderr and skipped
-// (runner::load_kernel_dir) — the strict load check lives in the test suite,
-// the bench's job is to run what it can. Scratchpad-sharing lines are added
-// only for kernels that declare scratchpad.
+// directory, which is the repo root in CI); override with GRS_CORPUS_DIR. A
+// directory that cannot be read fails the bench. Unreadable or malformed
+// files, and kernels the paper's GPU refuses, are reported on stderr and
+// skipped (runner::load_kernel_dir) — the strict load check lives in the
+// test suite, the bench's job is to run what it can. Scratchpad-sharing
+// lines are added only for kernels that declare scratchpad.
 #include <vector>
 
 #include "common/config.h"

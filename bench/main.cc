@@ -140,17 +140,17 @@ int main(int argc, char** argv) {
   runner::CliSession session("grs_bench", opts);
   for (auto& s : sinks) s->begin();
   for (const runner::BenchDef* b : to_run) {
-    runner::SweepSpec spec = b->build();
-    spec.filter_kernels(opts.filter);
-
     double secs = 0.0;
     std::vector<runner::SweepRow> rows;
     try {
+      runner::SweepSpec spec = b->build();
+      spec.filter_kernels(opts.filter);
       rows = session.run(b->name, std::move(spec), &secs);
     } catch (const std::exception& e) {
-      // A cache-verify stats difference (or cache/obs I/O failure) is a hard,
-      // diagnosed failure, not a crash. The session's tail still reports
-      // what the run counted (its verify failures among them).
+      // An unreadable kernel corpus (the corpus and study benches' build()),
+      // a cache-verify stats difference or a cache/obs I/O failure is a
+      // hard, diagnosed failure, not a crash. The session's tail still
+      // reports what the run counted (its verify failures among them).
       std::fprintf(stderr, "error: %s bench: %s\n", b->name.c_str(), e.what());
       for (auto& s : sinks) s->end();
       (void)session.finish();

@@ -212,20 +212,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // A .gkd file can describe a kernel the SM cannot host at all; report that
-  // as a clean error here rather than aborting inside compute_occupancy().
-  const KernelResources& res = kernel.resources;
-  if (res.warps_per_block(cfg.warp_size) > cfg.max_warps_per_sm() ||
-      res.regs_per_block() > cfg.registers_per_sm ||
-      res.smem_per_block > cfg.scratchpad_per_sm) {
-    std::fprintf(stderr,
-                 "error: kernel '%s' does not fit on one SM (%u threads, %u regs/thread, "
-                 "%u smem bytes vs limits %u threads, %u regs, %u bytes)\n",
-                 kernel.name.c_str(), res.threads_per_block, res.regs_per_thread,
-                 res.smem_per_block, cfg.max_threads_per_sm, cfg.registers_per_sm,
-                 cfg.scratchpad_per_sm);
-    return 2;
-  }
+  // A .gkd file can describe a kernel simulate() refuses (the SM cannot host
+  // its block, or a load can never fit the L1 MSHR); report every reason as
+  // a clean error rather than abort.
+  const std::vector<Refusal> refused = refusals(cfg, kernel);
+  for (const Refusal& r : refused)
+    std::fprintf(stderr, "error: kernel '%s': a %s\n", kernel.name.c_str(), r.reason.c_str());
+  if (!refused.empty()) return 2;
 
   runner::CliSession session("grs_cli", opts);
 

@@ -155,7 +155,7 @@ GpuStats Gpu::run() {
   }
 
   if (obs_ != nullptr) {
-    for (const auto& sm : sms_) sm.end_trace(cycle);
+    for (const auto& sm : sms_) sm.end_trace(cycle + 1);
     obs_->finalize(cycle);
   }
 

@@ -22,14 +22,9 @@ SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel, obs::SimObser
   prof::ScopedPhase prof_scope(obs::profiler(obs), prof::Phase::kSimulate);
   cfg.validate();
   kernel.validate();
-  // The SM's MSHR pre-check holds a load until all its transactions fit, so
-  // a load wider than the whole L1 MSHR could never issue.
-  const std::uint32_t widest = kernel.program.max_load_transactions();
-  GRS_CHECK_MSG(widest <= cfg.l1.mshr_entries,
-                ("kernel '" + kernel.name + "': a global load of " + std::to_string(widest) +
-                 " transactions can never fit l1.mshr_entries " +
-                 std::to_string(cfg.l1.mshr_entries))
-                    .c_str());
+  const std::vector<Refusal> refused = refusals(cfg, kernel);
+  GRS_CHECK_MSG(refused.empty(),
+                ("kernel '" + kernel.name + "': a " + refused.front().reason).c_str());
 
   Program program = kernel.program;
   if (cfg.sharing.enabled && cfg.sharing.unroll_registers &&
@@ -43,6 +38,39 @@ SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel, obs::SimObser
   Gpu gpu(machine_config(cfg), r.occupancy, kernel, program, obs);
   r.stats = gpu.run();
   return r;
+}
+
+std::vector<Refusal> refusals(const GpuConfig& cfg, const KernelInfo& kernel) {
+  std::vector<Refusal> out;
+  const auto over = [&out](Resource limit, std::uint32_t need, std::uint32_t have,
+                           const char* what) {
+    if (need > have) {
+      out.push_back({limit, std::nullopt,
+                     "block needs " + std::to_string(need) + what + std::to_string(have)});
+    }
+  };
+  const KernelResources& res = kernel.resources;
+  over(Resource::kThreads, res.warps_per_block(cfg.warp_size), cfg.max_warps_per_sm(),
+       " warps but the SM hosts at most ");
+  over(Resource::kRegisters, res.regs_per_block(), cfg.registers_per_sm,
+       " registers but the SM has ");
+  over(Resource::kScratchpad, res.smem_per_block, cfg.scratchpad_per_sm,
+       " scratchpad bytes but the SM has ");
+  over(Resource::kBlocks, 1, cfg.max_blocks_per_sm, " block slot but the SM has ");
+
+  std::size_t index = 0;
+  for (const Segment& s : kernel.program.segments()) {
+    for (const Instruction& i : s.instrs) {
+      if (i.op == Op::kLdGlobal && i.max_transactions() > cfg.l1.mshr_entries) {
+        out.push_back({std::nullopt, index,
+                       "global load of " + std::to_string(i.max_transactions()) +
+                           " transactions can never fit l1.mshr_entries " +
+                           std::to_string(cfg.l1.mshr_entries)});
+      }
+      ++index;
+    }
+  }
+  return out;
 }
 
 std::string check_conservation(const GpuConfig& cfg, const KernelInfo& kernel,

@@ -10,7 +10,10 @@
 // threshold t reaches the machine only through the resolved Occupancy.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/config.h"
 #include "common/stats.h"
@@ -38,10 +41,9 @@ struct SimResult {
 
 /// Run `kernel` under `cfg`. The machine is built from machine_config(cfg)
 /// and compute_occupancy(cfg, kernel.resources); t acts only through that
-/// plan (paper Eq. 1-4 and the private/shared split of §III). A kernel whose
-/// widest global load needs more transactions than cfg.l1.mshr_entries
-/// aborts before simulating, like an invalid cfg: that load could never
-/// issue.
+/// plan (paper Eq. 1-4 and the private/shared split of §III). A kernel that
+/// refusals(cfg, kernel) refuses aborts before simulating, like an invalid
+/// cfg, with "kernel '<name>': a <reason>" for the first reason.
 ///
 /// `obs` (may be null) is the one instrumentation pointer of this simulation
 /// (src/obs): its trace and timeline pillars collect events and samples, and
@@ -50,6 +52,28 @@ struct SimResult {
 /// instrumentation never feeds back into the machine.
 [[nodiscard]] SimResult simulate(const GpuConfig& cfg, const KernelInfo& kernel,
                                  obs::SimObserver* obs = nullptr);
+
+/// One reason simulate() cannot run a kernel under a config.
+struct Refusal {
+  /// Set when a block breaks one of the SM's limits: kThreads (its warps),
+  /// kRegisters or kScratchpad; kBlocks when the config admits no block.
+  std::optional<Resource> limit;
+  /// Set when a global load is wider than l1.mshr_entries: its program-order
+  /// index (segments in order, then instructions).
+  std::optional<std::size_t> instruction;
+  /// E.g. "block needs 40960 registers but the SM has 32768".
+  std::string reason;
+};
+
+/// Every reason simulate(cfg, kernel) cannot run `kernel`: the broken
+/// limits first, then the too-wide loads in program order; empty when it
+/// can run. Launch (paper §II, §III-C) needs one block to fit the SM's
+/// warps, registers and scratchpad, and sharing changes how many blocks
+/// launch, never whether one fits. A load issues only once all its
+/// transactions fit the L1 MSHR at once (stores bypass it), so one wider
+/// than the whole MSHR never issues. grs_cli, the .gkd lint and the corpus
+/// loader report these instead of letting simulate() abort.
+[[nodiscard]] std::vector<Refusal> refusals(const GpuConfig& cfg, const KernelInfo& kernel);
 
 /// The conservation laws every result of simulate(cfg, kernel) must keep:
 ///   - each scheduler classifies each cycle exactly once: issued + stall +

@@ -47,14 +47,6 @@ std::uint32_t Program::max_smem_offset() const {
   return m;
 }
 
-std::uint32_t Program::max_load_transactions() const {
-  std::uint32_t m = 0;
-  for (const auto& s : segments())
-    for (const auto& i : s.instrs)
-      if (i.op == Op::kLdGlobal) m = std::max(m, i.max_transactions());
-  return m;
-}
-
 bool Program::has_barrier() const {
   for (const auto& s : segments())
     for (const auto& i : s.instrs)

@@ -57,10 +57,6 @@ class Program {
   /// Largest scratchpad offset referenced (bytes), or 0 if none.
   [[nodiscard]] std::uint32_t max_smem_offset() const;
 
-  /// Most L1 MSHR entries one global load can need (its max_transactions()),
-  /// or 0 if the program loads nothing. Stores bypass the MSHR.
-  [[nodiscard]] std::uint32_t max_load_transactions() const;
-
   /// True if any instruction is a barrier.
   [[nodiscard]] bool has_barrier() const;
 

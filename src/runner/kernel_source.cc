@@ -7,7 +7,9 @@
 #include <optional>
 #include <stdexcept>
 
+#include "common/config.h"
 #include "common/parse.h"
+#include "gpu/simulator.h"
 #include "workloads/format/gkd.h"
 #include "workloads/gen/generator.h"
 #include "workloads/suites.h"
@@ -67,23 +69,30 @@ std::string default_corpus_dir() {
 }
 
 std::vector<KernelInfo> load_kernel_dir(const std::string& dir) {
-  std::vector<KernelInfo> kernels;
   std::error_code ec;
   std::vector<std::string> paths;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (entry.path().extension() == ".gkd") paths.push_back(entry.path().string());
   }
   if (ec) {
-    std::fprintf(stderr, "[corpus] cannot read %s: %s\n", dir.c_str(), ec.message().c_str());
-    return kernels;
+    throw std::runtime_error("cannot read the kernel corpus " + dir + ": " + ec.message() +
+                             " (run from the repo root or set GRS_CORPUS_DIR)");
   }
   std::sort(paths.begin(), paths.end());
+  const GpuConfig paper_gpu;
+  std::vector<KernelInfo> kernels;
   for (const std::string& path : paths) {
+    std::string why;
     try {
-      kernels.push_back(workloads::gkd::load_file(path));
+      KernelInfo k = workloads::gkd::load_file(path);
+      for (const Refusal& r : refusals(paper_gpu, k))
+        why += (why.empty() ? "a " : "; a ") + r.reason;
+      if (why.empty()) kernels.push_back(std::move(k));
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "[corpus] skipping %s: %s\n", path.c_str(), e.what());
+      why = e.what();
     }
+    if (!why.empty())
+      std::fprintf(stderr, "[corpus] skipping %s: %s\n", path.c_str(), why.c_str());
   }
   if (kernels.empty()) {
     std::fprintf(stderr, "[corpus] no loadable .gkd kernels under %s\n", dir.c_str());

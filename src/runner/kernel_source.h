@@ -30,10 +30,12 @@ namespace grs::runner {
 [[nodiscard]] std::string default_corpus_dir();
 
 /// Load every .gkd file under `dir`, in sorted-path order (directory order is
-/// unspecified). Unreadable or malformed files are reported on stderr and
-/// skipped; a missing/empty directory is reported and yields an empty vector.
-/// The strict load contract lives in the test suite — sweep drivers run what
-/// they can.
+/// unspecified). Unreadable or malformed files, and kernels the paper's GPU
+/// (GpuConfig{}) refuses (refusals() in gpu/simulator.h), are reported on
+/// stderr and skipped; an empty directory is reported and yields an empty
+/// vector. Throws std::runtime_error, naming `dir` and GRS_CORPUS_DIR, when
+/// `dir` cannot be read. The strict load contract lives in the test suite —
+/// sweep drivers run what they can.
 [[nodiscard]] std::vector<KernelInfo> load_kernel_dir(const std::string& dir);
 
 }  // namespace grs::runner

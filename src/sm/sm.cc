@@ -321,10 +321,10 @@ SmStats StreamingMultiprocessor::stats(Cycle c) const {
   return s;
 }
 
-void StreamingMultiprocessor::end_trace(Cycle final_cycle) const {
+void StreamingMultiprocessor::end_trace(Cycle end) const {
   if (trace_ == nullptr) return;
   for (std::uint32_t slot = 0; slot < warps_.size(); ++slot)
-    trace_->warp_state(id_, slot, final_cycle, warps_[slot].state, obs::WarpState::kNone);
+    trace_->warp_state(id_, slot, end, warps_[slot].state, obs::WarpState::kNone);
 }
 
 Cycle StreamingMultiprocessor::next_wakeup() const {

@@ -167,10 +167,11 @@ class StreamingMultiprocessor {
   /// cycle), L1 counters included: the closed intervals, plus every open one
   /// through `c` (past the last step the SM sleeps in them).
   [[nodiscard]] SmStats stats(Cycle c = 0) const;
-  /// Close the trace slice of each warp still in a state at `final_cycle`,
-  /// the run's last cycle (gpu/gpu.cc, before the observer's finalize()).
-  /// Counters are untouched: stats(c) still counts the open intervals.
-  void end_trace(Cycle final_cycle) const;
+  /// Close the trace slice of each warp still in a state at `end`, one past
+  /// the run's last cycle, where stats(c) ends the open intervals, so a run
+  /// cut by max_cycles keeps slices equal to counters (gpu/gpu.cc, before
+  /// the observer's finalize()). Counters are untouched.
+  void end_trace(Cycle end) const;
   [[nodiscard]] SmId id() const { return id_; }
   [[nodiscard]] const Occupancy& occupancy() const { return occ_; }
   [[nodiscard]] std::uint32_t resident_blocks() const { return resident_blocks_; }

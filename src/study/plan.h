@@ -63,7 +63,8 @@ struct StudyPlan {
 };
 
 /// Generate every cell kernel and load the corpus. `corpus_dir` empty skips
-/// the corpus entirely (unit tests).
+/// the corpus entirely (unit tests); one that cannot be read throws
+/// (runner::load_kernel_dir).
 [[nodiscard]] StudyPlan build_plan(const StudyGrid& grid, const std::string& corpus_dir);
 
 /// Variant label of one (family, percent) line, e.g. "reg 90%" / "smem 0%".

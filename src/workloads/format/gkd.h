@@ -64,8 +64,10 @@
 // histogram by value (cold first), which keeps round-trips byte-identical.
 #pragma once
 
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "workloads/kernel_info.h"
 
@@ -94,8 +96,17 @@ void serialize(const KernelInfo& k, std::string& out);
 /// serialize() writes its header through this, so the two cannot disagree.
 void serialize_header(const KernelInfo& k, std::string& out);
 
-/// Parse a .gkd document. `filename` only labels error messages.
-[[nodiscard]] KernelInfo parse(const std::string& text, const std::string& filename = "<gkd>");
+/// Where a parsed document holds each part of its kernel (1-based lines), so
+/// a check on the kernel can point at its source (workloads/validate.h).
+struct SourceLines {
+  std::map<std::string, int> header;  ///< each header field present -> its line
+  std::vector<int> instructions;      ///< each instruction's line, in program order
+};
+
+/// Parse a .gkd document. `filename` only labels error messages; `lines`,
+/// when given, receives where each header field and instruction is.
+[[nodiscard]] KernelInfo parse(const std::string& text, const std::string& filename = "<gkd>",
+                               SourceLines* lines = nullptr);
 
 /// Read and parse `path`. Throws std::runtime_error when the file cannot be
 /// read, ParseError when it cannot be parsed.

@@ -38,7 +38,8 @@ constexpr std::uint64_t kMaxRegs = 4096;
 
 class Parser {
  public:
-  Parser(const std::string& text, const std::string& filename) : file_(filename) {
+  Parser(const std::string& text, const std::string& filename, SourceLines* where)
+      : file_(filename), where_(where) {
     split_lines(text);
   }
 
@@ -212,6 +213,7 @@ class Parser {
                 "unknown header field '" + key.text +
                     "' (valid: kernel suite set threads regs smem grid lanes)");
       }
+      if (where_ != nullptr) where_->header[key.text] = l.number;
       ++cursor_;
     }
     const int here = cursor_ < lines_.size() ? lines_[cursor_].number : end_line_;
@@ -280,6 +282,7 @@ class Parser {
         break;
       }
       seg.instrs.push_back(parse_instruction(l));
+      if (where_ != nullptr) where_->instructions.push_back(l.number);
       ++cursor_;
     }
     if (!closed) fail(end_line_, 1, "unterminated segment (missing '}')");
@@ -543,6 +546,7 @@ class Parser {
   }
 
   std::string file_;
+  SourceLines* where_;
   std::vector<TokenLine> lines_;
   std::size_t cursor_ = 0;
   int end_line_ = 1;  ///< 1-based line just past the document, for EOF errors
@@ -559,8 +563,8 @@ class Parser {
 
 }  // namespace
 
-KernelInfo parse(const std::string& text, const std::string& filename) {
-  return Parser(text, filename).run();
+KernelInfo parse(const std::string& text, const std::string& filename, SourceLines* lines) {
+  return Parser(text, filename, lines).run();
 }
 
 KernelInfo load_file(const std::string& path) {

@@ -5,13 +5,17 @@
 #include <optional>
 #include <stdexcept>
 
-#include "common/config.h"
 #include "common/io.h"
 #include "workloads/trace/reduce.h"
 
 namespace grs::workloads::trace {
 
 namespace {
+
+/// The imported kernel's block shape (import.h); grid and trip count derive
+/// from the trace.
+constexpr std::uint32_t kThreadsPerBlock = 256;
+constexpr RegNum kRegsPerThread = 16;
 
 /// Nearest classical pattern label for a measured coalescing histogram: the
 /// dominant transactions-per-access bucket, rounded up to the enum menu.
@@ -63,41 +67,24 @@ std::string file_stem(const std::string& path) {
 
 }  // namespace
 
-KernelInfo import_trace(const std::string& text, const std::string& filename,
-                        const ImportOptions& opts) {
-  const GpuConfig caps;  ///< imported kernels must fit the default SM
-  if (opts.threads_per_block < 1 || opts.threads_per_block > caps.max_threads_per_sm) {
-    throw std::runtime_error("threads_per_block must be in [1, " +
-                             std::to_string(caps.max_threads_per_sm) + "]");
-  }
-  std::uint32_t regs = std::clamp(opts.regs_per_thread, 4u, 64u);
-  regs = std::min(regs, caps.registers_per_sm / opts.threads_per_block);
-
-  const Trace trace = parse_trace(text, filename, opts.warp_size);
-  ReduceOptions ropts;
-  ropts.line_bytes = opts.line_bytes;
-  const std::vector<InstrStats> instrs = reduce_trace(trace, ropts);
+KernelInfo import_trace(const std::string& text, const std::string& filename) {
+  const Trace trace = parse_trace(text, filename);
+  const std::vector<InstrStats> instrs = reduce_trace(trace);
 
   // Loop trip count: mean dynamic accesses per (pc, warp) pair, so one
   // simulated warp issues about as many accesses per instruction as a trace
   // warp did.
-  std::uint32_t iters = opts.iterations;
-  if (iters == 0) {
-    std::uint64_t total = 0, pairs = 0;
-    for (const InstrStats& s : instrs) {
-      total += s.instances;
-      pairs += std::max<std::uint64_t>(s.warps, 1);
-    }
-    iters = static_cast<std::uint32_t>(
-        std::clamp<std::uint64_t>(pairs == 0 ? 1 : (total + pairs - 1) / pairs, 1, 256));
+  std::uint64_t total = 0, pairs = 0;
+  for (const InstrStats& s : instrs) {
+    total += s.instances;
+    pairs += std::max<std::uint64_t>(s.warps, 1);
   }
+  const auto iters = static_cast<std::uint32_t>(
+      std::clamp<std::uint64_t>(pairs == 0 ? 1 : (total + pairs - 1) / pairs, 1, 256));
 
-  std::uint32_t grid = opts.grid_blocks;
-  if (grid == 0) {
-    const std::uint64_t threads_total = static_cast<std::uint64_t>(trace.max_tid) + 1;
-    grid = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-        (threads_total + opts.threads_per_block - 1) / opts.threads_per_block, 1, 1u << 20));
-  }
+  const std::uint64_t threads_total = static_cast<std::uint64_t>(trace.max_tid) + 1;
+  const auto grid = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
+      (threads_total + kThreadsPerBlock - 1) / kThreadsPerBlock, 1, 1u << 20));
 
   // One loop segment walking the trace's instructions in pc order, ALU ops
   // threading a dependency through the register file between accesses.
@@ -107,7 +94,7 @@ KernelInfo import_trace(const std::string& text, const std::string& filename,
   RegNum cursor = 0;
   auto next_reg = [&]() -> RegNum {
     const RegNum r = cursor;
-    cursor = static_cast<RegNum>((cursor + 1) % regs);
+    cursor = static_cast<RegNum>((cursor + 1) % kRegsPerThread);
     return r;
   };
   {
@@ -151,21 +138,21 @@ KernelInfo import_trace(const std::string& text, const std::string& filename,
   segments.push_back(std::move(epilogue));
 
   KernelInfo k;
-  k.name = opts.name.empty() ? "trace-" + file_stem(filename) : opts.name;
+  k.name = "trace-" + file_stem(filename);
   k.suite = "trace";
   k.set = "trace";
-  k.resources = KernelResources{opts.threads_per_block, regs, 0};
+  k.resources = KernelResources{kThreadsPerBlock, kRegsPerThread, 0};
   k.grid_blocks = grid;
   k.active_lanes = 32;
-  k.program = Program(std::move(segments), static_cast<RegNum>(regs));
+  k.program = Program(std::move(segments), kRegsPerThread);
   k.validate();
   return k;
 }
 
-KernelInfo import_trace_file(const std::string& path, const ImportOptions& opts) {
+KernelInfo import_trace_file(const std::string& path) {
   const std::optional<std::string> text = read_file(path);
   if (!text.has_value()) throw std::runtime_error("cannot open " + path);
-  return import_trace(*text, path, opts);
+  return import_trace(*text, path);
 }
 
 }  // namespace grs::workloads::trace

@@ -4,11 +4,13 @@
 // instruction observed in the trace (every pc) becomes one profile-carrying
 // ld.global/st.global in the synthesized program, in pc order, interleaved
 // with ALU ops that thread register dependencies the way compiled kernels
-// do. The loop trip count reproduces the mean dynamic access count per warp;
-// grid and block shape derive from the observed thread ids unless
-// overridden. The enum pattern/locality labels on each instruction are set
-// to the nearest classical description of the measured histograms, so the
-// kernel stays meaningful to tools that ignore profiles.
+// do. The shape is fixed: 256-thread blocks of 16 registers per thread,
+// named "trace-<file stem>"; the loop trip count reproduces the mean dynamic
+// access count per warp, and the grid covers the highest observed thread
+// id. To change the shape, edit the dumped .gkd. The enum pattern/locality
+// labels on each instruction are set to the nearest classical description
+// of the measured histograms, so the kernel stays meaningful to tools that
+// ignore profiles.
 //
 // The result always passes KernelInfo::validate() and fits the default
 // GpuConfig (paper Table I), and serializing it to .gkd round-trips
@@ -22,24 +24,11 @@
 
 namespace grs::workloads::trace {
 
-struct ImportOptions {
-  /// Kernel name; empty derives "trace-<file stem>" (or "trace" for text).
-  std::string name;
-  std::uint32_t threads_per_block = 256;
-  std::uint32_t regs_per_thread = 16;
-  std::uint32_t grid_blocks = 0;  ///< 0 = derive from the highest thread id
-  std::uint32_t iterations = 0;   ///< 0 = derive from mean accesses per warp
-  std::uint32_t line_bytes = 128;
-  std::uint32_t warp_size = 32;
-};
-
-/// Import from already-parsed trace text. Throws TraceError on parse
-/// failures and std::runtime_error on impossible options.
-[[nodiscard]] KernelInfo import_trace(const std::string& text, const std::string& filename,
-                                      const ImportOptions& opts = {});
+/// Import from trace text. `filename` labels errors and names the kernel.
+/// Throws TraceError on parse failures.
+[[nodiscard]] KernelInfo import_trace(const std::string& text, const std::string& filename);
 
 /// Read, parse and import `path`.
-[[nodiscard]] KernelInfo import_trace_file(const std::string& path,
-                                           const ImportOptions& opts = {});
+[[nodiscard]] KernelInfo import_trace_file(const std::string& path);
 
 }  // namespace grs::workloads::trace

@@ -10,6 +10,9 @@ namespace grs::workloads::trace {
 
 namespace {
 
+constexpr std::uint64_t kLineBytes = 128;
+constexpr std::size_t kMaxBuckets = 8;
+
 /// Accumulates value -> weight; ordered so reduction output is deterministic.
 using Hist = std::map<std::int64_t, std::uint64_t>;
 
@@ -21,13 +24,13 @@ std::int64_t reuse_bucket(std::uint64_t distance) {
   return static_cast<std::int64_t>(b);
 }
 
-/// Keep the `max_buckets` heaviest buckets; fold dropped weight into the
+/// Keep the kMaxBuckets heaviest buckets; fold dropped weight into the
 /// nearest surviving value so the total mass (and sampling totals) survive.
-std::vector<ProfileBucket> cap_buckets(const Hist& h, std::uint32_t max_buckets) {
+std::vector<ProfileBucket> cap_buckets(const Hist& h) {
   std::vector<ProfileBucket> all;
   all.reserve(h.size());
   for (const auto& [value, weight] : h) all.push_back({value, weight});
-  if (all.size() <= max_buckets || max_buckets == 0) return all;
+  if (all.size() <= kMaxBuckets) return all;
 
   std::vector<ProfileBucket> by_weight = all;
   std::stable_sort(by_weight.begin(), by_weight.end(),
@@ -35,7 +38,7 @@ std::vector<ProfileBucket> cap_buckets(const Hist& h, std::uint32_t max_buckets)
                      if (a.weight != b.weight) return a.weight > b.weight;
                      return std::llabs(a.value) < std::llabs(b.value);
                    });
-  by_weight.resize(max_buckets);
+  by_weight.resize(kMaxBuckets);
   std::sort(by_weight.begin(), by_weight.end(),
             [](const ProfileBucket& a, const ProfileBucket& b) { return a.value < b.value; });
 
@@ -82,8 +85,7 @@ struct PcState {
 
 }  // namespace
 
-std::vector<InstrStats> reduce_trace(const Trace& t, const ReduceOptions& opts) {
-  const std::uint64_t line_bytes = opts.line_bytes == 0 ? 128 : opts.line_bytes;
+std::vector<InstrStats> reduce_trace(const Trace& t) {
   std::map<std::uint64_t, PcState> pcs;
 
   std::vector<std::uint64_t> lines;  // scratch: distinct lines of one access
@@ -95,8 +97,8 @@ std::vector<InstrStats> reduce_trace(const Trace& t, const ReduceOptions& opts) 
 
     lines.clear();
     for (const LaneAccess& lane : a.lanes) {
-      const std::uint64_t first = lane.addr / line_bytes;
-      const std::uint64_t last = (lane.addr + std::max(lane.size, 1u) - 1) / line_bytes;
+      const std::uint64_t first = lane.addr / kLineBytes;
+      const std::uint64_t last = (lane.addr + std::max(lane.size, 1u) - 1) / kLineBytes;
       for (std::uint64_t ln = first; ln <= last; ++ln) lines.push_back(ln);
     }
     std::sort(lines.begin(), lines.end());
@@ -131,12 +133,12 @@ std::vector<InstrStats> reduce_trace(const Trace& t, const ReduceOptions& opts) 
     r.is_store = s.store_instances * 2 > s.instances;
     r.instances = s.instances;
     r.warps = static_cast<std::uint32_t>(s.warps.size());
-    r.profile.coalesce = cap_buckets(s.coalesce, opts.max_buckets);
+    r.profile.coalesce = cap_buckets(s.coalesce);
     // A single-access pc has no observed stride; describe it as stationary.
     if (s.stride.empty()) s.stride[0] = 1;
-    r.profile.stride = cap_buckets(s.stride, opts.max_buckets);
+    r.profile.stride = cap_buckets(s.stride);
     if (s.cold > 0) r.profile.reuse.push_back({MemProfile::kColdReuse, s.cold});
-    for (const ProfileBucket& b : cap_buckets(s.reuse, opts.max_buckets)) {
+    for (const ProfileBucket& b : cap_buckets(s.reuse)) {
       r.profile.reuse.push_back(b);
     }
     // Clamp to the region-window limit MemProfile::check() enforces.

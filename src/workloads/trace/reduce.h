@@ -2,11 +2,14 @@
 // into one MemProfile per static memory instruction (per pc).
 //
 // For every pc, walking the trace in order:
-//   - coalesce: distinct cache lines per warp access -> histogram
+//   - coalesce: distinct 128-byte cache lines per warp access -> histogram
 //   - stride:   delta (in lines) between a warp's consecutive access bases
 //   - reuse:    per-warp distance, in accesses, since each line was last
 //               touched; rounded up to a power of two; first touches are cold
 //   - footprint: total distinct lines the pc touches across the whole trace
+//
+// Each histogram keeps at most 8 buckets; excess weight folds into the
+// nearest surviving bucket (by value) so totals are preserved.
 //
 // The result is deterministic in the trace order and independent of any
 // container iteration order, so the same trace always reduces to the same
@@ -21,13 +24,6 @@
 
 namespace grs::workloads::trace {
 
-struct ReduceOptions {
-  std::uint32_t line_bytes = 128;
-  /// Histograms keep at most this many buckets; excess weight folds into the
-  /// nearest surviving bucket (by value) so totals are preserved.
-  std::uint32_t max_buckets = 8;
-};
-
 /// One static memory instruction's reduced behaviour.
 struct InstrStats {
   std::uint64_t pc = 0;
@@ -38,7 +34,6 @@ struct InstrStats {
 };
 
 /// Reduce `t` to per-pc profiles, sorted by pc ascending.
-[[nodiscard]] std::vector<InstrStats> reduce_trace(const Trace& t,
-                                                   const ReduceOptions& opts = {});
+[[nodiscard]] std::vector<InstrStats> reduce_trace(const Trace& t);
 
 }  // namespace grs::workloads::trace

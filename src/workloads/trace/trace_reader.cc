@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <optional>
 #include <sstream>
-
-#include "common/io.h"
 
 namespace grs::workloads::trace {
 
 namespace {
+
+constexpr std::uint32_t kWarpSize = 32;
 
 struct Cursor {
   const std::string& file;
@@ -120,8 +119,8 @@ void parse_csv(const std::string& text, const std::string& filename, Trace& out)
     bool is_store = false;
     if (f.size() == 5) is_store = opcode_is_store(c, f[4]);
 
-    const auto warp = static_cast<std::uint32_t>(tid / out.warp_size);
-    const auto lane = static_cast<std::uint32_t>(tid % out.warp_size);
+    const auto warp = static_cast<std::uint32_t>(tid / kWarpSize);
+    const auto lane = static_cast<std::uint32_t>(tid % kWarpSize);
     const bool same_instr = !out.accesses.empty() && out.accesses.back().pc == pc &&
                             out.accesses.back().warp_id == warp &&
                             out.accesses.back().is_store == is_store;
@@ -155,19 +154,19 @@ void parse_memlog(const std::string& text, const std::string& filename, Trace& o
     WarpAccess a;
     a.pc = parse_u64_tok(c, f[0], "pc");
     const std::uint64_t warp = parse_u64_tok(c, f[1], "warp id");
-    if (warp > UINT32_MAX / out.warp_size) fail(c, "warp id is out of range");
+    if (warp > UINT32_MAX / kWarpSize) fail(c, "warp id is out of range");
     a.warp_id = static_cast<std::uint32_t>(warp);
     a.is_store = opcode_is_store(c, f[2]);
     for (std::size_t k = 3; k < f.size(); ++k) {
       a.lanes.push_back(LaneAccess{parse_u64_tok(c, f[k], "addr"), 4});
     }
-    if (a.lanes.size() > out.warp_size) {
+    if (a.lanes.size() > kWarpSize) {
       fail(c, "warp access has " + std::to_string(a.lanes.size()) +
-                  " lanes but the warp size is " + std::to_string(out.warp_size));
+                  " lanes but the warp size is " + std::to_string(kWarpSize));
     }
     out.records += a.lanes.size();
     out.max_tid =
-        std::max(out.max_tid, a.warp_id * out.warp_size +
+        std::max(out.max_tid, a.warp_id * kWarpSize +
                                   static_cast<std::uint32_t>(a.lanes.size()) - 1);
     out.accesses.push_back(std::move(a));
   }
@@ -175,10 +174,8 @@ void parse_memlog(const std::string& text, const std::string& filename, Trace& o
 
 }  // namespace
 
-Trace parse_trace(const std::string& text, const std::string& filename,
-                  std::uint32_t warp_size) {
+Trace parse_trace(const std::string& text, const std::string& filename) {
   Trace out;
-  out.warp_size = warp_size == 0 ? 32 : warp_size;
   // Auto-detect: the generic format is comma-separated, the memory-log format
   // never contains a comma.
   bool csv = false;
@@ -199,12 +196,6 @@ Trace parse_trace(const std::string& text, const std::string& filename,
     throw TraceError(filename, 1, "trace contains no memory accesses");
   }
   return out;
-}
-
-Trace load_trace_file(const std::string& path, std::uint32_t warp_size) {
-  const std::optional<std::string> text = read_file(path);
-  if (!text.has_value()) throw std::runtime_error("cannot open " + path);
-  return parse_trace(*text, path, warp_size);
 }
 
 }  // namespace grs::workloads::trace

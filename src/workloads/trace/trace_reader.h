@@ -11,7 +11,7 @@
 //
 //    Numbers are decimal or 0x-hex; `size` is bytes (0 reads as 4); a fifth
 //    column `r|w` (or `ld|st`) marks loads/stores, defaulting to load.
-//    Consecutive records with the same pc and warp (tid / warp_size) fold
+//    Consecutive records with the same pc and 32-lane warp (tid / 32) fold
 //    into one warp access; a repeated lane closes the current access and
 //    opens the next dynamic instance.
 //
@@ -68,16 +68,9 @@ struct Trace {
   std::vector<WarpAccess> accesses;
   std::uint64_t records = 0;   ///< thread-level records consumed
   std::uint32_t max_tid = 0;   ///< highest thread id observed (sizing the grid)
-  std::uint32_t warp_size = 32;
 };
 
 /// Parse trace text (format auto-detected). `filename` labels errors only.
-[[nodiscard]] Trace parse_trace(const std::string& text,
-                                const std::string& filename = "<trace>",
-                                std::uint32_t warp_size = 32);
-
-/// Read and parse `path`. Throws std::runtime_error when the file cannot be
-/// read, TraceError when it cannot be parsed.
-[[nodiscard]] Trace load_trace_file(const std::string& path, std::uint32_t warp_size = 32);
+[[nodiscard]] Trace parse_trace(const std::string& text, const std::string& filename = "<trace>");
 
 }  // namespace grs::workloads::trace

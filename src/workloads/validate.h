@@ -1,6 +1,7 @@
 // .gkd lint: check a kernel description against a GpuConfig without
-// simulating — parseability, SM fit, occupancy/sharing plausibility, loads
-// too wide for the L1 MSHR, and profile-histogram sanity — reporting
+// simulating — parseability, then what simulate() refuses (refusals() in
+// gpu/simulator.h: the SM fit and loads too wide for the L1 MSHR), then
+// occupancy/sharing plausibility and profile-histogram sanity — reporting
 // positioned "file:line: message" diagnostics instead of aborting. Backing
 // for `grs_cli --validate`.
 #pragma once

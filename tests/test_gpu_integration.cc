@@ -1,8 +1,10 @@
 // Whole-GPU integration properties: determinism, conservation, the
 // paper's structural equivalences (Set-3 untouched, 0%-sharing == baseline,
-// effective blocks preserved), and the committed cycle anchors.
+// effective blocks preserved), what simulate() refuses to run, and the
+// committed cycle anchors.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -142,6 +144,59 @@ TEST(GpuIntegration, RefusesALoadWiderThanTheL1Mshr) {
                  "l1.mshr_entries 1")
         << to_string(mode);
   }
+}
+
+TEST(GpuIntegration, RefusalsNameEachLimitAndLoadAndSimulateAbortsOnTheFirst) {
+  // 64 warps, 65,536 registers and 20,000 scratchpad bytes per block, and a
+  // 2-transaction load at program-order index 1 under a 1-entry L1 MSHR.
+  KernelInfo k;
+  k.name = "big";
+  k.resources = KernelResources{2048, 32, 20000};
+  k.grid_blocks = 28;
+  ProgramBuilder b(32);
+  b.alu(0).ld_global(1, MemPattern::kStrided2, Locality::kStreaming, 1, 64);
+  k.program = b.build();
+  GpuConfig cfg = configs::unshared();
+  cfg.l1.mshr_entries = 1;
+  const std::vector<Refusal> refused = refusals(cfg, k);
+  ASSERT_EQ(refused.size(), 4u);
+  const Resource limits[] = {Resource::kThreads, Resource::kRegisters, Resource::kScratchpad};
+  const char* reasons[] = {"block needs 64 warps but the SM hosts at most 48",
+                           "block needs 65536 registers but the SM has 32768",
+                           "block needs 20000 scratchpad bytes but the SM has 16384"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(refused[i].limit, limits[i]);
+    EXPECT_FALSE(refused[i].instruction.has_value());
+    EXPECT_EQ(refused[i].reason, reasons[i]);
+  }
+  EXPECT_FALSE(refused[3].limit.has_value());
+  EXPECT_EQ(refused[3].instruction, 1u);
+  EXPECT_EQ(refused[3].reason, "global load of 2 transactions can never fit l1.mshr_entries 1");
+  EXPECT_DEATH((void)simulate(cfg, k),
+               "kernel 'big': a block needs 64 warps but the SM hosts at most 48");
+
+  GpuConfig no_slots = configs::unshared();
+  no_slots.max_blocks_per_sm = 0;
+  const std::vector<Refusal> none = refusals(no_slots, workloads::hotspot());
+  ASSERT_EQ(none.size(), 1u);
+  EXPECT_EQ(none[0].limit, Resource::kBlocks);
+  EXPECT_DEATH((void)simulate(no_slots, workloads::hotspot()),
+               "kernel 'hotspot': a block needs 1 block slot but the SM has 0");
+}
+
+TEST(GpuIntegration, PaperMachineRefusesNoBuiltInOrCorpusKernel) {
+  const GpuConfig cfg;
+  for (const std::string& name : workloads::all_names())
+    EXPECT_TRUE(refusals(cfg, workloads::by_name(name)).empty()) << name;
+  std::size_t corpus = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(GRS_SOURCE_DIR "/examples/kernels")) {
+    if (entry.path().extension() != ".gkd") continue;
+    ++corpus;
+    EXPECT_TRUE(refusals(cfg, runner::resolve_kernel(entry.path().string())).empty())
+        << entry.path();
+  }
+  EXPECT_GE(corpus, 6u);
 }
 
 TEST(GpuIntegration, DeadlockAbortsAtTheSameCycleInBothModes) {

@@ -503,6 +503,8 @@ TEST(ObsTrace, WarpSlicesSumToBlockedCounters) {
   };
   const std::string dir = std::string(GRS_SOURCE_DIR) + "/examples/kernels/";
   const TracedMachine dyn_mshr = dyn_mshr_machine();
+  GpuConfig capped = configs::unshared();
+  capped.max_cycles = 1234;
   const Case cases[] = {
       {configs::shared_owf_unroll_dyn(Resource::kRegisters), shrink(workloads::hotspot(), 28),
        {&SmStats::lock_wait_cycles, &SmStats::dyn_throttled_issues, &SmStats::blocked_lsu_port}},
@@ -512,6 +514,9 @@ TEST(ObsTrace, WarpSlicesSumToBlockedCounters) {
        {&SmStats::blocked_mshr}},
       {dyn_mshr.cfg, dyn_mshr.kernel,
        {&SmStats::dyn_throttled_issues, &SmStats::blocked_mshr}},
+      // Cut by the cap with slices still open: they end where stats(c) ends
+      // their intervals, one past the last cycle.
+      {capped, shrink(workloads::hotspot(), 8), {&SmStats::blocked_scoreboard}},
   };
   for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
     for (const Case& c : cases) {

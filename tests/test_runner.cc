@@ -1,7 +1,7 @@
 // Runner subsystem: the sweep engine (determinism across worker counts, one
 // simulation per distinct machine, exceptions thrown while planning and by
-// simulation workers), sink well-formedness, the bench registry, and
-// kernel-spec resolution.
+// simulation workers), sink well-formedness, the bench registry,
+// kernel-spec resolution and corpus loading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -403,6 +403,32 @@ TEST(KernelSource, ResolvesEverySpecForm) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("hotspot"), std::string::npos) << e.what();
   }
+}
+
+TEST(KernelSource, CorpusLoadsWhatThePaperMachineRuns) {
+  namespace fs = std::filesystem;
+  const std::string dir = testing::TempDir() + "/grs_kernel_source_corpus";
+  fs::remove_all(dir);
+  // An unreadable directory is an error naming it and the override.
+  try {
+    (void)load_kernel_dir(dir);
+    ADD_FAILURE() << "a missing corpus directory loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("GRS_CORPUS_DIR"), std::string::npos) << e.what();
+  }
+  fs::create_directories(dir);
+  EXPECT_TRUE(load_kernel_dir(dir).empty());
+
+  // A block over the register file (1024 threads x 40 registers) is skipped
+  // like a malformed file, so the sweep runs what it can.
+  fs::copy_file(GRS_SOURCE_DIR "/examples/kernels/staged_reduce.gkd", dir + "/staged_reduce.gkd");
+  write_file(dir + "/big.gkd",
+             "gkd 1\nkernel \"big\"\nthreads 1024\nregs 40\ngrid 28\n\nsegment x1 {\n"
+             "  alu $r0\n  exit\n}\n");
+  const std::vector<KernelInfo> kernels = load_kernel_dir(dir);
+  ASSERT_EQ(kernels.size(), 1u);
+  EXPECT_EQ(kernels[0].name, "staged_reduce");
 }
 
 }  // namespace

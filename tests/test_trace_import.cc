@@ -22,7 +22,6 @@
 namespace grs {
 namespace {
 
-using workloads::trace::ImportOptions;
 using workloads::trace::import_trace;
 using workloads::trace::parse_trace;
 using workloads::trace::reduce_trace;
@@ -400,19 +399,6 @@ TEST(TraceImport, EndToEndKernelValidatesAndCarriesProfiles) {
   EXPECT_EQ(workloads::gkd::serialize(workloads::gkd::parse(text)), text);
 }
 
-TEST(TraceImport, OptionsOverrideShape) {
-  ImportOptions opts;
-  opts.name = "custom";
-  opts.threads_per_block = 64;
-  opts.grid_blocks = 33;
-  opts.iterations = 5;
-  const KernelInfo k = import_trace(staged_trace(2, 2), "t.csv", opts);
-  EXPECT_EQ(k.name, "custom");
-  EXPECT_EQ(k.resources.threads_per_block, 64u);
-  EXPECT_EQ(k.grid_blocks, 33u);
-  EXPECT_EQ(k.program.segments()[0].iterations, 5u);
-}
-
 // --- lint validator ---------------------------------------------------------------
 
 TEST(Validate, CleanAndPositionedDiagnostics) {
@@ -465,6 +451,19 @@ TEST(Validate, FlagsALoadThatCanNeverFitTheL1Mshr) {
 
   cfg.l1.mshr_entries = 2;
   EXPECT_TRUE(workloads::lint_gkd(text, "wide.gkd", cfg).empty());
+}
+
+TEST(Validate, OneDiagnosticPerRefusedLimitOnItsHeaderLine) {
+  // 2048 threads (64 warps) of 32 registers and 20,000 scratchpad bytes per
+  // block break each of the SM's three limits once.
+  const std::string text =
+      "gkd 1\nkernel \"huge\"\nthreads 2048\nregs 32\nsmem 20000\ngrid 28\n\n"
+      "segment x1 {\n  alu $r0\n  exit\n}\n";
+  const auto diags = workloads::lint_gkd(text, "huge.gkd", GpuConfig{});
+  ASSERT_EQ(diags.size(), 3u);
+  EXPECT_EQ(diags[0], "huge.gkd:3: block needs 64 warps but the SM hosts at most 48");
+  EXPECT_EQ(diags[1], "huge.gkd:4: block needs 65536 registers but the SM has 32768");
+  EXPECT_EQ(diags[2], "huge.gkd:5: block needs 20000 scratchpad bytes but the SM has 16384");
 }
 
 // --- corpus ----------------------------------------------------------------------
